@@ -44,8 +44,6 @@ from .fuzzy import (
     ReproduceFailure,
     UncorrectableError,
     generate,
-    hamming_correct,
-    hamming_encode,
     load_helper,
     reproduce,
     save_helper,

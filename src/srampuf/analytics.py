@@ -2,7 +2,8 @@
 
 All reports are plain dataclass rows with CSV emitters; plotting stays out of
 tree. Row order is deterministic (condition, then threshold, then block) so
-reports diff cleanly.
+reports diff cleanly. Each report marks stability once over all of its blocks
+and reads per-block figures off that one map.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .bitvec import BitVector, hamming_distance
 from .enroll import (
     DEFAULT_WINDOW_LENGTH,
     Mask,
+    StabilityMap,
     mark_stability,
-    select_positions,
     weight_positions,
 )
 from .keygen import apply_mask
@@ -41,15 +42,11 @@ def block_stability(samples: list[BitVector],
     """Stability statistics per full block; a trailing partial block is skipped."""
     if len(samples) < 2:
         raise ValueError("block statistics need at least 2 samples")
-    length = min(len(s) for s in samples)
-    reports = []
-    for b in range(length // block_size):
-        window = range(b * block_size, (b + 1) * block_size)
-        stability = mark_stability(samples, window)
-        stable = stability.stable_count()
-        reports.append(BlockReport(block_index=b, stable_count=stable,
-                                   unstable_count=block_size - stable))
-    return reports
+    num_blocks = min(len(s) for s in samples) // block_size
+    stable = mark_stability(samples, range(0, num_blocks * block_size)).stable
+    counts = np.count_nonzero(stable.reshape(num_blocks, block_size), axis=1)
+    return [BlockReport(block_index=b, stable_count=int(c), unstable_count=block_size - int(c))
+            for b, c in enumerate(counts)]
 
 
 def skipped_trailing_bits(sample_length: int, block_size: int = DEFAULT_WINDOW_LENGTH) -> int:
@@ -109,46 +106,44 @@ def threshold_sweep(enroll_samples: list[BitVector],
     """
     if len(enroll_samples) < 2:
         raise ValueError("sweep needs at least 2 enrollment samples")
+    if any(t < 1 for t in thresholds):
+        raise ValueError("threshold must be >= 1")
     length = min(len(s) for s in enroll_samples)
     num_blocks = length // block_size
-    conditions = sorted(test_samples)
-
-    selections: dict[tuple[int, int], np.ndarray] = {}
-    references: dict[tuple[int, int], np.ndarray] = {}
-    for b in range(num_blocks):
-        window = range(b * block_size, (b + 1) * block_size)
-        weights = weight_positions(mark_stability(enroll_samples, window))
-        base = enroll_samples[0].bits[window.start:window.stop]
-        for t in thresholds:
-            chosen = select_positions(weights, t)
-            selections[(b, t)] = chosen + window.start
-            references[(b, t)] = base[chosen]
+    span = num_blocks * block_size
+    stability = mark_stability(enroll_samples, range(0, span))
+    weights = weight_positions(StabilityMap(stable=stability.stable.reshape(num_blocks, block_size),
+                                            sample_count=stability.sample_count)).weights
+    # selected[j, b]: positions of block b whose weight reaches thresholds[j]
+    selected = np.count_nonzero(weights >= np.array(thresholds)[:, None, None], axis=2)
+    weights = weights.ravel()
+    reference = enroll_samples[0].bits[:span]
+    stable = stability.stable  # every selected position is stable, at any threshold
 
     rows = []
-    for condition in conditions:
-        sample_bits = [s.bits for s in test_samples[condition]]
-        if not sample_bits:
+    for condition in sorted(test_samples):
+        samples = test_samples[condition]
+        if not samples:
             raise ValueError(f"condition {condition!r} has no test samples")
-        if any(bits.size < num_blocks * block_size for bits in sample_bits):
+        if any(len(s) < span for s in samples):
             raise ValueError(f"condition {condition!r} has samples shorter than the "
                              f"enrolled {num_blocks} block(s)")
-        for t in thresholds:
-            for b in range(num_blocks):
-                positions = selections[(b, t)]
-                reference = references[(b, t)]
-                flips = np.array([int(np.count_nonzero(bits[positions] != reference))
-                                  for bits in sample_bits])
-                rows.append(SweepRow(
-                    condition=condition,
-                    threshold=t,
-                    block_index=b,
-                    selected_count=int(positions.size),
-                    max_flips=int(flips.max()),
-                    sample_count=len(sample_bits),
-                    samples_zero_flips=int(np.count_nonzero(flips == 0)),
-                    samples_one_flip=int(np.count_nonzero(flips == 1)),
-                    samples_multi_flips=int(np.count_nonzero(flips >= 2)),
-                ))
+        # flips[i, j, b]: selected bits of block b at thresholds[j] that sample i flipped
+        flips = np.empty((len(samples), len(thresholds), num_blocks), dtype=np.int32)
+        for i, sample in enumerate(samples):
+            flipped = np.flatnonzero((sample.bits[:span] != reference) & stable)
+            depth, block = weights[flipped], flipped // block_size
+            for j, t in enumerate(thresholds):
+                flips[i, j] = np.bincount(block[depth >= t], minlength=num_blocks)
+        max_flips = flips.max(axis=0)
+        zero = np.count_nonzero(flips == 0, axis=0)
+        one = np.count_nonzero(flips == 1, axis=0)
+        multi = np.count_nonzero(flips >= 2, axis=0)
+        rows += [SweepRow(condition=condition, threshold=t, block_index=b,
+                          selected_count=int(selected[j, b]), max_flips=int(max_flips[j, b]),
+                          sample_count=len(samples), samples_zero_flips=int(zero[j, b]),
+                          samples_one_flip=int(one[j, b]), samples_multi_flips=int(multi[j, b]))
+                 for j, t in enumerate(thresholds) for b in range(num_blocks)]
     return SweepReport(rows=rows)
 
 
@@ -191,18 +186,14 @@ def window_flip_rate(samples: list[BitVector], reference: BitVector | None = Non
     With the first sample as reference this is the share of positions an
     enrollment pass over the set would refuse to trust.
     """
-    if reference is None:
-        if len(samples) < 2:
-            raise ValueError("need a reference or at least 2 samples")
-        reference, samples = samples[0], samples[1:]
-    if not samples:
-        raise ValueError("no samples to compare")
-    differs = np.zeros(len(reference), dtype=bool)
-    for sample in samples:
-        if len(sample) != len(reference):
-            raise ValueError("samples must match the reference length")
-        differs |= sample.bits != reference.bits
-    return float(np.count_nonzero(differs)) / len(reference)
+    if reference is not None:
+        if not samples:
+            raise ValueError("no samples to compare")
+        samples = [reference, *samples]
+    elif len(samples) < 2:
+        raise ValueError("need a reference or at least 2 samples")
+    stable = mark_stability(samples).stable
+    return float(np.count_nonzero(~stable)) / len(samples[0])
 
 
 def block_reports_to_csv(reports: list[BlockReport]) -> str:

@@ -9,6 +9,7 @@ enough stable bits to fill a mask at the requested threshold.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import re
@@ -47,9 +48,7 @@ def _load_calibration(args) -> simulate.Calibration:
             _fail(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
     if overrides:
-        merged = {k: str(getattr(cal, k)) for k in (
-            "unstable_fraction", "cluster_radius", "cluster_mix", "flip_prob_unstable",
-            "flip_prob_edge", "flip_decay", "htna_multiplier", "ntwa_multiplier")}
+        merged = {f.name: str(getattr(cal, f.name)) for f in dataclasses.fields(cal)}
         for key, value in overrides.items():
             if key not in merged:
                 _fail(f"unknown calibration key {key!r}")

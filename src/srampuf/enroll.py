@@ -4,9 +4,10 @@ Enrollment watches a window of cells across many power-up samples, marks each
 position stable (S) when its value never changed, and weights every stable
 position by how deep it sits inside its run of consecutive stable cells: the
 ends of a run weigh 1 and the weight grows by 1 per step toward the middle,
-i.e. ``min(offset + 1, run_length - offset)``. Positions whose weight reaches
-a threshold are collected, window by window, into a fixed-size mask of bit
-positions that later filters raw power-up dumps into a response.
+i.e. ``min(offset + 1, run_length - offset)``. Runs end at window edges.
+One pass marks and weights every window at once; the lowest-index positions
+whose weight reaches a threshold form a fixed-size mask of bit positions that
+later filters raw power-up dumps into a response.
 """
 
 from __future__ import annotations
@@ -47,20 +48,21 @@ class InsufficientStableBitsError(Exception):
 
 @dataclass(frozen=True)
 class StabilityMap:
-    """Per-position S/U marks over one window of samples."""
+    """Per-position S/U marks over a window of samples; 2-D marks hold one
+    window per row."""
 
     stable: np.ndarray          # bool, True where the bit never changed
     sample_count: int
 
     @property
     def window_length(self) -> int:
-        return int(self.stable.size)
+        return int(self.stable.shape[-1])
 
     def stable_count(self) -> int:
         return int(np.count_nonzero(self.stable))
 
     def stable_fraction(self) -> float:
-        return self.stable_count() / self.window_length if self.window_length else 0.0
+        return self.stable_count() / self.stable.size if self.stable.size else 0.0
 
 
 def mark_stability(samples: list[BitVector], window: range | None = None) -> StabilityMap:
@@ -76,8 +78,12 @@ def mark_stability(samples: list[BitVector], window: range | None = None) -> Sta
         raise ValueError("window must be a contiguous range")
     if window.start < 0 or window.stop > length:
         raise ValueError(f"window {window} does not fit samples of length {length}")
-    stacked = np.stack([s.bits[window.start:window.stop] for s in samples])
-    stable = np.all(stacked == stacked[0], axis=0)
+    lo, hi = window.start, window.stop
+    reference = samples[0].bits[lo:hi]
+    differs = np.zeros(len(window), dtype=bool)
+    for s in samples[1:]:
+        differs |= s.bits[lo:hi] != reference
+    stable = ~differs
     stable.flags.writeable = False
     return StabilityMap(stable=stable, sample_count=len(samples))
 
@@ -90,23 +96,31 @@ class WeightMap:
 
     @property
     def window_length(self) -> int:
-        return int(self.weights.size)
+        return int(self.weights.shape[-1])
 
 
 def _run_position_counts(stable: np.ndarray) -> np.ndarray:
-    """Per position: how many consecutive True values end here (inclusive)."""
-    cum = np.cumsum(stable, dtype=np.int64)
-    at_reset = np.where(~stable, cum, 0)
-    last_reset = np.maximum.accumulate(at_reset)
-    return np.where(stable, cum - last_reset, 0)
+    """Per position: how many consecutive True values end here (inclusive),
+    counted along the last axis, so runs restart on every row."""
+    counts = np.cumsum(stable, axis=-1, dtype=np.int64)
+    # last_reset is the running count at the latest unstable position so far.
+    # On an unstable position it equals the count itself, so the result is 0
+    # there. Both steps run in place, holding one temporary at full size.
+    last_reset = np.where(stable, 0, counts)
+    np.maximum.accumulate(last_reset, axis=-1, out=last_reset)
+    counts -= last_reset
+    return counts
 
 
 def weight_positions(stability: StabilityMap) -> WeightMap:
-    """Weight each stable position by its depth inside its run of S cells."""
+    """Weight each stable position by its depth inside its run of S cells.
+
+    For 2-D marks every row is a window and runs end at its edges.
+    """
     stable = stability.stable
     forward = _run_position_counts(stable)
-    backward = _run_position_counts(stable[::-1])[::-1]
-    weights = np.minimum(forward, backward)
+    backward = _run_position_counts(stable[..., ::-1])[..., ::-1]
+    weights = np.minimum(forward, backward, out=forward)
     weights.flags.writeable = False
     return WeightMap(weights=weights)
 
@@ -155,9 +169,9 @@ def build_mask(samples: list[BitVector], threshold: int,
                device_id: str = "") -> Mask:
     """Select ``target_len`` positions from consecutive windows of the samples.
 
-    Windows are scanned in order starting at ``base_offset``; each window's
-    qualifying positions (ascending) are appended until the target is reached,
-    so the lowest-index qualifiers win. Raises
+    Every available window from ``base_offset`` on is marked and weighted in
+    one pass, runs ending at window edges; the lowest-index qualifying
+    positions win, and ``num_windows`` counts the windows they reach. Raises
     :class:`InsufficientStableBitsError` when all available windows together
     fall short.
     """
@@ -175,24 +189,15 @@ def build_mask(samples: list[BitVector], threshold: int,
             f"past offset {base_offset}"
         )
 
-    collected: list[np.ndarray] = []
-    window_counts: list[int] = []
-    total = 0
-    windows_used = 0
-    for w in range(available):
-        start = base_offset + w * window_length
-        stability = mark_stability(samples, range(start, start + window_length))
-        chosen = select_positions(weight_positions(stability), threshold)
-        window_counts.append(int(chosen.size))
-        collected.append(chosen + w * window_length)
-        total += chosen.size
-        windows_used = w + 1
-        if total >= target_len:
-            break
-
-    if total < target_len:
-        raise InsufficientStableBitsError(target_len, total, window_counts)
-    positions = np.concatenate(collected)[:target_len]
+    stability = mark_stability(samples, range(base_offset, base_offset + available * window_length))
+    windows = StabilityMap(stable=stability.stable.reshape(available, window_length),
+                           sample_count=stability.sample_count)
+    # Flat indices into the (window, offset) rows are positions relative to base_offset.
+    chosen = select_positions(weight_positions(windows), threshold)
+    if chosen.size < target_len:
+        window_counts = np.bincount(chosen // window_length, minlength=available)
+        raise InsufficientStableBitsError(target_len, int(chosen.size), window_counts.tolist())
+    positions = chosen[:target_len]
     return Mask(
         device_id=device_id,
         positions=positions,
@@ -200,7 +205,7 @@ def build_mask(samples: list[BitVector], threshold: int,
         sample_count=len(samples),
         base_offset=base_offset,
         window_length=window_length,
-        num_windows=windows_used,
+        num_windows=int(positions[-1]) // window_length + 1,
     )
 
 

@@ -26,6 +26,7 @@ from ._kv import (
     TextFormatError,
     atomic_write_text,
     format_kv_block,
+    parse_int,
     parse_kv_block,
     require_keys,
 )
@@ -108,14 +109,6 @@ _CODE = HammingCode()
 CODE_NAME = "hamming-128-120"
 
 
-def hamming_encode(message: BitVector) -> BitVector:
-    return _CODE.encode(message)
-
-
-def hamming_correct(word: BitVector) -> BitVector:
-    return _CODE.correct(word)
-
-
 @dataclass(frozen=True)
 class HelperData:
     """Public error-correction data for one enrolled response.
@@ -193,7 +186,7 @@ def helper_from_text(text: str) -> HelperData:
     if fields["format"] != HELPER_FORMAT:
         raise TextFormatError(f"helper data: unsupported format {fields['format']!r}")
     offset_hex = fields["code_offset"]
-    n, k, r = (int(fields[key]) for key in ("n", "k", "r"))
+    n, k, r = (parse_int(fields, key, what="helper data") for key in ("n", "k", "r"))
     if len(offset_hex) != n // 4:
         raise TextFormatError(f"helper data: code_offset must be {n // 4} hex digits")
     try:

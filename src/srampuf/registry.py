@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
-from ._kv import TextFormatError, atomic_write_text, parse_kv_block, require_keys
+from ._kv import TextFormatError, atomic_write_text, parse_int, parse_kv_block, require_keys
 
 REGISTRY_FORMAT = "srampuf-registry-v1"
 
@@ -121,11 +121,11 @@ def registry_from_text(text: str) -> Registry:
             device_id=fields["device_id"],
             mask_file=fields["mask_file"],
             mask_sha256=fields["mask_sha256"],
-            threshold=int(fields["threshold"]),
-            sample_count=int(fields["sample_count"]),
-            base_offset=int(fields["base_offset"]),
-            window_length=int(fields["window_length"]),
-            num_windows=int(fields["num_windows"]),
+            threshold=parse_int(fields, "threshold", what="registry entry"),
+            sample_count=parse_int(fields, "sample_count", what="registry entry"),
+            base_offset=parse_int(fields, "base_offset", what="registry entry"),
+            window_length=parse_int(fields, "window_length", what="registry entry"),
+            num_windows=parse_int(fields, "num_windows", what="registry entry"),
             created=fields["created"],
             helper_file=fields.get("helper_file", ""),
             helper_sha256=fields.get("helper_sha256", ""),

@@ -15,7 +15,7 @@ blocks keep their stable share inside 72-78%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,29 +94,23 @@ class Calibration:
         return {kind: self.condition(kind) for kind in _CONDITION_KINDS}
 
 
-_CALIBRATION_FLOAT_KEYS = (
-    "unstable_fraction", "cluster_mix", "flip_prob_unstable",
-    "flip_prob_edge", "flip_decay", "htna_multiplier", "ntwa_multiplier",
-)
+# Calibration field name -> int or float, in field order; the annotations are
+# strings because of ``from __future__ import annotations``.
+_CALIBRATION_TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fields(Calibration)}
 
 
 def parse_calibration(text: str) -> Calibration:
     """Read a calibration from ``key = value`` text; unknown keys are errors."""
-    fields = parse_kv_block(text, what="calibration")
     kwargs = {}
-    for key, value in fields.items():
-        if key == "cluster_radius":
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise TextFormatError(f"calibration: {key} must be an integer") from None
-        elif key in _CALIBRATION_FLOAT_KEYS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise TextFormatError(f"calibration: {key} must be a number") from None
-        else:
+    for key, value in parse_kv_block(text, what="calibration").items():
+        kind = _CALIBRATION_TYPES.get(key)
+        if kind is None:
             raise TextFormatError(f"calibration: unknown key {key!r}")
+        try:
+            kwargs[key] = kind(value)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise TextFormatError(f"calibration: {key} must be {expected}") from None
     return Calibration(**kwargs)
 
 
@@ -127,9 +121,7 @@ def load_calibration(path) -> Calibration:
 
 def calibration_to_text(cal: Calibration) -> str:
     lines = ["# srampuf device calibration\n"]
-    lines += [f"{key} = {getattr(cal, key)}\n" for key in (
-        "unstable_fraction", "cluster_radius", "cluster_mix", "flip_prob_unstable",
-        "flip_prob_edge", "flip_decay", "htna_multiplier", "ntwa_multiplier")]
+    lines += [f"{key} = {getattr(cal, key)}\n" for key in _CALIBRATION_TYPES]
     return "".join(lines)
 
 
@@ -206,9 +198,6 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
         cell_bias=bias,
         calibration=cal,
     )
-
-
-NTNA = Condition("NTNA", 1.0)
 
 
 def power_up_sample(device: DeviceModel, condition: Condition, sample_seed: int) -> BitVector:

@@ -10,10 +10,11 @@ from srampuf.analytics import (
     threshold_sweep,
     window_flip_rate,
 )
+from srampuf.bitvec import BitVector
 from srampuf.enroll import build_mask
 from srampuf.keygen import apply_mask
 
-from _oracles import random_bits
+from _oracles import oracle_weights, random_bits
 
 CONDITIONS = ("NTNA", "HTNA", "NTWA")
 
@@ -125,3 +126,83 @@ class TestFlipRateSummary:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
             window_flip_rate([random_bits(rng, 10)])
+
+
+class TestWindowEdgeReset:
+    """Runs of stable cells end at window edges: the one-pass marking and
+    weighting must match a window-by-window brute force built on the oracle."""
+
+    WINDOW = 96
+    WINDOWS = 4
+    OFFSET = 37
+
+    def make_case(self, seed):
+        rng = np.random.default_rng(seed)
+        n = self.OFFSET + self.WINDOWS * self.WINDOW + 29
+        stable = rng.random(n) < rng.uniform(0.6, 0.95)
+        for edge in range(0, n, self.WINDOW):           # sweep-block edges
+            stable[max(0, edge - 6):edge + 6] = True
+        for w in range(self.WINDOWS + 1):               # mask-window edges
+            edge = self.OFFSET + w * self.WINDOW
+            stable[edge - 6:edge + 6] = True
+        base = rng.integers(0, 2, n, dtype=np.uint8)
+        enroll = [BitVector(base), BitVector(base ^ ~stable)]
+        enroll += [BitVector(base ^ (~stable & (rng.random(n) < 0.5))) for _ in range(2)]
+        test = [BitVector(base ^ (rng.random(n) < rng.uniform(0.0, 0.04)))
+                for _ in range(12)]
+        return stable, enroll, test
+
+    def brute_weights(self, stable, start, count):
+        return [oracle_weights(stable[start + w * self.WINDOW:start + (w + 1) * self.WINDOW])
+                for w in range(count)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_build_mask_matches_per_window_oracle(self, seed):
+        stable, enroll, _ = self.make_case(seed)
+        weights = self.brute_weights(stable, self.OFFSET, self.WINDOWS)
+        for threshold in (1, 2, 3, 4):
+            per_window = [np.flatnonzero(w >= threshold) for w in weights]
+            total = sum(p.size for p in per_window)
+            for target_len in (1, total // 2 + 1, total):
+                collected, used = [], 0
+                while sum(c.size for c in collected) < target_len:
+                    collected.append(per_window[used] + used * self.WINDOW)
+                    used += 1
+                expected = np.concatenate(collected)[:target_len]
+                mask = build_mask(enroll, threshold, target_len=target_len,
+                                  window_length=self.WINDOW, base_offset=self.OFFSET)
+                assert np.array_equal(mask.positions, expected)
+                assert mask.num_windows == used
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_threshold_sweep_matches_per_block_oracle(self, seed):
+        stable, enroll, test = self.make_case(seed)
+        num_blocks = len(stable) // self.WINDOW
+        weights = self.brute_weights(stable, 0, num_blocks)
+        thresholds = (1, 2, 3, 4, 5)
+        report = threshold_sweep(enroll, {"NTWA": test}, thresholds=thresholds,
+                                 block_size=self.WINDOW)
+        assert len(report.rows) == len(thresholds) * num_blocks
+        rows = iter(report.rows)
+        for t in thresholds:
+            for b in range(num_blocks):
+                chosen = np.flatnonzero(weights[b] >= t) + b * self.WINDOW
+                reference = enroll[0].bits[chosen]
+                flips = np.array([np.count_nonzero(s.bits[chosen] != reference) for s in test])
+                row = next(rows)
+                assert (row.threshold, row.block_index) == (t, b)
+                assert row.selected_count == chosen.size
+                assert row.max_flips == flips.max()
+                assert row.samples_zero_flips == np.count_nonzero(flips == 0)
+                assert row.samples_one_flip == np.count_nonzero(flips == 1)
+                assert row.samples_multi_flips == np.count_nonzero(flips >= 2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_window_flip_rate_is_exact_share(self, seed):
+        _, enroll, test = self.make_case(seed)
+        reference = enroll[0]
+        differs = np.zeros(len(reference), dtype=bool)
+        for sample in test:
+            differs |= sample.bits != reference.bits
+        expected = np.count_nonzero(differs) / len(reference)
+        assert window_flip_rate(test, reference) == expected

@@ -194,6 +194,14 @@ class TestHelperFile:
         with pytest.raises(TextFormatError):
             helper_from_text(text.replace("code_offset = ", "code_offset = ZZ"))
 
+    @pytest.mark.parametrize("key", ["n", "k", "r"])
+    def test_rejects_non_integer_code_parameter(self, key):
+        rng = np.random.default_rng(18)
+        lines = helper_to_text(generate(random_bits(rng, 128), 6)).splitlines(keepends=True)
+        bad = "".join(f"{key} = x\n" if line.startswith(f"{key} = ") else line for line in lines)
+        with pytest.raises(TextFormatError, match=f"'{key}'"):
+            helper_from_text(bad)
+
     def test_rejects_missing_key(self):
         with pytest.raises(TextFormatError, match="missing keys"):
             helper_from_text("format = srampuf-helper-v1\n")

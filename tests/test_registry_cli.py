@@ -11,6 +11,7 @@ from srampuf.cli import (
     EXIT_USAGE,
     main,
 )
+from srampuf._kv import TextFormatError
 from srampuf.enroll import load_mask
 from srampuf.registry import (
     Registry,
@@ -50,6 +51,17 @@ class TestRegistryData:
         registry.add(entry("dev-b", helper_file="dev-b.helper", helper_sha256="1" * 64))
         text = registry_to_text(registry)
         assert registry_to_text(registry_from_text(text)) == text
+
+    @pytest.mark.parametrize("key", ["threshold", "sample_count", "base_offset",
+                                     "window_length", "num_windows"])
+    def test_non_integer_field_names_key(self, key):
+        registry = Registry()
+        registry.add(entry())
+        text = registry_to_text(registry)
+        value = str(getattr(entry(), key))
+        bad = text.replace(f"{key} = {value}\n", f"{key} = x\n")
+        with pytest.raises(TextFormatError, match=f"'{key}'"):
+            registry_from_text(bad)
 
     def test_duplicate_rejected(self):
         registry = Registry()

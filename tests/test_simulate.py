@@ -156,8 +156,23 @@ class TestCalibrationFile:
             parse_calibration("wobble = 3\n")
 
     def test_bad_value(self):
-        with pytest.raises(TextFormatError):
+        with pytest.raises(TextFormatError, match="must be a number"):
             parse_calibration("unstable_fraction = lots\n")
+        with pytest.raises(TextFormatError, match="cluster_radius must be an integer"):
+            parse_calibration("cluster_radius = 2.5\n")
+
+    def test_text_lists_every_key_in_field_order(self):
+        assert calibration_to_text(Calibration()) == (
+            "# srampuf device calibration\n"
+            "unstable_fraction = 0.21\n"
+            "cluster_radius = 2\n"
+            "cluster_mix = 0.65\n"
+            "flip_prob_unstable = 0.3\n"
+            "flip_prob_edge = 0.0004\n"
+            "flip_decay = 0.25\n"
+            "htna_multiplier = 1.33\n"
+            "ntwa_multiplier = 1.67\n"
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
