@@ -17,7 +17,6 @@ from srampuf import (
     generate_key,
     hamming_distance,
     new_device,
-    power_up_sample,
     reproduce_key,
 )
 from srampuf.fuzzy import ReproduceFailure
@@ -42,12 +41,10 @@ print(f"helper offset = {helper.code_offset.to_bytes().hex().upper()}")
 # often the derived key matches the enrolled one.
 reference = apply_mask(enrollment[0], mask)
 for kind, seed0 in (("NTNA", 10_000), ("HTNA", 20_000), ("NTWA", 30_000)):
-    condition = cal.condition(kind)
     matches = 0
     flips_seen = []
     failures = 0
-    for k in range(300):
-        sample = power_up_sample(device, condition, seed0 + k)
+    for sample in collect_samples(device, cal.condition(kind), 300, seed0=seed0):
         flips_seen.append(hamming_distance(apply_mask(sample, mask), reference))
         try:
             if reproduce_key(sample, mask, helper).digest == key.digest:

@@ -51,13 +51,6 @@ def parse_int(fields: dict[str, str], key: str, *, what: str) -> int:
         raise TextFormatError(f"{what}: key {key!r} is not an integer: {fields[key]!r}") from None
 
 
-def parse_float(fields: dict[str, str], key: str, *, what: str) -> float:
-    try:
-        return float(fields[key])
-    except ValueError:
-        raise TextFormatError(f"{what}: key {key!r} is not a number: {fields[key]!r}") from None
-
-
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     """Write a file via temp-file-then-rename so readers never see partial content."""
     path = os.fspath(path)

@@ -83,10 +83,10 @@ def cmd_simulate(args) -> int:
     cal = _load_calibration(args)
     condition = cal.condition(args.condition)
     device = simulate.new_device(args.device_seed, num_bits=args.num_bits, calibration=cal)
+    samples = simulate.collect_samples(device, condition, args.count, args.seed0)
     os.makedirs(args.out_dir, exist_ok=True)
-    for k in range(args.count):
-        sample = simulate.power_up_sample(device, condition, args.seed0 + k)
-        save_dump(os.path.join(args.out_dir, f"sample-{args.seed0 + k:05d}.hex"), sample)
+    for seed, sample in enumerate(samples, start=args.seed0):
+        save_dump(os.path.join(args.out_dir, f"sample-{seed:05d}.hex"), sample)
     print(f"wrote {args.count} {args.condition} dump(s) of {args.num_bits} bits to {args.out_dir}")
     return EXIT_OK
 

@@ -117,6 +117,10 @@ def registry_from_text(text: str) -> Registry:
     for block in blocks[1:]:
         fields = parse_kv_block(block, what="registry entry")
         require_keys(fields, _REQUIRED_ENTRY_KEYS, what="registry entry")
+        for key in ("mask_file", "helper_file"):  # names of files next to the registry
+            name = fields.get(key)
+            if name is not None and (name in ("", ".", "..") or "/" in name or "\\" in name):
+                raise TextFormatError(f"registry entry: key {key!r} must be a bare file name: {name!r}")
         entry = RegistryEntry(
             device_id=fields["device_id"],
             mask_file=fields["mask_file"],

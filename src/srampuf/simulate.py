@@ -138,12 +138,6 @@ class DeviceModel:
     def num_bits(self) -> int:
         return int(self.cell_bias.size)
 
-    def preferred_values(self) -> np.ndarray:
-        return (self.cell_bias >= 0.5).astype(np.uint8)
-
-    def flip_probabilities(self) -> np.ndarray:
-        return np.minimum(self.cell_bias, 1.0 - self.cell_bias)
-
 
 def _smooth(latent: np.ndarray, radius: int, mix: float) -> np.ndarray:
     if radius == 0 or mix == 0.0:
@@ -200,14 +194,22 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
     )
 
 
+def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> list[BitVector]:
+    """One reading per sample seed, each from its own RNG stream; the cell
+    probabilities depend only on device and condition, so they are computed once."""
+    bias = device.cell_bias
+    flip = np.minimum(bias, 1.0 - bias) * condition.noise_multiplier
+    np.clip(flip, 0.0, 1.0, out=flip)
+    # Not ``bias`` itself under NTNA: 1 - (1 - b) need not equal b in float64.
+    prob_one = np.where(bias >= 0.5, 1.0 - flip, flip)
+    key = [device.seed & 0xFFFFFFFF, _CONDITION_STREAM[condition.kind]]
+    return [BitVector(np.random.default_rng(key + [s]).random(bias.size) < prob_one)
+            for s in sample_seeds]
+
+
 def power_up_sample(device: DeviceModel, condition: Condition, sample_seed: int) -> BitVector:
     """One power-up reading: a pure function of device, condition, and seed."""
-    flip = device.flip_probabilities() * condition.noise_multiplier
-    np.clip(flip, 0.0, 1.0, out=flip)
-    prob_one = np.where(device.cell_bias >= 0.5, 1.0 - flip, flip)
-    stream = _CONDITION_STREAM[condition.kind]
-    rng = np.random.default_rng([device.seed & 0xFFFFFFFF, stream, sample_seed])
-    return BitVector((rng.random(device.num_bits) < prob_one).astype(np.uint8))
+    return _readings(device, condition, [sample_seed])[0]
 
 
 def collect_samples(device: DeviceModel, condition: Condition, n: int,
@@ -215,4 +217,4 @@ def collect_samples(device: DeviceModel, condition: Condition, n: int,
     """n consecutive power-up readings with sample seeds seed0, seed0+1, ..."""
     if n < 1:
         raise ValueError("need at least one sample")
-    return [power_up_sample(device, condition, seed0 + k) for k in range(n)]
+    return _readings(device, condition, range(seed0, seed0 + n))

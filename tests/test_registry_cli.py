@@ -12,6 +12,7 @@ from srampuf.cli import (
     main,
 )
 from srampuf._kv import TextFormatError
+from srampuf.bitvec import load_dump
 from srampuf.enroll import load_mask
 from srampuf.registry import (
     Registry,
@@ -22,6 +23,7 @@ from srampuf.registry import (
     registry_to_text,
     save_registry,
 )
+from srampuf.simulate import Calibration, collect_samples, new_device
 
 NUM_BITS = 4864        # four 1216-bit windows
 DEVICE_SEED = 77
@@ -62,6 +64,14 @@ class TestRegistryData:
         bad = text.replace(f"{key} = {value}\n", f"{key} = x\n")
         with pytest.raises(TextFormatError, match=f"'{key}'"):
             registry_from_text(bad)
+
+    @pytest.mark.parametrize("key", ["mask_file", "helper_file"])
+    @pytest.mark.parametrize("name", ["../x", "/etc/passwd", "sub/x.mask", ".."])
+    def test_file_reference_must_be_bare_name(self, key, name):
+        registry = Registry()
+        registry.add(entry(**{key: name}))
+        with pytest.raises(TextFormatError, match=f"'{key}'"):
+            registry_from_text(registry_to_text(registry))
 
     def test_duplicate_rejected(self):
         registry = Registry()
@@ -131,6 +141,18 @@ class TestCliSimulate:
         ntna = (tmp_path / "NTNA" / "sample-00000.hex").read_text()
         htna = (tmp_path / "HTNA" / "sample-00000.hex").read_text()
         assert ntna != htna
+
+    def test_dumps_equal_library_samples(self, tmp_path):
+        out = tmp_path / "dumps"
+        assert main(["simulate", "--out-dir", str(out), "--device-seed", "5", "-n", "3",
+                     "--num-bits", "2432", "--condition", "HTNA", "--seed0", "40",
+                     "--set", "htna_multiplier=1.5"]) == EXIT_OK
+        cal = Calibration(htna_multiplier=1.5)
+        device = new_device(5, num_bits=2432, calibration=cal)
+        names = sorted(os.listdir(out))
+        assert names == ["sample-00040.hex", "sample-00041.hex", "sample-00042.hex"]
+        assert [load_dump(out / name) for name in names] == collect_samples(
+            device, cal.condition("HTNA"), 3, seed0=40)
 
     def test_calibration_file_and_overrides(self, tmp_path):
         cfg = tmp_path / "cal.cfg"
@@ -256,6 +278,18 @@ class TestCliKeyFlow:
                      str(enrolled / "registry.txt"), "--device-id", "ghost"])
         assert code == EXIT_USAGE
 
+    def test_reference_outside_registry_dir_refused(self, enrolled, capsys):
+        # the referenced files exist and match their fingerprints, but they
+        # sit outside the directory of this registry
+        inner = enrolled / "inner"
+        inner.mkdir()
+        text = (enrolled / "registry.txt").read_text()
+        (inner / "registry.txt").write_text(text.replace("= dev-a.", "= ../dev-a."))
+        dump = enrolled / "dumps" / "sample-00000.hex"
+        assert main(["reproduce", "--dump", str(dump), "--registry", str(inner / "registry.txt"),
+                     "--device-id", "dev-a"]) == EXIT_USAGE
+        assert "'mask_file'" in capsys.readouterr().err
+
     def test_tampered_mask_detected(self, enrolled, capsys):
         mask_path = enrolled / "dev-a.mask"
         data = bytearray(mask_path.read_bytes())
@@ -305,7 +339,6 @@ class TestCliFlip:
         src = workspace / "dumps" / "sample-00000.hex"
         dst = workspace / "flipped.hex"
         assert main(["flip", "--dump", str(src), "--out", str(dst), "--positions", "0,33"]) == EXIT_OK
-        from srampuf.bitvec import load_dump
         a, b = load_dump(src), load_dump(dst)
         diff = np.flatnonzero(a.bits != b.bits)
         assert list(diff) == [0, 33]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,9 +72,25 @@ class TestSampling:
                 assert power_up_sample(device, cal.condition(kind), seed) == reference
 
     def test_collect_singleton(self):
+        # reading k of a run is the single reading at seed seed0 + k
         device = new_device(7, num_bits=2000)
-        cond = device.calibration.condition("NTNA")
-        assert collect_samples(device, cond, 1, seed0=4) == [power_up_sample(device, cond, 4)]
+        for cond in device.calibration.conditions().values():
+            for n in (1, 6):
+                assert collect_samples(device, cond, n, seed0=4) == [
+                    power_up_sample(device, cond, 4 + k) for k in range(n)]
+
+    # SHA-256 of the packed readings: dumps, masks and keys everywhere depend
+    # on these exact bits, so any sampler change must reproduce them.
+    @pytest.mark.parametrize("kind, digest", [
+        ("NTNA", "8d86d24d8ee5d257dd7a14274aada57ed34d509e9612462b1bca3cc25496ea96"),
+        ("HTNA", "b6d55b1b630cbdb066c5c690207cb50dfd11deaeed59b24703a2061747cb9b05"),
+        ("NTWA", "bd2c4eba17ecafc3b3a6ceac0560b8ca4e3714b449a24c3656086e8456785044"),
+    ])
+    def test_sampled_bits_pinned(self, kind, digest):
+        device = new_device(7, num_bits=4864)
+        samples = collect_samples(device, device.calibration.condition(kind), 8, seed0=1000)
+        packed = np.packbits([s.bits for s in samples]).tobytes()
+        assert hashlib.sha256(packed).hexdigest() == digest
 
     def test_collect_validates_count(self):
         device = new_device(7, num_bits=2000)
