@@ -35,6 +35,14 @@ def parse_kv_block(text: str, *, what: str = "file") -> dict[str, str]:
 
 
 def format_kv_block(pairs: list[tuple[str, str]]) -> str:
+    """Format pairs as ``key = value`` lines. Keys must be identifiers and
+    values printable (no line break) without surrounding whitespace, so
+    :func:`parse_kv_block` reads back exactly these pairs."""
+    for key, value in pairs:
+        if not key.isidentifier():
+            raise TextFormatError(f"cannot write key {key!r}")
+        if not value.isprintable() or value != value.strip():
+            raise TextFormatError(f"key {key!r}: cannot write value {value!r}")
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 

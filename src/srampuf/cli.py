@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analytics, enroll, fuzzy, keygen, registry as reg, simulate
-from ._kv import TextFormatError
+from ._kv import TextFormatError, atomic_write_text, format_kv_block
 from .bitvec import BitVector, load_dump, save_dump
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ def _load_calibration(args) -> simulate.Calibration:
             if key not in merged:
                 _fail(f"unknown calibration key {key!r}")
             merged[key] = value
-        cal = simulate.parse_calibration("".join(f"{k} = {v}\n" for k, v in merged.items()))
+        cal = simulate.parse_calibration(format_kv_block(list(merged.items())))
     return cal
 
 
@@ -73,7 +73,6 @@ def _load_dumps(directory: str, minimum: int = 1) -> list[BitVector]:
 
 def _write_csv(text: str, out: str | None) -> None:
     if out:
-        from ._kv import atomic_write_text
         atomic_write_text(out, text)
     else:
         sys.stdout.write(text)
@@ -95,8 +94,9 @@ def cmd_enroll(args) -> int:
     if not _DEVICE_ID_RE.match(args.device_id):
         _fail(f"device id {args.device_id!r} must match {_DEVICE_ID_RE.pattern}")
     samples = _load_dumps(args.dumps, minimum=2)
-    registry_dir = os.path.dirname(os.path.abspath(args.registry))
-    os.makedirs(registry_dir, exist_ok=True)
+    mask_name = f"{args.device_id}.mask"
+    mask_path = reg.sibling_path(args.registry, mask_name)
+    os.makedirs(os.path.dirname(mask_path), exist_ok=True)
     if os.path.exists(args.registry):
         registry = reg.load_registry(args.registry)
     else:
@@ -112,32 +112,24 @@ def cmd_enroll(args) -> int:
         base_offset=args.base_offset,
         device_id=args.device_id,
     )
-    mask_name = f"{args.device_id}.mask"
-    mask_path = os.path.join(registry_dir, mask_name)
     enroll.save_mask(mask_path, mask)
     registry.add(reg.RegistryEntry(
         device_id=args.device_id,
         mask_file=mask_name,
         mask_sha256=reg.file_sha256(mask_path),
-        threshold=args.threshold,
-        sample_count=len(samples),
-        base_offset=args.base_offset,
-        window_length=args.window_length,
-        num_windows=mask.num_windows,
         created=reg.utc_timestamp(),
     ))
     reg.save_registry(args.registry, registry)
     print(f"enrolled {args.device_id}: {mask.target_len} positions from "
-          f"{mask.num_windows} window(s) at threshold {args.threshold}")
+          f"{mask.num_windows} window(s) at threshold {mask.threshold}")
     return EXIT_OK
 
 
 def _load_enrolled_mask(registry_path: str, device_id: str):
     registry = reg.load_registry(registry_path)
     entry = registry.get(device_id)
-    registry_dir = os.path.dirname(os.path.abspath(registry_path))
-    mask = enroll.load_mask(os.path.join(registry_dir, entry.mask_file))
-    return registry, entry, mask, registry_dir
+    mask = enroll.mask_from_text(reg.read_verified(registry_path, entry, "mask"))
+    return registry, entry, mask
 
 
 def _print_key(key: keygen.KeyMaterial) -> None:
@@ -146,16 +138,17 @@ def _print_key(key: keygen.KeyMaterial) -> None:
 
 
 def cmd_genkey(args) -> int:
-    registry, entry, mask, registry_dir = _load_enrolled_mask(args.registry, args.device_id)
+    registry, entry, mask = _load_enrolled_mask(args.registry, args.device_id)
     raw = load_dump(args.dump)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     helper, key = keygen.generate_key(raw, mask, seed)
     helper_name = f"{args.device_id}.helper"
-    helper_path = os.path.join(registry_dir, helper_name)
+    helper_path = reg.sibling_path(args.registry, helper_name)
     fuzzy.save_helper(helper_path, helper)
     key_sha = hashlib.sha256(key.digest).hexdigest() if args.debug else ""
-    registry.update(reg.with_helper(entry, helper_name, reg.file_sha256(helper_path),
-                                    key_sha256=key_sha))
+    registry.update(dataclasses.replace(entry, helper_file=helper_name,
+                                        helper_sha256=reg.file_sha256(helper_path),
+                                        key_sha256=key_sha))
     reg.save_registry(args.registry, registry)
     print(f"helper data written to {helper_path}")
     if args.debug:
@@ -164,10 +157,10 @@ def cmd_genkey(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    _, entry, mask, registry_dir = _load_enrolled_mask(args.registry, args.device_id)
+    _, entry, mask = _load_enrolled_mask(args.registry, args.device_id)
     if not entry.helper_file:
         _fail(f"device {args.device_id!r} has no helper data yet; run genkey first")
-    helper = fuzzy.load_helper(os.path.join(registry_dir, entry.helper_file))
+    helper = fuzzy.helper_from_text(reg.read_verified(args.registry, entry, "helper"))
     raw = load_dump(args.dump)
     key = keygen.reproduce_key(raw, mask, helper)
     print(f"key reproduced for {args.device_id}")

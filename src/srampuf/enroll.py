@@ -219,7 +219,7 @@ def mask_to_text(mask: Mask) -> str:
         ("threshold", str(mask.threshold)),
         ("sample_count", str(mask.sample_count)),
         ("target_len", str(mask.target_len)),
-        ("positions", ",".join(str(int(p)) for p in mask.positions)),
+        ("positions", ",".join(map(str, mask.positions.tolist()))),
     ]
     return format_kv_block(pairs)
 

@@ -185,16 +185,21 @@ def helper_from_text(text: str) -> HelperData:
                           "mask_sha256", "code_offset"], what="helper data")
     if fields["format"] != HELPER_FORMAT:
         raise TextFormatError(f"helper data: unsupported format {fields['format']!r}")
+    if fields["code"] != CODE_NAME:
+        raise TextFormatError(f"helper data: key 'code' must be {CODE_NAME!r}, got {fields['code']!r}")
+    for key in ("n", "k", "r"):
+        if parse_int(fields, key, what="helper data") != getattr(HammingCode, key):
+            raise TextFormatError(
+                f"helper data: key {key!r} must be {getattr(HammingCode, key)} for {CODE_NAME}")
     offset_hex = fields["code_offset"]
-    n, k, r = (parse_int(fields, key, what="helper data") for key in ("n", "k", "r"))
-    if len(offset_hex) != n // 4:
-        raise TextFormatError(f"helper data: code_offset must be {n // 4} hex digits")
+    if len(offset_hex) != HammingCode.n // 4:
+        raise TextFormatError(f"helper data: code_offset must be {HammingCode.n // 4} hex digits")
     try:
         offset = BitVector.from_bytes(bytes.fromhex(offset_hex))
     except ValueError:
         raise TextFormatError("helper data: code_offset is not hexadecimal") from None
-    return HelperData(code_offset=offset, code_name=fields["code"], n=n, k=k, r=r,
-                      device_id=fields["device_id"], mask_sha256=fields["mask_sha256"])
+    return HelperData(code_offset=offset, device_id=fields["device_id"],
+                      mask_sha256=fields["mask_sha256"])
 
 
 def save_helper(path, helper: HelperData) -> None:

@@ -2,27 +2,30 @@
 
 One structured text file lists every enrolled device with references to its
 mask and helper files (stored as siblings) and the SHA-256 of each referenced
-file. Hashes are re-checked whenever the registry or a referenced file is
-loaded, so any corruption of a mask or helper is caught before a key is
-derived from it. Keys themselves are never persisted; at most an opt-in
-debug key hash is recorded for cross-checking reproduction.
+file. The mask file is the only record of how a device was enrolled; the
+registry holds no copy of its parameters. A referenced file is read through
+:func:`read_verified`, which hashes the same bytes it returns, so any
+corruption of a mask or helper is caught before a key is derived from it,
+and only the files a command reads are checked. Keys themselves are never
+persisted; at most an opt-in debug key hash is recorded for cross-checking
+reproduction.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from ._kv import TextFormatError, atomic_write_text, parse_int, parse_kv_block, require_keys
+from ._kv import TextFormatError, atomic_write_text, format_kv_block, parse_kv_block, require_keys
 
-REGISTRY_FORMAT = "srampuf-registry-v1"
+REGISTRY_FORMAT = "srampuf-registry-v2"
+# v1 entries also repeated five of the mask's enrollment parameters; they are
+# read past, since the fingerprinted mask file holds them.
+_READABLE_FORMATS = (REGISTRY_FORMAT, "srampuf-registry-v1")
 
-_REQUIRED_ENTRY_KEYS = [
-    "device_id", "mask_file", "mask_sha256", "threshold", "sample_count",
-    "base_offset", "window_length", "num_windows", "created",
-]
+_REQUIRED_ENTRY_KEYS = ["device_id", "mask_file", "mask_sha256", "created"]
 _OPTIONAL_ENTRY_KEYS = ["helper_file", "helper_sha256", "key_sha256"]
 
 
@@ -46,11 +49,6 @@ class RegistryEntry:
     device_id: str
     mask_file: str
     mask_sha256: str
-    threshold: int
-    sample_count: int
-    base_offset: int
-    window_length: int
-    num_windows: int
     created: str
     helper_file: str = ""
     helper_sha256: str = ""
@@ -61,11 +59,6 @@ class RegistryEntry:
             ("device_id", self.device_id),
             ("mask_file", self.mask_file),
             ("mask_sha256", self.mask_sha256),
-            ("threshold", str(self.threshold)),
-            ("sample_count", str(self.sample_count)),
-            ("base_offset", str(self.base_offset)),
-            ("window_length", str(self.window_length)),
-            ("num_windows", str(self.num_windows)),
             ("created", self.created),
         ]
         for key in _OPTIONAL_ENTRY_KEYS:
@@ -99,10 +92,9 @@ class Registry:
 
 
 def registry_to_text(registry: Registry) -> str:
-    blocks = [f"format = {REGISTRY_FORMAT}\n"]
+    blocks = [format_kv_block([("format", REGISTRY_FORMAT)])]
     for device_id in sorted(registry.entries):
-        entry = registry.entries[device_id]
-        blocks.append("".join(f"{k} = {v}\n" for k, v in entry.to_pairs()))
+        blocks.append(format_kv_block(registry.entries[device_id].to_pairs()))
     return "\n".join(blocks)
 
 
@@ -111,7 +103,7 @@ def registry_from_text(text: str) -> Registry:
     if not blocks:
         raise TextFormatError("registry: empty file")
     header = parse_kv_block(blocks[0], what="registry header")
-    if header.get("format") != REGISTRY_FORMAT:
+    if header.get("format") not in _READABLE_FORMATS:
         raise TextFormatError(f"registry: unsupported format {header.get('format')!r}")
     registry = Registry()
     for block in blocks[1:]:
@@ -125,11 +117,6 @@ def registry_from_text(text: str) -> Registry:
             device_id=fields["device_id"],
             mask_file=fields["mask_file"],
             mask_sha256=fields["mask_sha256"],
-            threshold=parse_int(fields, "threshold", what="registry entry"),
-            sample_count=parse_int(fields, "sample_count", what="registry entry"),
-            base_offset=parse_int(fields, "base_offset", what="registry entry"),
-            window_length=parse_int(fields, "window_length", what="registry entry"),
-            num_windows=parse_int(fields, "num_windows", what="registry entry"),
             created=fields["created"],
             helper_file=fields.get("helper_file", ""),
             helper_sha256=fields.get("helper_sha256", ""),
@@ -143,37 +130,34 @@ def save_registry(path, registry: Registry) -> None:
     atomic_write_text(path, registry_to_text(registry))
 
 
-def load_registry(path, verify_files: bool = True) -> Registry:
-    """Load a registry; with ``verify_files`` every referenced mask/helper
-    must exist next to the registry and hash to its recorded value."""
+def load_registry(path) -> Registry:
+    """Parse a registry file; referenced files are checked when they are read."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            registry = registry_from_text(fh.read())
+            text = fh.read()
     except FileNotFoundError:
         raise RegistryError(f"registry file not found: {path}") from None
-    if verify_files:
-        base = os.path.dirname(os.fspath(path))
-        for entry in registry.entries.values():
-            _verify_reference(base, entry.device_id, "mask", entry.mask_file, entry.mask_sha256)
-            if entry.helper_file:
-                _verify_reference(base, entry.device_id, "helper",
-                                  entry.helper_file, entry.helper_sha256)
-    return registry
+    return registry_from_text(text)
 
 
-def _verify_reference(base: str, device_id: str, what: str, name: str, expected: str) -> None:
-    path = os.path.join(base, name)
-    if not os.path.exists(path):
-        raise RegistryError(f"device {device_id!r}: {what} file {name!r} is missing")
-    actual = file_sha256(path)
+def sibling_path(registry_path, name: str) -> str:
+    """Path of the file ``name`` in the directory of the registry file."""
+    return os.path.join(os.path.dirname(os.path.abspath(registry_path)), name)
+
+
+def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
+    """Read ``entry``'s ``"mask"`` or ``"helper"`` file once and return its
+    text, after checking those bytes against the recorded SHA-256."""
+    name, expected = getattr(entry, f"{what}_file"), getattr(entry, f"{what}_sha256")
+    try:
+        with open(sibling_path(registry_path, name), "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise RegistryError(f"device {entry.device_id!r}: {what} file {name!r} is missing") from None
+    actual = hashlib.sha256(data).hexdigest()
     if actual != expected:
         raise RegistryError(
-            f"device {device_id!r}: {what} file {name!r} does not match its recorded "
+            f"device {entry.device_id!r}: {what} file {name!r} does not match its recorded "
             f"fingerprint (expected {expected[:12]}.., found {actual[:12]}..)"
         )
-
-
-def with_helper(entry: RegistryEntry, helper_file: str, helper_sha256: str,
-                key_sha256: str = "") -> RegistryEntry:
-    return replace(entry, helper_file=helper_file, helper_sha256=helper_sha256,
-                   key_sha256=key_sha256 or entry.key_sha256)
+    return data.decode("ascii")

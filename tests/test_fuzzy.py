@@ -194,11 +194,15 @@ class TestHelperFile:
         with pytest.raises(TextFormatError):
             helper_from_text(text.replace("code_offset = ", "code_offset = ZZ"))
 
-    @pytest.mark.parametrize("key", ["n", "k", "r"])
-    def test_rejects_non_integer_code_parameter(self, key):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("n", "x", id="n"), pytest.param("k", "x", id="k"),
+        pytest.param("r", "x", id="r"), ("code", "bch-255"), ("n", "255"), ("k", "64"),
+        ("r", "9")])
+    def test_rejects_bad_code_parameter(self, key, value):
         rng = np.random.default_rng(18)
         lines = helper_to_text(generate(random_bits(rng, 128), 6)).splitlines(keepends=True)
-        bad = "".join(f"{key} = x\n" if line.startswith(f"{key} = ") else line for line in lines)
+        bad = "".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
+                      for line in lines)
         with pytest.raises(TextFormatError, match=f"'{key}'"):
             helper_from_text(bad)
 

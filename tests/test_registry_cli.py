@@ -11,14 +11,15 @@ from srampuf.cli import (
     EXIT_USAGE,
     main,
 )
-from srampuf._kv import TextFormatError
+from srampuf._kv import TextFormatError, format_kv_block
 from srampuf.bitvec import load_dump
-from srampuf.enroll import load_mask
+from srampuf.enroll import Mask, load_mask, mask_from_text, mask_to_text
 from srampuf.registry import (
     Registry,
     RegistryEntry,
     RegistryError,
     load_registry,
+    read_verified,
     registry_from_text,
     registry_to_text,
     save_registry,
@@ -35,11 +36,6 @@ def entry(device_id="dev-a", **overrides):
         device_id=device_id,
         mask_file=f"{device_id}.mask",
         mask_sha256="0" * 64,
-        threshold=4,
-        sample_count=40,
-        base_offset=0,
-        window_length=1216,
-        num_windows=1,
         created="2026-08-10T00:00:00Z",
     )
     fields.update(overrides)
@@ -54,16 +50,44 @@ class TestRegistryData:
         text = registry_to_text(registry)
         assert registry_to_text(registry_from_text(text)) == text
 
+    # The enrollment parameters live only in the mask file.
     @pytest.mark.parametrize("key", ["threshold", "sample_count", "base_offset",
-                                     "window_length", "num_windows"])
+                                     "window_length", "num_windows", "target_len"])
     def test_non_integer_field_names_key(self, key):
-        registry = Registry()
-        registry.add(entry())
-        text = registry_to_text(registry)
-        value = str(getattr(entry(), key))
-        bad = text.replace(f"{key} = {value}\n", f"{key} = x\n")
+        mask = Mask(device_id="dev-a", positions=np.arange(128), threshold=4, sample_count=40)
+        lines = mask_to_text(mask).splitlines(keepends=True)
+        bad = "".join(f"{key} = x\n" if line.startswith(f"{key} = ") else line for line in lines)
         with pytest.raises(TextFormatError, match=f"'{key}'"):
-            registry_from_text(bad)
+            mask_from_text(bad)
+
+    def test_v1_text_loads_and_saves_as_v2(self):
+        legacy = ("threshold", "sample_count", "base_offset", "window_length", "num_windows")
+        v1 = ("format = srampuf-registry-v1\n\n"
+              "device_id = dev-a\nmask_file = dev-a.mask\nmask_sha256 = " + "0" * 64 + "\n"
+              "threshold = 4\nsample_count = 40\nbase_offset = 0\nwindow_length = 1216\n"
+              "num_windows = 1\ncreated = 2026-08-10T00:00:00Z\n")
+        registry = registry_from_text(v1)
+        assert registry.get("dev-a") == entry()
+        text = registry_to_text(registry)
+        assert text.startswith("format = srampuf-registry-v2\n")
+        assert not any(line.startswith(legacy) for line in text.splitlines())
+        assert registry_from_text(text) == registry
+
+    @pytest.mark.parametrize("device_id", [
+        "dev-a\nkey_sha256 = " + "0" * 64, "dev-a\r", "a\x0bb", " dev-a", "dev-a ", "dev-a\t"])
+    def test_writers_refuse_unreadable_value(self, device_id):
+        registry = Registry()
+        registry.add(entry(device_id))
+        with pytest.raises(TextFormatError, match="'device_id'"):
+            registry_to_text(registry)
+        mask = Mask(device_id=device_id, positions=np.arange(8), threshold=4, sample_count=40)
+        with pytest.raises(TextFormatError, match="'device_id'"):
+            mask_to_text(mask)
+
+    @pytest.mark.parametrize("key", ["", "a=b", "#a", "a\nb", " a"])
+    def test_writer_refuses_unreadable_key(self, key):
+        with pytest.raises(TextFormatError):
+            format_kv_block([(key, "1")])
 
     @pytest.mark.parametrize("key", ["mask_file", "helper_file"])
     @pytest.mark.parametrize("name", ["../x", "/etc/passwd", "sub/x.mask", ".."])
@@ -91,20 +115,22 @@ class TestRegistryData:
         registry = Registry()
         registry.add(entry("dev-a", mask_sha256=good))
         save_registry(tmp_path / "registry.txt", registry)
-        load_registry(tmp_path / "registry.txt")  # fine as written
+        loaded = load_registry(tmp_path / "registry.txt").get("dev-a")
+        assert read_verified(tmp_path / "registry.txt", loaded, "mask") == mask_path.read_text()
 
         corrupted = bytearray(mask_path.read_bytes())
         corrupted[5] ^= 0x01
         mask_path.write_bytes(bytes(corrupted))
         with pytest.raises(RegistryError, match="fingerprint"):
-            load_registry(tmp_path / "registry.txt")
+            read_verified(tmp_path / "registry.txt", loaded, "mask")
 
     def test_load_checks_missing_file(self, tmp_path):
         registry = Registry()
         registry.add(entry("dev-a"))
         save_registry(tmp_path / "registry.txt", registry)
+        loaded = load_registry(tmp_path / "registry.txt").get("dev-a")
         with pytest.raises(RegistryError, match="missing"):
-            load_registry(tmp_path / "registry.txt")
+            read_verified(tmp_path / "registry.txt", loaded, "mask")
 
 
 @pytest.fixture()
@@ -171,8 +197,9 @@ class TestCliEnroll:
         assert enroll_device(workspace) == EXIT_OK
         mask = load_mask(workspace / "dev-a.mask")
         assert mask.target_len == 128
+        assert mask.threshold == 4
         registry = load_registry(workspace / "registry.txt")
-        assert registry.get("dev-a").threshold == 4
+        assert registry.get("dev-a").mask_file == "dev-a.mask"
 
     def test_duplicate_device_rejected(self, workspace):
         assert enroll_device(workspace) == EXIT_OK
@@ -209,6 +236,12 @@ def enrolled(workspace):
 def reproduce_args(tmp_path, dump):
     return ["reproduce", "--dump", str(dump), "--registry", str(tmp_path / "registry.txt"),
             "--device-id", "dev-a", "--debug"]
+
+
+def flip_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-2] ^= 0x02
+    path.write_bytes(bytes(data))
 
 
 def key_lines(output: str) -> list[str]:
@@ -291,13 +324,42 @@ class TestCliKeyFlow:
         assert "'mask_file'" in capsys.readouterr().err
 
     def test_tampered_mask_detected(self, enrolled, capsys):
-        mask_path = enrolled / "dev-a.mask"
-        data = bytearray(mask_path.read_bytes())
-        data[-2] ^= 0x02
-        mask_path.write_bytes(bytes(data))
+        flip_byte(enrolled / "dev-a.mask")
         dump = enrolled / "dumps" / "sample-00000.hex"
         assert main(reproduce_args(enrolled, dump)) == EXIT_USAGE
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_tampered_helper_detected(self, enrolled, capsys):
+        flip_byte(enrolled / "dev-a.helper")
+        dump = enrolled / "dumps" / "sample-00000.hex"
+        assert main(reproduce_args(enrolled, dump)) == EXIT_USAGE
+        assert "fingerprint" in capsys.readouterr().err
+
+    def test_other_device_files_not_read(self, enrolled, capsys):
+        assert enroll_device(enrolled, device_id="dev-b") == EXIT_OK
+        (enrolled / "dev-b.mask").unlink()
+        dump = enrolled / "dumps" / "sample-00000.hex"
+        assert main(reproduce_args(enrolled, dump)) == EXIT_OK
+        capsys.readouterr()
+        assert main(["reproduce", "--dump", str(dump), "--registry",
+                     str(enrolled / "registry.txt"), "--device-id", "dev-b"]) == EXIT_USAGE
+        assert "missing" in capsys.readouterr().err
+
+    def test_genkey_without_debug_clears_key_hash(self, enrolled, capsys):
+        # a helper generated without --debug must not be paired with the key
+        # hash of an earlier --debug run on a different response
+        mask = load_mask(enrolled / "dev-a.mask")
+        flipped = enrolled / "flip1.hex"
+        assert main(["flip", "--dump", str(enrolled / "dumps" / "sample-00000.hex"),
+                     "--out", str(flipped),
+                     "--positions", str(int(mask.base_offset + mask.positions[40]))]) == EXIT_OK
+        assert main(["genkey", "--dump", str(flipped), "--registry",
+                     str(enrolled / "registry.txt"), "--device-id", "dev-a",
+                     "--seed", "7"]) == EXIT_OK
+        assert load_registry(enrolled / "registry.txt").get("dev-a").key_sha256 == ""
+        capsys.readouterr()
+        assert main(reproduce_args(enrolled, flipped)) == EXIT_OK
+        assert "key reproduced" in capsys.readouterr().out
 
 
 class TestCliReports:
