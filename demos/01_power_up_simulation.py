@@ -31,9 +31,9 @@ print("\ncollecting 300 power-up samples at NTNA...")
 samples = collect_samples(device, cal.condition("NTNA"), 300, seed0=0)
 
 # Positions whose value never changed across all samples are "stable".
-stability = mark_stability(samples)
-print(f"stable positions: {stability.stable_fraction():.1%} "
-      f"(so {1 - stability.stable_fraction():.1%} flipped at least once)")
+stable = mark_stability(samples)
+print(f"stable positions: {stable.mean():.1%} "
+      f"(so {1 - stable.mean():.1%} flipped at least once)")
 print(f"flip rate vs the first sample: {window_flip_rate(samples):.1%}")
 
 # Split the window into 1,216-bit blocks; the stable share per block should
@@ -54,9 +54,9 @@ def mean_run_length(marks):
     return float(np.mean(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)))
 
 rng = np.random.default_rng(0)
-shuffled = stability.stable.copy()
+shuffled = stable.copy()
 rng.shuffle(shuffled)
-print(f"\nmean stable-run length: {mean_run_length(stability.stable):.2f} "
+print(f"\nmean stable-run length: {mean_run_length(stable):.2f} "
       f"vs {mean_run_length(shuffled):.2f} for a shuffled control")
 
 # Heat and aging scale every cell's flip probability. Compare per-sample flip

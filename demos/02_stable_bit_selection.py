@@ -12,7 +12,6 @@ import numpy as np
 from srampuf import (
     BitVector,
     Calibration,
-    StabilityMap,
     build_mask,
     collect_samples,
     mark_stability,
@@ -28,15 +27,15 @@ toy = [BitVector.from01("0110011101"),
        BitVector.from01("0110011100")]
 marks = mark_stability(toy)
 print("toy samples:", ", ".join(s.to01() for s in toy))
-print("stability:  ", "".join("S" if s else "U" for s in marks.stable))
+print("stability:  ", "".join("S" if s else "U" for s in marks))
 
 # Stage 2: weights. Inside each run of S cells the weight counts the distance
 # to the nearest unstable neighbor (or window edge): ends weigh 1, a run of
 # five peaks at 3 in the middle.
-demo = StabilityMap(stable=np.array([c == "S" for c in "USSSSSUUSSSSU"]), sample_count=2)
+demo = np.array([c == "S" for c in "USSSSSUUSSSSU"])
 weights = weight_positions(demo)
 print("\npattern:", "USSSSSUUSSSSU")
-print("weights:", "".join(str(w) for w in weights.weights))
+print("weights:", "".join(str(w) for w in weights))
 
 # Stage 3: thresholding. Higher thresholds keep only cells deep inside large
 # stable clusters. On a real-size device the counts fall quickly.
@@ -56,8 +55,7 @@ for threshold in range(1, 7):
 # marks every block; reshaped to one row per block, runs end at block edges.
 num_blocks = device.num_bits // 1216
 marks = mark_stability(samples, range(0, num_blocks * 1216))
-block_weights = weight_positions(StabilityMap(stable=marks.stable.reshape(num_blocks, 1216),
-                                              sample_count=marks.sample_count))
+block_weights = weight_positions(marks.reshape(num_blocks, 1216))
 print(f"\nmean selected positions per block over all {num_blocks} blocks:")
 for threshold in range(1, 7):
     total = select_positions(block_weights, threshold).size

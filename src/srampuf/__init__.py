@@ -23,13 +23,10 @@ from .bitvec import (
     load_dump,
     parse_hex_dump,
     save_dump,
-    xor,
 )
 from .enroll import (
     InsufficientStableBitsError,
     Mask,
-    StabilityMap,
-    WeightMap,
     build_mask,
     load_mask,
     mark_stability,

@@ -17,7 +17,6 @@ from .bitvec import BitVector, hamming_distance
 from .enroll import (
     DEFAULT_WINDOW_LENGTH,
     Mask,
-    StabilityMap,
     mark_stability,
     weight_positions,
 )
@@ -42,15 +41,11 @@ def block_stability(samples: list[BitVector],
     """Stability statistics per full block; a trailing partial block is skipped."""
     if len(samples) < 2:
         raise ValueError("block statistics need at least 2 samples")
-    num_blocks = min(len(s) for s in samples) // block_size
-    stable = mark_stability(samples, range(0, num_blocks * block_size)).stable
+    num_blocks = len(samples[0]) // block_size
+    stable = mark_stability(samples, range(0, num_blocks * block_size))
     counts = np.count_nonzero(stable.reshape(num_blocks, block_size), axis=1)
     return [BlockReport(block_index=b, stable_count=int(c), unstable_count=block_size - int(c))
             for b, c in enumerate(counts)]
-
-
-def skipped_trailing_bits(sample_length: int, block_size: int = DEFAULT_WINDOW_LENGTH) -> int:
-    return sample_length % block_size
 
 
 @dataclass(frozen=True)
@@ -108,17 +103,14 @@ def threshold_sweep(enroll_samples: list[BitVector],
         raise ValueError("sweep needs at least 2 enrollment samples")
     if any(t < 1 for t in thresholds):
         raise ValueError("threshold must be >= 1")
-    length = min(len(s) for s in enroll_samples)
-    num_blocks = length // block_size
+    num_blocks = len(enroll_samples[0]) // block_size
     span = num_blocks * block_size
-    stability = mark_stability(enroll_samples, range(0, span))
-    weights = weight_positions(StabilityMap(stable=stability.stable.reshape(num_blocks, block_size),
-                                            sample_count=stability.sample_count)).weights
+    stable = mark_stability(enroll_samples, range(0, span))
+    weights = weight_positions(stable.reshape(num_blocks, block_size))
     # selected[j, b]: positions of block b whose weight reaches thresholds[j]
     selected = np.count_nonzero(weights >= np.array(thresholds)[:, None, None], axis=2)
     weights = weights.ravel()
     reference = enroll_samples[0].bits[:span]
-    stable = stability.stable  # every selected position is stable, at any threshold
 
     rows = []
     for condition in sorted(test_samples):
@@ -131,6 +123,7 @@ def threshold_sweep(enroll_samples: list[BitVector],
         # flips[i, j, b]: selected bits of block b at thresholds[j] that sample i flipped
         flips = np.empty((len(samples), len(thresholds), num_blocks), dtype=np.int32)
         for i, sample in enumerate(samples):
+            # every selected position is stable, at any threshold
             flipped = np.flatnonzero((sample.bits[:span] != reference) & stable)
             depth, block = weights[flipped], flipped // block_size
             for j, t in enumerate(thresholds):
@@ -192,7 +185,7 @@ def window_flip_rate(samples: list[BitVector], reference: BitVector | None = Non
         samples = [reference, *samples]
     elif len(samples) < 2:
         raise ValueError("need a reference or at least 2 samples")
-    stable = mark_stability(samples).stable
+    stable = mark_stability(samples)
     return float(np.count_nonzero(~stable)) / len(samples[0])
 
 

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._kv import atomic_write_text
+
 WORD_BITS = 32
 _WORD_HEX_DIGITS = WORD_BITS // 4
 
@@ -122,11 +124,6 @@ class BitVector:
         return BitVector(arr)
 
 
-def xor(a: BitVector, b: BitVector) -> BitVector:
-    """Bitwise XOR of two equal-length vectors."""
-    return a ^ b
-
-
 def hamming_distance(a: BitVector, b: BitVector) -> int:
     """Number of positions where the two vectors differ."""
     if len(a) != len(b):
@@ -175,6 +172,4 @@ def load_dump(path) -> BitVector:
 
 
 def save_dump(path, vector: BitVector) -> None:
-    from ._kv import atomic_write_text
-
     atomic_write_text(path, format_hex_dump(vector))

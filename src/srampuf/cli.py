@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import os
 import re
-import secrets
 import sys
 
 import numpy as np
@@ -97,29 +96,30 @@ def cmd_enroll(args) -> int:
     mask_name = f"{args.device_id}.mask"
     mask_path = reg.sibling_path(args.registry, mask_name)
     os.makedirs(os.path.dirname(mask_path), exist_ok=True)
-    if os.path.exists(args.registry):
-        registry = reg.load_registry(args.registry)
-    else:
-        registry = reg.Registry()
-    if args.device_id in registry.entries:
-        _fail(f"device {args.device_id!r} is already enrolled")
+    with reg.locked(args.registry):
+        if os.path.exists(args.registry):
+            registry = reg.load_registry(args.registry)
+        else:
+            registry = reg.Registry()
+        if args.device_id in registry.entries:
+            _fail(f"device {args.device_id!r} is already enrolled")
 
-    mask = enroll.build_mask(
-        samples,
-        threshold=args.threshold,
-        target_len=args.target_len,
-        window_length=args.window_length,
-        base_offset=args.base_offset,
-        device_id=args.device_id,
-    )
-    enroll.save_mask(mask_path, mask)
-    registry.add(reg.RegistryEntry(
-        device_id=args.device_id,
-        mask_file=mask_name,
-        mask_sha256=reg.file_sha256(mask_path),
-        created=reg.utc_timestamp(),
-    ))
-    reg.save_registry(args.registry, registry)
+        mask = enroll.build_mask(
+            samples,
+            threshold=args.threshold,
+            target_len=args.target_len,
+            window_length=args.window_length,
+            base_offset=args.base_offset,
+            device_id=args.device_id,
+        )
+        enroll.save_mask(mask_path, mask)
+        registry.add(reg.RegistryEntry(
+            device_id=args.device_id,
+            mask_file=mask_name,
+            mask_sha256=reg.file_sha256(mask_path),
+            created=reg.utc_timestamp(),
+        ))
+        reg.save_registry(args.registry, registry)
     print(f"enrolled {args.device_id}: {mask.target_len} positions from "
           f"{mask.num_windows} window(s) at threshold {mask.threshold}")
     return EXIT_OK
@@ -138,18 +138,18 @@ def _print_key(key: keygen.KeyMaterial) -> None:
 
 
 def cmd_genkey(args) -> int:
-    registry, entry, mask = _load_enrolled_mask(args.registry, args.device_id)
-    raw = load_dump(args.dump)
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
-    helper, key = keygen.generate_key(raw, mask, seed)
     helper_name = f"{args.device_id}.helper"
     helper_path = reg.sibling_path(args.registry, helper_name)
-    fuzzy.save_helper(helper_path, helper)
-    key_sha = hashlib.sha256(key.digest).hexdigest() if args.debug else ""
-    registry.update(dataclasses.replace(entry, helper_file=helper_name,
-                                        helper_sha256=reg.file_sha256(helper_path),
-                                        key_sha256=key_sha))
-    reg.save_registry(args.registry, registry)
+    with reg.locked(args.registry):
+        registry, entry, mask = _load_enrolled_mask(args.registry, args.device_id)
+        raw = load_dump(args.dump)
+        helper, key = keygen.generate_key(raw, mask, args.seed)
+        fuzzy.save_helper(helper_path, helper)
+        key_sha = hashlib.sha256(key.digest).hexdigest() if args.debug else ""
+        registry.update(dataclasses.replace(entry, helper_file=helper_name,
+                                            helper_sha256=reg.file_sha256(helper_path),
+                                            key_sha256=key_sha))
+        reg.save_registry(args.registry, registry)
     print(f"helper data written to {helper_path}")
     if args.debug:
         _print_key(key)
@@ -178,7 +178,7 @@ def cmd_reproduce(args) -> int:
 def cmd_stats(args) -> int:
     samples = _load_dumps(args.dumps, minimum=2)
     reports = analytics.block_stability(samples, block_size=args.block_size)
-    skipped = analytics.skipped_trailing_bits(min(len(s) for s in samples), args.block_size)
+    skipped = len(samples[0]) % args.block_size
     _write_csv(analytics.block_reports_to_csv(reports), args.out)
     if skipped:
         print(f"note: {skipped} trailing bits did not fill a block and were skipped",
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", required=True)
     p.add_argument("--registry", required=True)
     p.add_argument("--device-id", required=True)
-    p.add_argument("--seed", type=int, help="codeword seed; random when omitted")
+    p.add_argument("--seed", type=int, help="reproducible codeword seed, for tests only; "
+                                            "the OS CSPRNG draws the codeword when omitted")
     p.add_argument("--debug", action="store_true",
                    help="print the keys and store a key hash for verification")
     p.set_defaults(func=cmd_genkey)

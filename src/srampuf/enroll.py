@@ -46,27 +46,9 @@ class InsufficientStableBitsError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class StabilityMap:
-    """Per-position S/U marks over a window of samples; 2-D marks hold one
-    window per row."""
-
-    stable: np.ndarray          # bool, True where the bit never changed
-    sample_count: int
-
-    @property
-    def window_length(self) -> int:
-        return int(self.stable.shape[-1])
-
-    def stable_count(self) -> int:
-        return int(np.count_nonzero(self.stable))
-
-    def stable_fraction(self) -> float:
-        return self.stable_count() / self.stable.size if self.stable.size else 0.0
-
-
-def mark_stability(samples: list[BitVector], window: range | None = None) -> StabilityMap:
-    """Mark S where all samples agree, U elsewhere. Needs at least 2 samples."""
+def mark_stability(samples: list[BitVector], window: range | None = None) -> np.ndarray:
+    """Read-only bool marks over the window: True (S) where all samples agree,
+    False (U) elsewhere. Needs at least 2 samples."""
     if len(samples) < 2:
         raise ValueError("stability needs at least 2 samples")
     length = len(samples[0])
@@ -85,18 +67,7 @@ def mark_stability(samples: list[BitVector], window: range | None = None) -> Sta
         differs |= s.bits[lo:hi] != reference
     stable = ~differs
     stable.flags.writeable = False
-    return StabilityMap(stable=stable, sample_count=len(samples))
-
-
-@dataclass(frozen=True)
-class WeightMap:
-    """Cluster-depth weight per position; unstable positions weigh 0."""
-
-    weights: np.ndarray
-
-    @property
-    def window_length(self) -> int:
-        return int(self.weights.shape[-1])
+    return stable
 
 
 def _run_position_counts(stable: np.ndarray) -> np.ndarray:
@@ -112,24 +83,24 @@ def _run_position_counts(stable: np.ndarray) -> np.ndarray:
     return counts
 
 
-def weight_positions(stability: StabilityMap) -> WeightMap:
-    """Weight each stable position by its depth inside its run of S cells.
+def weight_positions(stable: np.ndarray) -> np.ndarray:
+    """Weight each stable position by its depth inside its run of S cells;
+    returns a read-only array shaped like the bool marks.
 
     For 2-D marks every row is a window and runs end at its edges.
     """
-    stable = stability.stable
     forward = _run_position_counts(stable)
     backward = _run_position_counts(stable[..., ::-1])[..., ::-1]
     weights = np.minimum(forward, backward, out=forward)
     weights.flags.writeable = False
-    return WeightMap(weights=weights)
+    return weights
 
 
-def select_positions(weights: WeightMap, threshold: int) -> np.ndarray:
+def select_positions(weights: np.ndarray, threshold: int) -> np.ndarray:
     """Ascending indices of all positions whose weight reaches the threshold."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    return np.flatnonzero(weights.weights >= threshold)
+    return np.flatnonzero(weights >= threshold)
 
 
 @dataclass(frozen=True)
@@ -179,7 +150,7 @@ def build_mask(samples: list[BitVector], threshold: int,
         raise ValueError("no samples provided")
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
-    total_bits = min(len(s) for s in samples)
+    total_bits = len(samples[0])
     available = (total_bits - base_offset) // window_length
     if max_windows is not None:
         available = min(available, max_windows)
@@ -189,11 +160,9 @@ def build_mask(samples: list[BitVector], threshold: int,
             f"past offset {base_offset}"
         )
 
-    stability = mark_stability(samples, range(base_offset, base_offset + available * window_length))
-    windows = StabilityMap(stable=stability.stable.reshape(available, window_length),
-                           sample_count=stability.sample_count)
+    stable = mark_stability(samples, range(base_offset, base_offset + available * window_length))
     # Flat indices into the (window, offset) rows are positions relative to base_offset.
-    chosen = select_positions(weight_positions(windows), threshold)
+    chosen = select_positions(weight_positions(stable.reshape(available, window_length)), threshold)
     if chosen.size < target_len:
         window_counts = np.bincount(chosen // window_length, minlength=available)
         raise InsufficientStableBitsError(target_len, int(chosen.size), window_counts.tolist())

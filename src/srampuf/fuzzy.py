@@ -18,6 +18,7 @@ single flipped bit yields its own column code (1..128) and any value above
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +102,6 @@ class HammingCode:
             raise UncorrectableError(s)
         return word.with_flips([int(self._index_of_code[s])])
 
-    def message_bits(self, codeword: BitVector) -> BitVector:
-        return codeword[: self.k]
-
 
 _CODE = HammingCode()
 CODE_NAME = "hamming-128-120"
@@ -130,17 +128,21 @@ class HelperData:
             raise ValueError(f"code offset must be {self.n} bits, got {len(self.code_offset)}")
 
 
-def generate(response: BitVector, seed: int, *, device_id: str = "",
+def generate(response: BitVector, seed: int | None = None, *, device_id: str = "",
              mask_sha256: str = "") -> HelperData:
     """Commit a fresh random codeword against an enrolled response.
 
-    The codeword is drawn from a PRNG seeded with ``seed`` and is independent
-    of the response; callers needing real secrecy must pass platform entropy.
+    The codeword is independent of the response. Its 120 message bits come
+    from the OS CSPRNG unless ``seed`` asks for reproducible PCG64 bits, which
+    are for tests and benchmarks only: they carry no secrecy.
     """
     if len(response) != _CODE.n:
         raise ValueError(f"response must be {_CODE.n} bits, got {len(response)}")
-    rng = np.random.default_rng(seed)
-    message = BitVector(rng.integers(0, 2, size=_CODE.k, dtype=np.uint8))
+    if seed is None:
+        message = BitVector.from_bytes(secrets.token_bytes(_CODE.k // 8))
+    else:
+        rng = np.random.default_rng(seed)
+        message = BitVector(rng.integers(0, 2, size=_CODE.k, dtype=np.uint8))
     codeword = _CODE.encode(message)
     return HelperData(code_offset=response ^ codeword, device_id=device_id,
                       mask_sha256=mask_sha256)

@@ -23,7 +23,6 @@ from .enroll import Mask, mask_fingerprint
 from .fuzzy import HelperData, generate, reproduce
 
 KEY_BITS = 256
-HASH_NAME = "sha256"
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,6 @@ class KeyMaterial:
 
     digest: bytes
     device_id: str = ""
-    hash_name: str = HASH_NAME
 
     def __post_init__(self):
         if len(self.digest) != KEY_BITS // 8:
@@ -73,7 +71,8 @@ def derive_key(response: BitVector, device_id: str = "") -> KeyMaterial:
     return KeyMaterial(digest=digest, device_id=device_id)
 
 
-def generate_key(raw: BitVector, mask: Mask, seed: int) -> tuple[HelperData, KeyMaterial]:
+def generate_key(raw: BitVector, mask: Mask,
+                 seed: int | None = None) -> tuple[HelperData, KeyMaterial]:
     """Enroll a dump: returns public helper data and the derived keys."""
     response = apply_mask(raw, mask)
     helper = generate(response, seed, device_id=mask.device_id,

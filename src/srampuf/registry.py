@@ -6,15 +6,19 @@ file. The mask file is the only record of how a device was enrolled; the
 registry holds no copy of its parameters. A referenced file is read through
 :func:`read_verified`, which hashes the same bytes it returns, so any
 corruption of a mask or helper is caught before a key is derived from it,
-and only the files a command reads are checked. Keys themselves are never
+and only the files a command reads are checked. Commands that change the
+registry do their load -> change -> save under :func:`locked`, so concurrent
+writers do not drop each other's entries. Keys themselves are never
 persisted; at most an opt-in debug key hash is recorded for cross-checking
 reproduction.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -138,6 +142,14 @@ def load_registry(path) -> Registry:
     except FileNotFoundError:
         raise RegistryError(f"registry file not found: {path}") from None
     return registry_from_text(text)
+
+
+@contextmanager
+def locked(registry_path):
+    """Hold an exclusive ``flock`` on the sibling ``<registry>.lock`` file."""
+    with open(f"{os.fspath(registry_path)}.lock", "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
 
 
 def sibling_path(registry_path, name: str) -> str:

@@ -9,7 +9,6 @@ from srampuf.analytics import block_stability, window_flip_rate
 from srampuf.bitvec import BitVector, hamming_distance, load_dump, save_dump
 from srampuf.enroll import (
     Mask,
-    StabilityMap,
     build_mask,
     load_mask,
     save_mask,
@@ -89,7 +88,7 @@ def test_criterion_3_weight_oracle_equivalence():
             n = int(rng.integers(1, 4097))
             density = rng.uniform(0.05, 0.95)
             stable = rng.random(n) < density
-            got = weight_positions(StabilityMap(stable=stable, sample_count=2)).weights
+            got = weight_positions(stable)
             expected = oracle_weights(stable)
             assert np.array_equal(got, expected)
         c.note("10,000 maps up to 4096 bits, exact")
@@ -101,7 +100,7 @@ def test_criterion_4_threshold_monotonicity(default_sweep):
         for trial in range(1000):
             n = int(rng.integers(64, 4097))
             stable = rng.random(n) < rng.uniform(0.3, 0.95)
-            weights = weight_positions(StabilityMap(stable=stable, sample_count=2))
+            weights = weight_positions(stable)
             counts = [select_positions(weights, t).size for t in range(1, 9)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
         means = [default_sweep.mean_selected(t) for t in (1, 2, 3, 4, 5)]

@@ -5,12 +5,12 @@ from srampuf.analytics import (
     block_reports_to_csv,
     block_stability,
     flip_rate_summary,
-    skipped_trailing_bits,
     sweep_to_csv,
     threshold_sweep,
     window_flip_rate,
 )
-from srampuf.bitvec import BitVector
+from srampuf.bitvec import BitVector, save_dump
+from srampuf.cli import EXIT_OK, main
 from srampuf.enroll import build_mask
 from srampuf.keygen import apply_mask
 
@@ -31,10 +31,15 @@ class TestBlockStability:
         reports = block_stability(samples)
         assert [r.stable_fraction for r in reports] == [1.0, 1.0]
 
-    def test_full_size_gives_98_blocks(self, enrolled_device):
+    def test_full_size_gives_98_blocks(self, enrolled_device, tmp_path, capsys):
         reports = block_stability(enrolled_device["enroll"])
         assert len(reports) == 98
-        assert skipped_trailing_bits(120_000) == 832
+        for i, sample in enumerate(enrolled_device["enroll"][:2]):
+            save_dump(tmp_path / f"sample-{i}.hex", sample)
+        assert main(["stats", "--dumps", str(tmp_path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().splitlines()) == 1 + 98
+        assert "note: 832 trailing bits did not fill a block" in captured.err
 
     def test_fractions_concentrate_in_band(self, enrolled_device):
         fractions = np.array([r.stable_fraction for r in block_stability(enrolled_device["enroll"])])

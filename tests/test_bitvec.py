@@ -8,7 +8,6 @@ from srampuf.bitvec import (
     format_hex_dump,
     hamming_distance,
     parse_hex_dump,
-    xor,
 )
 
 from _oracles import random_bits
@@ -20,17 +19,17 @@ def bv(s: str) -> BitVector:
 
 class TestXor:
     def test_identity_element(self):
-        assert xor(bv("1010"), bv("0000")) == bv("1010")
+        assert bv("1010") ^ bv("0000") == bv("1010")
 
     def test_self_inverse(self):
-        assert xor(bv("1010"), bv("1010")) == bv("0000")
+        assert bv("1010") ^ bv("1010") == bv("0000")
 
     def test_bitwise(self):
-        assert xor(bv("1100"), bv("1010")) == bv("0110")
+        assert bv("1100") ^ bv("1010") == bv("0110")
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            xor(bv("10"), bv("101"))
+            bv("10") ^ bv("101")
 
 
 class TestHammingDistance:

@@ -6,8 +6,6 @@ from srampuf.bitvec import BitVector
 from srampuf.enroll import (
     InsufficientStableBitsError,
     Mask,
-    StabilityMap,
-    WeightMap,
     build_mask,
     load_mask,
     mark_stability,
@@ -28,22 +26,22 @@ def bv(s):
     return BitVector.from01(s)
 
 
-def stability(pattern: str) -> StabilityMap:
-    return StabilityMap(stable=np.array([c == "S" for c in pattern]), sample_count=2)
+def stability(pattern: str) -> np.ndarray:
+    return np.array([c == "S" for c in pattern])
 
 
 class TestMarkStability:
     def test_identical_samples_all_stable(self):
         marks = mark_stability([bv("0110")] * 5)
-        assert marks.stable.all() and marks.sample_count == 5
+        assert marks.all() and marks.shape == (4,)
 
     def test_alternating_position_unstable(self):
         samples = [bv("0100"), bv("0000"), bv("0100"), bv("0000")]
-        assert list(mark_stability(samples).stable) == [True, False, True, True]
+        assert list(mark_stability(samples)) == [True, False, True, True]
 
     def test_hand_checked_three_samples(self):
         marks = mark_stability([bv("0110"), bv("0100"), bv("0110")])
-        assert list(marks.stable) == [True, True, False, True]
+        assert list(marks) == [True, True, False, True]
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -53,47 +51,69 @@ class TestMarkStability:
         with pytest.raises(ValueError, match="same length"):
             mark_stability([bv("01"), bv("011")])
 
+    def test_marks_are_read_only(self):
+        marks = mark_stability([bv("0110"), bv("0100")])
+        with pytest.raises(ValueError, match="read-only"):
+            marks[0] = False
+
     def test_window(self):
         samples = [bv("00110011"), bv("01100110")]
         marks = mark_stability(samples, range(2, 6))
-        assert list(marks.stable) == [True, False, True, False]
+        assert list(marks) == [True, False, True, False]
         with pytest.raises(ValueError, match="does not fit"):
             mark_stability(samples, range(4, 12))
 
 
 class TestWeights:
     def test_odd_run_peaks_in_middle(self):
-        assert list(weight_positions(stability("SSSSS")).weights) == [1, 2, 3, 2, 1]
+        assert list(weight_positions(stability("SSSSS"))) == [1, 2, 3, 2, 1]
 
     def test_even_run_has_flat_middle(self):
-        assert list(weight_positions(stability("SSSS")).weights) == [1, 2, 2, 1]
+        assert list(weight_positions(stability("SSSS"))) == [1, 2, 2, 1]
 
     def test_isolated_position(self):
-        assert list(weight_positions(stability("USU")).weights) == [0, 1, 0]
+        assert list(weight_positions(stability("USU"))) == [0, 1, 0]
 
     def test_all_unstable(self):
-        assert list(weight_positions(stability("UUUU")).weights) == [0, 0, 0, 0]
+        assert list(weight_positions(stability("UUUU"))) == [0, 0, 0, 0]
 
     def test_mixed_runs(self):
         # runs of lengths 2, 5, and 1
-        got = weight_positions(stability("SSUSSSSSUS")).weights
+        got = weight_positions(stability("SSUSSSSSUS"))
         assert list(got) == [1, 1, 0, 1, 2, 3, 2, 1, 0, 1]
+
+    def test_weights_are_read_only(self):
+        weights = weight_positions(stability("SSS"))
+        with pytest.raises(ValueError, match="read-only"):
+            weights[1] = 0
+
+    def test_rows_match_oracle_with_runs_across_edges(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            shape = (int(rng.integers(2, 9)), int(rng.integers(8, 200)))
+            stable = rng.random(shape) < rng.uniform(0.5, 0.95)
+            stable[:, :3] = stable[:, -3:] = True  # a stable run crosses every row edge
+            got = weight_positions(stable)
+            assert got.shape == shape
+            for row, marks in zip(got, stable):
+                assert np.array_equal(row, oracle_weights(marks))
+            assert not np.array_equal(got.ravel(), oracle_weights(stable.ravel()))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.booleans(), min_size=0, max_size=200))
     def test_matches_boundary_distance_oracle(self, marks):
         stable = np.array(marks, dtype=bool)
-        got = weight_positions(StabilityMap(stable=stable, sample_count=2)).weights
+        got = weight_positions(stable)
         assert np.array_equal(got, oracle_weights(stable))
 
 
 class TestSelectPositions:
     def test_direct_filter(self):
-        weights = WeightMap(weights=np.array([0, 1, 5, 3, 0, 4]))
+        weights = np.array([0, 1, 5, 3, 0, 4])
         assert list(select_positions(weights, 4)) == [2, 5]
 
     def test_all_stable_window_at_one(self):
-        marks = StabilityMap(stable=np.ones(1216, dtype=bool), sample_count=2)
+        marks = np.ones(1216, dtype=bool)
         assert select_positions(weight_positions(marks), 1).size == 1216
 
     def test_threshold_validation(self):
@@ -105,14 +125,14 @@ class TestSelectPositions:
         rng = np.random.default_rng(20)
         for _ in range(50):
             stable = rng.random(500) < rng.uniform(0.2, 0.9)
-            weights = weight_positions(StabilityMap(stable=stable, sample_count=2))
+            weights = weight_positions(stable)
             counts = [select_positions(weights, t).size for t in range(1, 8)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_selection_soundness(self):
         rng = np.random.default_rng(21)
         stable = rng.random(2000) < 0.75
-        weights = weight_positions(StabilityMap(stable=stable, sample_count=2))
+        weights = weight_positions(stable)
         for t in (2, 3, 4):
             for p in select_positions(weights, t):
                 lo, hi = max(0, p - (t - 1)), min(stable.size, p + t)
@@ -124,6 +144,12 @@ def two_identical(vectors):
 
 
 class TestBuildMask:
+    def test_unequal_lengths_raise(self):
+        samples = [BitVector(np.ones(2432, dtype=np.uint8)), BitVector(np.ones(1216, dtype=np.uint8))]
+        for ordered in (samples, samples[::-1]):
+            with pytest.raises(ValueError, match="same length"):
+                build_mask(ordered, threshold=1)
+
     def test_single_window_truncates_to_target(self):
         samples = [BitVector(np.ones(1216, dtype=np.uint8))] * 2
         mask = build_mask(samples, threshold=1, target_len=128)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srampuf import fuzzy
 from srampuf.bitvec import BitVector
 from srampuf.fuzzy import (
     HammingCode,
@@ -40,7 +41,7 @@ class TestHammingCode:
     def test_systematic(self):
         rng = np.random.default_rng(2)
         message = random_bits(rng, 120)
-        assert CODE.message_bits(CODE.encode(message)) == message
+        assert CODE.encode(message)[:120] == message
 
     def test_unit_messages_have_weight_three_or_more(self):
         # brute force over all 120 single-bit messages pins the minimum distance
@@ -123,6 +124,20 @@ class TestGenerate:
         y = random_bits(rng, 128)
         offsets = {generate(y, seed).code_offset.to_bytes() for seed in range(1000)}
         assert len(offsets) == 1000
+
+    def test_unseeded_codeword_is_os_entropy(self, monkeypatch):
+        drawn = bytes(range(0x11, 0x20))
+        requested = []
+
+        def token_bytes(n):
+            requested.append(n)
+            return drawn
+
+        monkeypatch.setattr(fuzzy.secrets, "token_bytes", token_bytes)
+        y = random_bits(np.random.default_rng(12), 128)
+        helper = generate(y)
+        assert requested == [15]
+        assert helper.code_offset ^ y == CODE.encode(BitVector.from_bytes(drawn))
 
     def test_offset_is_128_bits(self):
         rng = np.random.default_rng(11)

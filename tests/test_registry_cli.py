@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from srampuf.registry import (
 )
 from srampuf.simulate import Calibration, collect_samples, new_device
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 NUM_BITS = 4864        # four 1216-bit windows
 DEVICE_SEED = 77
 N_SAMPLES = 40
@@ -216,6 +220,24 @@ class TestCliEnroll:
         assert code == EXIT_INSUFFICIENT_BITS
         assert "window 0" in capsys.readouterr().err
 
+    def test_concurrent_enrolls_keep_every_entry(self, workspace):
+        device_ids = [f"dev-{i}" for i in range(6)]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        procs = [subprocess.Popen([sys.executable, "-m", "srampuf.cli", "enroll",
+                                   "--dumps", str(workspace / "dumps"),
+                                   "--registry", str(workspace / "registry.txt"),
+                                   "--device-id", device_id],
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for device_id in device_ids]
+        try:
+            for proc in procs:
+                _, err = proc.communicate(timeout=120)
+                assert proc.returncode == EXIT_OK, err
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert sorted(load_registry(workspace / "registry.txt").entries) == device_ids
+
     def test_registry_save_load_save_stable(self, workspace):
         assert enroll_device(workspace) == EXIT_OK
         path = workspace / "registry.txt"
@@ -344,6 +366,19 @@ class TestCliKeyFlow:
         assert main(["reproduce", "--dump", str(dump), "--registry",
                      str(enrolled / "registry.txt"), "--device-id", "dev-b"]) == EXIT_USAGE
         assert "missing" in capsys.readouterr().err
+
+    def test_unseeded_genkey_reproduces_and_differs(self, workspace, capsys):
+        assert enroll_device(workspace) == EXIT_OK
+        dump = workspace / "dumps" / "sample-00000.hex"
+        genkey = ["genkey", "--dump", str(dump), "--registry", str(workspace / "registry.txt"),
+                  "--device-id", "dev-a", "--debug"]
+        assert main(genkey) == EXIT_OK
+        first = (workspace / "dev-a.helper").read_text()
+        capsys.readouterr()
+        assert main(reproduce_args(workspace, dump)) == EXIT_OK
+        assert "key hash matches" in capsys.readouterr().out
+        assert main(genkey) == EXIT_OK
+        assert (workspace / "dev-a.helper").read_text() != first
 
     def test_genkey_without_debug_clears_key_hash(self, enrolled, capsys):
         # a helper generated without --debug must not be paired with the key

@@ -111,7 +111,7 @@ class TestSampling:
         cal = Calibration()
         device = new_device(9, num_bits=60_000, calibration=cal)
         samples = collect_samples(device, cal.condition("NTNA"), 300, seed0=0)
-        stable = mark_stability(samples).stable
+        stable = mark_stability(samples)
         rng = np.random.default_rng(123)
         shuffled = stable.copy()
         rng.shuffle(shuffled)
@@ -127,11 +127,11 @@ class TestEnrollmentStatistics:
             device = new_device(seed, calibration=Calibration())
             samples = collect_samples(device, device.calibration.condition("NTNA"),
                                       300, seed0=1000 * seed)
-            shares.append(1.0 - mark_stability(samples).stable.mean())
+            shares.append(1.0 - mark_stability(samples).mean())
         assert abs(float(np.mean(shares)) - 0.249) < 0.02
 
     def test_three_hundred_samples_mark_three_quarters_stable(self, enrolled_device):
-        stable = mark_stability(enrolled_device["enroll"]).stable
+        stable = mark_stability(enrolled_device["enroll"])
         assert 0.72 <= stable.mean() <= 0.78
 
 
