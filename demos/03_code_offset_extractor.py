@@ -10,44 +10,57 @@ the offset alone reveals at most the code's 8 redundancy bits.
 
 import numpy as np
 
-from srampuf import BitVector, HammingCode, ReproduceFailure, generate, reproduce
-from srampuf.fuzzy import UncorrectableError
+from srampuf import ReproduceFailure, generate, reproduce
+from srampuf.fuzzy import COLUMN_CODES, K, N, R, correct, encode, syndrome
+
+
+def random_word(rng, bits: int) -> bytes:
+    """Random bits packed into bytes, bit 0 into the MSB of byte 0."""
+    return np.packbits(rng.integers(0, 2, bits, dtype=np.uint8)).tobytes()
+
+
+def with_flips(word: bytes, positions) -> bytes:
+    flipped = bytearray(word)
+    for i in positions:
+        flipped[i // 8] ^= 0x80 >> (i % 8)
+    return bytes(flipped)
+
 
 rng = np.random.default_rng(2026)
-code = HammingCode()
-print(f"code: n={code.n}, k={code.k}, r={code.r} (shortened binary Hamming)")
+print(f"code: n={N}, k={K}, r={R} (shortened binary Hamming)")
 
-# Encoding appends 8 parity bits; any codeword has syndrome 0.
-message = BitVector(rng.integers(0, 2, code.k, dtype=np.uint8))
-codeword = code.encode(message)
-print(f"codeword weight {codeword.count()}, syndrome {code.syndrome(codeword)}")
+# Encoding appends a parity byte (parity bit b at index 120 + b); any codeword
+# has syndrome 0.
+codeword = encode(random_word(rng, K))
+weight = int.from_bytes(codeword, "big").bit_count()
+print(f"codeword weight {weight}, syndrome {syndrome(codeword)}")
 
 # One flipped bit produces that bit's own column code as the syndrome.
-flipped = codeword.with_flips([57])
-print(f"flip bit 57 -> syndrome {code.syndrome(flipped)} "
-      f"(column code of position 57 is {code.column_codes[57]})")
-print(f"corrected back? {code.correct(flipped) == codeword}")
+flipped = with_flips(codeword, [57])
+print(f"flip bit 57 -> syndrome {syndrome(flipped)} "
+      f"(column code of position 57 is {COLUMN_CODES[57]})")
+print(f"corrected back? {correct(flipped) == codeword}")
 
 # Two flips either hit an impossible syndrome (detected) or miscorrect to a
 # DIFFERENT codeword; a distance-3 code cannot tell those apart.
-double = codeword.with_flips([119, 127])
+double = with_flips(codeword, [119, 127])
 try:
-    code.correct(double)
-except UncorrectableError as exc:
-    print(f"flip bits 119+127 -> syndrome {exc.syndrome}: detected as uncorrectable")
-miscorrected = code.correct(codeword.with_flips([0, 1]))
+    correct(double)
+except ReproduceFailure:
+    print(f"flip bits 119+127 -> syndrome {syndrome(double)}: detected as uncorrectable")
+miscorrected = correct(with_flips(codeword, [0, 1]))
 print(f"flip bits 0+1 -> silently miscorrected to a different codeword: "
       f"{miscorrected != codeword}")
 
 # The extractor. Enrollment: commit a random codeword against the response.
-response = BitVector(rng.integers(0, 2, 128, dtype=np.uint8))
+response = random_word(rng, N)
 helper = generate(response, seed=int(rng.integers(2**63)))
-print(f"\nhelper data (public, {len(helper.code_offset)} bits): "
-      f"{helper.code_offset.to_bytes().hex().upper()}")
+print(f"\nhelper data (public, {len(helper.code_offset) * 8} bits): "
+      f"{helper.code_offset.hex().upper()}")
 
 # Reproduction: a fresh reading differing in at most one bit recovers the
 # enrolled response exactly, for every possible flip position.
-recovered = sum(reproduce(response.with_flips([j]), helper) == response for j in range(128))
+recovered = sum(reproduce(with_flips(response, [j]), helper) == response for j in range(N))
 print(f"single-bit flips recovered exactly: {recovered}/128")
 
 # Beyond one flip the extractor refuses (or the key check downstream fails).
@@ -55,7 +68,7 @@ survived = 0
 for _ in range(500):
     j, k = rng.choice(128, size=2, replace=False)
     try:
-        if reproduce(response.with_flips([int(j), int(k)]), helper) == response:
+        if reproduce(with_flips(response, [j, k]), helper) == response:
             survived += 1
     except ReproduceFailure:
         pass

@@ -15,7 +15,6 @@ from srampuf import (
     build_mask,
     collect_samples,
     generate_key,
-    hamming_distance,
     new_device,
     reproduce_key,
 )
@@ -35,17 +34,19 @@ print(f"mask: {mask.target_len} positions over {mask.num_windows} window(s)")
 helper, key = generate_key(enrollment[0], mask, seed=90210)
 print(f"key1 = {key.key1.hex().upper()}")
 print(f"key2 = {key.key2.hex().upper()}")
-print(f"helper offset = {helper.code_offset.to_bytes().hex().upper()}")
+print(f"helper offset = {helper.code_offset.hex().upper()}")
 
 # Reproduction (device side): fresh power-ups, mask, helper, hash. Count how
-# often the derived key matches the enrolled one.
-reference = apply_mask(enrollment[0], mask)
+# often the derived key matches the enrolled one. Responses are 16 bytes, so
+# the masked flips are the set bits of their XOR.
+reference = int.from_bytes(apply_mask(enrollment[0], mask), "big")
 for kind, seed0 in (("NTNA", 10_000), ("HTNA", 20_000), ("NTWA", 30_000)):
     matches = 0
     flips_seen = []
     failures = 0
     for sample in collect_samples(device, cal.condition(kind), 300, seed0=seed0):
-        flips_seen.append(hamming_distance(apply_mask(sample, mask), reference))
+        response = int.from_bytes(apply_mask(sample, mask), "big")
+        flips_seen.append((response ^ reference).bit_count())
         try:
             if reproduce_key(sample, mask, helper).digest == key.digest:
                 matches += 1

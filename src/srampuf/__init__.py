@@ -19,7 +19,6 @@ from .bitvec import (
     BitVector,
     DumpFormatError,
     format_hex_dump,
-    hamming_distance,
     load_dump,
     parse_hex_dump,
     save_dump,
@@ -36,10 +35,8 @@ from .enroll import (
     weight_positions,
 )
 from .fuzzy import (
-    HammingCode,
     HelperData,
     ReproduceFailure,
-    UncorrectableError,
     generate,
     load_helper,
     reproduce,

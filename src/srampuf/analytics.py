@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitvec import BitVector, hamming_distance
+from .bitvec import BitVector
 from .enroll import (
     DEFAULT_WINDOW_LENGTH,
     Mask,
     mark_stability,
     weight_positions,
 )
+from .fuzzy import N
 from .keygen import apply_mask
 
 DEFAULT_THRESHOLDS = (1, 2, 3, 4, 5)
@@ -154,16 +155,21 @@ class FlipRateSummary:
         return 100.0 * self.flipped_samples / self.sample_count
 
 
-def flip_rate_summary(mask: Mask, reference_response: BitVector,
+def flip_rate_summary(mask: Mask, reference_response: bytes,
                       test_samples: dict[str, list[BitVector]]) -> dict[str, FlipRateSummary]:
     """Per condition: share of raw test samples whose masked response differs
-    from the reference at all, plus the worst-case differing bit count."""
+    from the 16-byte reference at all, plus the worst-case differing bit count."""
+    if len(reference_response) != N // 8:
+        raise ValueError(f"reference response must be {N // 8} bytes, "
+                         f"got {len(reference_response)}")
+    reference = int.from_bytes(reference_response, "big")
     summaries = {}
     for condition in sorted(test_samples):
         samples = test_samples[condition]
         if not samples:
             raise ValueError(f"condition {condition!r} has no test samples")
-        distances = [hamming_distance(apply_mask(s, mask), reference_response) for s in samples]
+        distances = [(int.from_bytes(apply_mask(s, mask), "big") ^ reference).bit_count()
+                     for s in samples]
         summaries[condition] = FlipRateSummary(
             condition=condition,
             sample_count=len(samples),

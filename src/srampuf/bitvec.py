@@ -7,9 +7,6 @@ global index of a bit is ``word_index * 32 + bit_within_word`` where bit 0 of
 a word is its least-significant bit. A dump file is one uppercase 8-hex-digit
 word per line; that layout is the canonical form, and parsing then serializing
 any valid dump reproduces it exactly.
-
-Key/byte serialization (used for hashing and the helper-data hex field) packs
-bit 0 into the most-significant bit of byte 0, i.e. big-endian bit order.
 """
 
 from __future__ import annotations
@@ -62,11 +59,6 @@ class BitVector:
             raise ValueError(f"not a 0/1 string: {text!r}")
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitVector":
-        """Unpack bytes, bit 0 taken from the most-significant bit of byte 0."""
-        return cls(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
-
     @property
     def bits(self) -> np.ndarray:
         """Read-only view of the underlying 0/1 array."""
@@ -102,33 +94,12 @@ class BitVector:
     def to01(self) -> str:
         return self._bits.tobytes().translate(bytes.maketrans(b"\x00\x01", b"01")).decode("ascii")
 
-    def to_bytes(self) -> bytes:
-        """Pack to bytes, bit 0 into the most-significant bit of byte 0."""
-        if len(self) % 8:
-            raise ValueError(f"length {len(self)} is not a multiple of 8")
-        return np.packbits(self._bits).tobytes()
-
-    def count(self) -> int:
-        """Number of set bits."""
-        return int(np.count_nonzero(self._bits))
-
-    def take(self, positions: np.ndarray | Sequence[int]) -> "BitVector":
-        """Gather the bits at the given global indices, preserving order."""
-        return BitVector(self._bits[np.asarray(positions, dtype=np.int64)])
-
     def with_flips(self, positions: Sequence[int] | np.ndarray) -> "BitVector":
         """Copy with the bits at the given indices inverted."""
         arr = self._bits.copy()
         idx = np.asarray(positions, dtype=np.int64)
         arr[idx] ^= 1
         return BitVector(arr)
-
-
-def hamming_distance(a: BitVector, b: BitVector) -> int:
-    """Number of positions where the two vectors differ."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return int(np.count_nonzero(a.bits != b.bits))
 
 
 def parse_hex_dump(text: str) -> BitVector:

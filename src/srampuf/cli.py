@@ -107,7 +107,6 @@ def cmd_enroll(args) -> int:
         mask = enroll.build_mask(
             samples,
             threshold=args.threshold,
-            target_len=args.target_len,
             window_length=args.window_length,
             base_offset=args.base_offset,
             device_id=args.device_id,
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", required=True)
     p.add_argument("--device-id", required=True)
     p.add_argument("--threshold", type=int, default=4)
-    p.add_argument("--target-len", type=int, default=enroll.DEFAULT_TARGET_LEN)
     p.add_argument("--window-length", type=int, default=enroll.DEFAULT_WINDOW_LENGTH)
     p.add_argument("--base-offset", type=int, default=0)
     p.set_defaults(func=cmd_enroll)

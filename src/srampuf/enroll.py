@@ -103,6 +103,12 @@ def select_positions(weights: np.ndarray, threshold: int) -> np.ndarray:
     return np.flatnonzero(weights >= threshold)
 
 
+# Least value of each integer Mask field; a negative base_offset would read
+# bits wrapped from the end of a dump.
+_FIELD_MINIMUMS = {"threshold": 1, "sample_count": 2, "base_offset": 0,
+                   "window_length": 1, "num_windows": 1}
+
+
 @dataclass(frozen=True)
 class Mask:
     """Selected bit positions (relative to base_offset) plus how they were chosen."""
@@ -116,6 +122,9 @@ class Mask:
     num_windows: int = 1
 
     def __post_init__(self):
+        for name, least in _FIELD_MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         pos = np.asarray(self.positions, dtype=np.int64)
         if pos.size and (np.any(np.diff(pos) <= 0) or pos[0] < 0):
             raise ValueError("mask positions must be strictly ascending and non-negative")
@@ -136,7 +145,6 @@ def build_mask(samples: list[BitVector], threshold: int,
                target_len: int = DEFAULT_TARGET_LEN,
                window_length: int = DEFAULT_WINDOW_LENGTH,
                base_offset: int = 0,
-               max_windows: int | None = None,
                device_id: str = "") -> Mask:
     """Select ``target_len`` positions from consecutive windows of the samples.
 
@@ -152,8 +160,6 @@ def build_mask(samples: list[BitVector], threshold: int,
         raise ValueError("target_len must be >= 1")
     total_bits = len(samples[0])
     available = (total_bits - base_offset) // window_length
-    if max_windows is not None:
-        available = min(available, max_windows)
     if available < 1:
         raise ValueError(
             f"samples of {total_bits} bits hold no full {window_length}-bit window "
@@ -208,15 +214,11 @@ def mask_from_text(text: str) -> Mask:
     target_len = parse_int(fields, "target_len", what="mask")
     if positions.size != target_len:
         raise TextFormatError(f"mask: target_len says {target_len} but {positions.size} positions given")
-    return Mask(
-        device_id=fields["device_id"],
-        positions=positions,
-        threshold=parse_int(fields, "threshold", what="mask"),
-        sample_count=parse_int(fields, "sample_count", what="mask"),
-        base_offset=parse_int(fields, "base_offset", what="mask"),
-        window_length=parse_int(fields, "window_length", what="mask"),
-        num_windows=parse_int(fields, "num_windows", what="mask"),
-    )
+    values = {name: parse_int(fields, name, what="mask") for name in _FIELD_MINIMUMS}
+    try:
+        return Mask(device_id=fields["device_id"], positions=positions, **values)
+    except ValueError as exc:
+        raise TextFormatError(f"mask: {exc}") from None
 
 
 def mask_fingerprint(mask: Mask) -> str:

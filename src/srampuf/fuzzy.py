@@ -5,15 +5,21 @@ and publishes only their XOR (the helper data). ``reproduce`` recovers the
 enrolled response from any later reading that differs in at most one bit.
 The helper reveals at most the code redundancy (8 bits) about the response.
 
+Responses, codewords and offsets are 16 bytes; bit ``i`` sits in byte
+``i // 8`` at mask ``0x80 >> (i % 8)`` (bit 0 in the most-significant bit of
+byte 0).
+
 Code layout
 -----------
 A binary Hamming code with 8 parity bits shortened to length 128. Every
-codeword index ``i`` carries a column code: indices 0..119 map, in ascending
-order, to the non-powers-of-two in 1..128 and hold the message bits; indices
-120..127 map to the powers of two 1, 2, 4, ..., 128 and hold parity. The
-syndrome of a word is the XOR of the column codes of its set bits, so a
-single flipped bit yields its own column code (1..128) and any value above
-128 proves at least two flips. Minimum distance is 3.
+codeword bit ``i`` carries a column code: bits 0..119 (bytes 0..14) map, in
+ascending order, to the non-powers-of-two in 1..128 and hold the message;
+parity bit ``b`` sits at index ``120 + b``, in byte 15, with column code
+``2**b``. The syndrome of a word is the XOR of the column codes of its set
+bits, so a single flipped bit yields its own column code (1..128) and any
+value above 128 proves at least two flips. Minimum distance is 3: of the
+8,128 double flips only the 127 whose syndrome exceeds 128 are refused; the
+rest are corrected to a different codeword.
 """
 
 from __future__ import annotations
@@ -31,152 +37,124 @@ from ._kv import (
     parse_kv_block,
     require_keys,
 )
-from .bitvec import BitVector
 
 HELPER_FORMAT = "srampuf-helper-v1"
-
-
-class UncorrectableError(ValueError):
-    """The word's syndrome matches no single-bit error (at least two flips)."""
-
-    def __init__(self, syndrome: int):
-        super().__init__(f"syndrome {syndrome} is outside the valid position set")
-        self.syndrome = syndrome
+CODE_NAME = "hamming-128-120"
+N, K, R = 128, 120, 8   # codeword, message and parity bits
 
 
 class ReproduceFailure(Exception):
     """The noisy response is too far from the enrolled one; re-sample the SRAM."""
 
 
-def _column_codes() -> tuple[np.ndarray, np.ndarray]:
-    parity = [1 << b for b in range(8)]
-    message = [p for p in range(1, 129) if p not in parity]
+def _column_codes() -> np.ndarray:
+    parity = [1 << b for b in range(R)]
+    message = [p for p in range(1, N + 1) if p not in parity]
     codes = np.array(message + parity, dtype=np.int64)
-    index_of = np.full(129, -1, dtype=np.int64)
-    index_of[codes] = np.arange(codes.size)
-    return codes, index_of
+    codes.flags.writeable = False
+    return codes
 
 
-class HammingCode:
-    """Single-error-correcting (n=128, k=120) systematic block code."""
-
-    n = 128
-    k = 120
-    r = 8
-
-    def __init__(self):
-        self._codes, self._index_of_code = _column_codes()
-
-    @property
-    def column_codes(self) -> np.ndarray:
-        """Column code per codeword index; documents the parity layout."""
-        return self._codes.copy()
-
-    def syndrome(self, word: BitVector) -> int:
-        if len(word) != self.n:
-            raise ValueError(f"word length must be {self.n}, got {len(word)}")
-        set_codes = self._codes[word.bits.astype(bool)]
-        return int(np.bitwise_xor.reduce(set_codes)) if set_codes.size else 0
-
-    def encode(self, message: BitVector) -> BitVector:
-        """Append the 8 parity bits that zero the syndrome."""
-        if len(message) != self.k:
-            raise ValueError(f"message length must be {self.k}, got {len(message)}")
-        set_codes = self._codes[:self.k][message.bits.astype(bool)]
-        acc = int(np.bitwise_xor.reduce(set_codes)) if set_codes.size else 0
-        parity = [(acc >> b) & 1 for b in range(self.r)]
-        return BitVector(np.concatenate([message.bits, np.array(parity, dtype=np.uint8)]))
-
-    def correct(self, word: BitVector) -> BitVector:
-        """Return the nearest codeword, fixing at most one flipped bit.
-
-        Raises :class:`UncorrectableError` when the syndrome proves two or
-        more flips. A double flip whose syndrome lands on a valid column is
-        miscorrected to a different codeword; that limit is inherent to a
-        distance-3 code.
-        """
-        s = self.syndrome(word)
-        if s == 0:
-            return word
-        if s > self.n:
-            raise UncorrectableError(s)
-        return word.with_flips([int(self._index_of_code[s])])
+COLUMN_CODES = _column_codes()
 
 
-_CODE = HammingCode()
-CODE_NAME = "hamming-128-120"
+def _xor(a: bytes, b: bytes) -> bytes:
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)} bytes")
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def syndrome(word: bytes) -> int:
+    """XOR of the column codes of the word's set bits; 0 for a codeword."""
+    if len(word) != N // 8:
+        raise ValueError(f"word must be {N // 8} bytes, got {len(word)}")
+    set_bits = np.unpackbits(np.frombuffer(word, dtype=np.uint8)).view(bool)
+    return int(np.bitwise_xor.reduce(COLUMN_CODES[set_bits], initial=0))
+
+
+def encode(message: bytes) -> bytes:
+    """Append the parity byte that zeroes the syndrome to a 15-byte message."""
+    if len(message) != K // 8:
+        raise ValueError(f"message must be {K // 8} bytes, got {len(message)}")
+    acc = syndrome(message + b"\0")
+    return message + bytes([sum(((acc >> b) & 1) << (7 - b) for b in range(R))])
+
+
+def correct(word: bytes) -> bytes:
+    """Return the nearest codeword, fixing at most one flipped bit.
+
+    Raises :class:`ReproduceFailure` when the syndrome proves two or more
+    flips. A double flip whose syndrome lands on a valid column is
+    miscorrected to a different codeword; that limit is inherent to a
+    distance-3 code.
+    """
+    s = syndrome(word)
+    if s == 0:
+        return word
+    if s > N:
+        raise ReproduceFailure(f"correction failed (syndrome {s}); re-sample the device")
+    i = int(np.flatnonzero(COLUMN_CODES == s)[0])
+    fixed = bytearray(word)
+    fixed[i // 8] ^= 0x80 >> (i % 8)
+    return bytes(fixed)
 
 
 @dataclass(frozen=True)
 class HelperData:
     """Public error-correction data for one enrolled response.
 
-    ``code_offset`` is response XOR random-codeword; publishing it leaks at
-    most ``r`` bits about the response.
+    ``code_offset`` is response XOR random-codeword, 16 bytes; publishing it
+    leaks at most ``R`` bits about the response.
     """
 
-    code_offset: BitVector
-    code_name: str = CODE_NAME
-    n: int = HammingCode.n
-    k: int = HammingCode.k
-    r: int = HammingCode.r
+    code_offset: bytes
     device_id: str = ""
     mask_sha256: str = ""
 
     def __post_init__(self):
-        if len(self.code_offset) != self.n:
-            raise ValueError(f"code offset must be {self.n} bits, got {len(self.code_offset)}")
+        if len(self.code_offset) != N // 8:
+            raise ValueError(f"code offset must be {N // 8} bytes, got {len(self.code_offset)}")
 
 
-def generate(response: BitVector, seed: int | None = None, *, device_id: str = "",
+def generate(response: bytes, seed: int | None = None, *, device_id: str = "",
              mask_sha256: str = "") -> HelperData:
-    """Commit a fresh random codeword against an enrolled response.
+    """Commit a fresh random codeword against an enrolled 16-byte response.
 
     The codeword is independent of the response. Its 120 message bits come
     from the OS CSPRNG unless ``seed`` asks for reproducible PCG64 bits, which
     are for tests and benchmarks only: they carry no secrecy.
     """
-    if len(response) != _CODE.n:
-        raise ValueError(f"response must be {_CODE.n} bits, got {len(response)}")
+    if len(response) != N // 8:
+        raise ValueError(f"response must be {N // 8} bytes, got {len(response)}")
     if seed is None:
-        message = BitVector.from_bytes(secrets.token_bytes(_CODE.k // 8))
+        message = secrets.token_bytes(K // 8)
     else:
         rng = np.random.default_rng(seed)
-        message = BitVector(rng.integers(0, 2, size=_CODE.k, dtype=np.uint8))
-    codeword = _CODE.encode(message)
-    return HelperData(code_offset=response ^ codeword, device_id=device_id,
+        message = np.packbits(rng.integers(0, 2, size=K, dtype=np.uint8)).tobytes()
+    return HelperData(code_offset=_xor(response, encode(message)), device_id=device_id,
                       mask_sha256=mask_sha256)
 
 
-def reproduce(noisy_response: BitVector, helper: HelperData) -> BitVector:
+def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
     """Recover the enrolled response from a reading within distance 1 of it.
 
     Raises :class:`ReproduceFailure` when correction detects that more bits
     flipped than the code can repair; callers should re-sample rather than
     continue with a wrong key.
     """
-    if len(noisy_response) != helper.n:
-        raise ValueError(f"response must be {helper.n} bits, got {len(noisy_response)}")
-    shifted = noisy_response ^ helper.code_offset
-    try:
-        corrected = _CODE.correct(shifted)
-    except UncorrectableError as exc:
-        raise ReproduceFailure(
-            f"correction failed (syndrome {exc.syndrome}); re-sample the device"
-        ) from exc
-    return helper.code_offset ^ corrected
+    return _xor(helper.code_offset, correct(_xor(noisy_response, helper.code_offset)))
 
 
 def helper_to_text(helper: HelperData) -> str:
     pairs = [
         ("format", HELPER_FORMAT),
         ("device_id", helper.device_id),
-        ("code", helper.code_name),
-        ("n", str(helper.n)),
-        ("k", str(helper.k)),
-        ("r", str(helper.r)),
+        ("code", CODE_NAME),
+        ("n", str(N)),
+        ("k", str(K)),
+        ("r", str(R)),
         ("mask_sha256", helper.mask_sha256),
-        ("code_offset", helper.code_offset.to_bytes().hex().upper()),
+        ("code_offset", helper.code_offset.hex().upper()),
     ]
     return format_kv_block(pairs)
 
@@ -189,17 +167,17 @@ def helper_from_text(text: str) -> HelperData:
         raise TextFormatError(f"helper data: unsupported format {fields['format']!r}")
     if fields["code"] != CODE_NAME:
         raise TextFormatError(f"helper data: key 'code' must be {CODE_NAME!r}, got {fields['code']!r}")
-    for key in ("n", "k", "r"):
-        if parse_int(fields, key, what="helper data") != getattr(HammingCode, key):
-            raise TextFormatError(
-                f"helper data: key {key!r} must be {getattr(HammingCode, key)} for {CODE_NAME}")
+    for key, value in (("n", N), ("k", K), ("r", R)):
+        if parse_int(fields, key, what="helper data") != value:
+            raise TextFormatError(f"helper data: key {key!r} must be {value} for {CODE_NAME}")
     offset_hex = fields["code_offset"]
-    if len(offset_hex) != HammingCode.n // 4:
-        raise TextFormatError(f"helper data: code_offset must be {HammingCode.n // 4} hex digits")
     try:
-        offset = BitVector.from_bytes(bytes.fromhex(offset_hex))
+        offset = bytes.fromhex(offset_hex)
     except ValueError:
         raise TextFormatError("helper data: code_offset is not hexadecimal") from None
+    # fromhex skips spaces, so both lengths are checked
+    if len(offset_hex) != N // 4 or len(offset) != N // 8:
+        raise TextFormatError(f"helper data: code_offset must be {N // 4} hex digits")
     return HelperData(code_offset=offset, device_id=fields["device_id"],
                       mask_sha256=fields["mask_sha256"])
 

@@ -1,15 +1,16 @@
 """End-to-end key pipeline: mask a raw dump, extract, hash, split.
 
-A raw power-up dump filtered through an enrollment mask gives a 128-bit
-response. Key generation commits helper data against it; key reproduction
-uses that helper data to cancel up to one flipped bit out of a later dump.
+A raw power-up dump (a :class:`~srampuf.bitvec.BitVector`) filtered through
+an enrollment mask gives a 128-bit response, carried as 16 bytes. Key
+generation commits helper data against it; key reproduction uses that helper
+data to cancel up to one flipped bit out of a later dump.
 Either way the recovered response is hashed with SHA-256 into 256 key bits,
 handed out as two 128-bit halves. Keys are a pure function of the response;
 helper data never enters the hash.
 
-The hash input is the response packed big-endian (bit 0 into the MSB of byte
-0). That choice is arbitrary but pinned by test vectors so independent
-implementations interoperate.
+``apply_mask`` packs the response big-endian (bit 0 into the MSB of byte 0),
+and those 16 bytes are the hash input. That choice is arbitrary but pinned by
+test vectors so independent implementations interoperate.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 
 import hashlib
 
-from .bitvec import BitVector
+import numpy as np
+
 from .enroll import Mask, mask_fingerprint
-from .fuzzy import HelperData, generate, reproduce
+from .fuzzy import N, HelperData, generate, reproduce
 
 KEY_BITS = 256
 
@@ -30,15 +32,10 @@ class KeyMaterial:
     """A 256-bit derived key, split into two 128-bit halves."""
 
     digest: bytes
-    device_id: str = ""
 
     def __post_init__(self):
         if len(self.digest) != KEY_BITS // 8:
             raise ValueError(f"digest must be {KEY_BITS // 8} bytes")
-
-    @property
-    def key_bits(self) -> BitVector:
-        return BitVector.from_bytes(self.digest)
 
     @property
     def key1(self) -> bytes:
@@ -52,35 +49,36 @@ class KeyMaterial:
         return self.digest.hex()
 
 
-def apply_mask(raw: BitVector, mask: Mask) -> BitVector:
-    """Filter a raw dump down to the masked response, in mask order."""
+def apply_mask(raw, mask: Mask) -> bytes:
+    """Filter a raw dump down to the 16-byte masked response, in mask order."""
+    if mask.target_len != N:
+        raise ValueError(f"mask selects {mask.target_len} positions; a response needs {N}")
     needed = mask.required_dump_bits()
     if len(raw) < needed:
         raise ValueError(
             f"dump has {len(raw)} bits but the mask needs bits "
             f"{mask.base_offset}..{needed - 1}"
         )
-    return raw.take(mask.base_offset + mask.positions)
+    return np.packbits(raw.bits[mask.base_offset + mask.positions]).tobytes()
 
 
-def derive_key(response: BitVector, device_id: str = "") -> KeyMaterial:
-    """Hash a recovered 128-bit response into key material."""
-    if len(response) != 128:
-        raise ValueError(f"response must be 128 bits, got {len(response)}")
-    digest = hashlib.sha256(response.to_bytes()).digest()
-    return KeyMaterial(digest=digest, device_id=device_id)
+def derive_key(response: bytes) -> KeyMaterial:
+    """Hash a recovered 16-byte response into key material."""
+    if len(response) != N // 8:
+        raise ValueError(f"response must be {N // 8} bytes, got {len(response)}")
+    return KeyMaterial(digest=hashlib.sha256(response).digest())
 
 
-def generate_key(raw: BitVector, mask: Mask,
+def generate_key(raw, mask: Mask,
                  seed: int | None = None) -> tuple[HelperData, KeyMaterial]:
     """Enroll a dump: returns public helper data and the derived keys."""
     response = apply_mask(raw, mask)
     helper = generate(response, seed, device_id=mask.device_id,
                       mask_sha256=mask_fingerprint(mask))
-    return helper, derive_key(response, device_id=mask.device_id)
+    return helper, derive_key(response)
 
 
-def reproduce_key(raw: BitVector, mask: Mask, helper: HelperData) -> KeyMaterial:
+def reproduce_key(raw, mask: Mask, helper: HelperData) -> KeyMaterial:
     """Re-derive the enrolled keys from a fresh dump of the same device.
 
     The helper must have been generated for this exact mask. Propagates
@@ -90,4 +88,4 @@ def reproduce_key(raw: BitVector, mask: Mask, helper: HelperData) -> KeyMaterial
         raise ValueError("helper data was generated for a different mask")
     response = apply_mask(raw, mask)
     recovered = reproduce(response, helper)
-    return derive_key(recovered, device_id=mask.device_id)
+    return derive_key(recovered)

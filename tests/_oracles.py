@@ -2,7 +2,8 @@
 
 These stay deliberately different from the library's algorithms: the weight
 oracle looks up the nearest unstable boundary per position instead of
-counting run prefixes.
+counting run prefixes, and the helpers for packed 16-byte words work byte by
+byte in plain Python.
 """
 
 import numpy as np
@@ -24,3 +25,26 @@ def random_bits(rng: np.random.Generator, n: int):
     from srampuf.bitvec import BitVector
 
     return BitVector(rng.integers(0, 2, n, dtype=np.uint8))
+
+
+def random_bytes(rng: np.random.Generator, n: int) -> bytes:
+    """The draws of ``random_bits(rng, n)``, packed bit 0 into the MSB of byte 0."""
+    return np.packbits(rng.integers(0, 2, n, dtype=np.uint8)).tobytes()
+
+
+def flip_bits(word: bytes, positions) -> bytes:
+    """Copy of a packed word with the given bit indices inverted."""
+    out = bytearray(word)
+    for i in positions:
+        out[int(i) // 8] ^= 0x80 >> (int(i) % 8)
+    return bytes(out)
+
+
+def xor(a: bytes, b: bytes) -> bytes:
+    assert len(a) == len(b)
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def weight(word: bytes) -> int:
+    """Number of set bits."""
+    return sum(bin(x).count("1") for x in word)

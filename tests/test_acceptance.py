@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from srampuf.analytics import block_stability, window_flip_rate
-from srampuf.bitvec import BitVector, hamming_distance, load_dump, save_dump
+from srampuf.bitvec import load_dump, save_dump
 from srampuf.enroll import (
     Mask,
     build_mask,
@@ -16,18 +16,20 @@ from srampuf.enroll import (
     weight_positions,
 )
 from srampuf.fuzzy import (
-    HammingCode,
-    UncorrectableError,
+    ReproduceFailure,
+    correct,
+    encode,
     generate,
     load_helper,
     reproduce,
     save_helper,
+    syndrome,
 )
 from srampuf.keygen import apply_mask, derive_key, generate_key, reproduce_key
 from srampuf.registry import Registry, RegistryEntry, load_registry, save_registry
 from srampuf.simulate import Calibration, collect_samples, new_device, power_up_sample
 
-from _oracles import oracle_weights, random_bits
+from _oracles import flip_bits, oracle_weights, random_bits, random_bytes, weight, xor
 
 
 class Criterion:
@@ -57,10 +59,10 @@ def test_criterion_1_exhaustive_single_error_recovery():
         start = time.monotonic()
         successes = 0
         for trial in range(100):
-            y = random_bits(rng, 128)
+            y = random_bytes(rng, 128)
             helper = generate(y, int(rng.integers(2**63)))
             for j in range(128):
-                if reproduce(y.with_flips([j]), helper) == y:
+                if reproduce(flip_bits(y, [j]), helper) == y:
                     successes += 1
         elapsed = time.monotonic() - start
         assert successes == 12_800
@@ -141,7 +143,7 @@ def test_criterion_6_end_to_end_stability():
                 tally = tallies[kind]
                 for k in range(300):
                     sample = power_up_sample(device, condition, seed0 + k)
-                    flips = hamming_distance(apply_mask(sample, mask), reference)
+                    flips = weight(xor(apply_mask(sample, mask), reference))
                     tally["n"] += 1
                     tally["flipped"] += flips > 0
                     tally["at_most_one"] += flips <= 1
@@ -165,21 +167,20 @@ def test_criterion_6_end_to_end_stability():
 
 def test_criterion_7_hamming_code_soundness():
     with Criterion(7, "129 distinct syndromes and no silent two-flip survival") as c:
-        code = HammingCode()
         rng = np.random.default_rng(1007)
-        zero = BitVector.zeros(128)
-        syndromes = {code.syndrome(zero)}
-        syndromes.update(code.syndrome(zero.with_flips([j])) for j in range(128))
+        zero = bytes(16)
+        syndromes = {syndrome(zero)}
+        syndromes.update(syndrome(flip_bits(zero, [j])) for j in range(128))
         assert len(syndromes) == 129
         checked = 0
         for trial in range(1000):
-            codeword = code.encode(random_bits(rng, 120))
+            codeword = encode(random_bytes(rng, 120))
             for _ in range(10):
                 j, k = rng.choice(128, size=2, replace=False)
-                word = codeword.with_flips([int(j), int(k)])
+                word = flip_bits(codeword, [j, k])
                 try:
-                    result = code.correct(word)
-                except UncorrectableError:
+                    result = correct(word)
+                except ReproduceFailure:
                     checked += 1
                     continue
                 assert result != codeword, f"double flip ({j},{k}) silently survived"
@@ -206,7 +207,7 @@ def test_criterion_8_format_round_trips(tmp_path):
             save_mask(path, load_mask(path))
             assert path.read_bytes() == first
 
-            helper = generate(random_bits(rng, 128), int(rng.integers(2**63)),
+            helper = generate(random_bytes(rng, 128), int(rng.integers(2**63)),
                               device_id=f"m{trial}", mask_sha256=rng.bytes(32).hex())
             hpath = tmp_path / "roundtrip.helper"
             save_helper(hpath, helper)
@@ -256,9 +257,9 @@ FROZEN_SHA_VECTORS = [
 
 def test_criterion_9_sha256_conformance():
     with Criterion(9, "key derivation matches pinned SHA-256 reference vectors") as c:
-        assert derive_key(BitVector.zeros(128)).hex() == PINNED_ZERO
+        assert derive_key(bytes(16)).hex() == PINNED_ZERO
         for input_hex, digest_hex in FROZEN_SHA_VECTORS:
-            response = BitVector.from_bytes(bytes.fromhex(input_hex))
+            response = bytes.fromhex(input_hex)
             key = derive_key(response)
             assert key.hex() == digest_hex
             assert (key.key1 + key.key2).hex() == digest_hex

@@ -246,3 +246,24 @@ class TestMaskFile:
         with pytest.raises(ValueError, match="exceed"):
             Mask(device_id="x", positions=np.array([1300]), threshold=1,
                  sample_count=2, window_length=1216, num_windows=1)
+
+    # A negative base_offset used to load and make apply_mask read bits
+    # wrapped from the end of the dump.
+    OUT_OF_RANGE = [("base_offset", -4000), ("base_offset", -1), ("threshold", -3),
+                    ("threshold", 0), ("sample_count", -1), ("sample_count", 1),
+                    ("window_length", 0), ("num_windows", 0)]
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+    def test_rejects_out_of_range_field(self, key, value):
+        fields = dict(device_id="x", positions=np.array([3]), threshold=1, sample_count=2,
+                      base_offset=0, window_length=1216, num_windows=1)
+        with pytest.raises(ValueError, match=key):
+            Mask(**{**fields, key: value})
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+    def test_text_rejects_out_of_range_field(self, key, value):
+        lines = mask_to_text(self.make_mask()).splitlines(keepends=True)
+        bad = "".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
+                      for line in lines)
+        with pytest.raises(TextFormatError, match=key):
+            mask_from_text(bad)

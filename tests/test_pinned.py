@@ -1,0 +1,104 @@
+"""Outputs of the key path that must not move when its internals change.
+
+The digests were recorded once and are frozen here: helper files and keys
+for seeded enrollments, and which double flips the extractor refuses.
+"""
+
+import dataclasses
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+
+from srampuf.bitvec import BitVector
+from srampuf.cli import EXIT_OK, EXIT_USAGE, main
+from srampuf.enroll import Mask, build_mask, load_mask, save_mask
+from srampuf.fuzzy import ReproduceFailure, helper_from_text, helper_to_text
+from srampuf.keygen import generate_key, reproduce_key
+from srampuf.registry import file_sha256, load_registry, save_registry
+from srampuf.simulate import Calibration, collect_samples, new_device
+
+# device seed -> (SHA-256 of the helper text, key hex); 4864 bits, 40 NTNA
+# samples, threshold 4, codeword seed = device seed
+PINNED_HELPERS = {
+    7: ("5cc5849aa8aa2ea5e85617bc1d9ff37ebae04f65b6280437c1f319dc6de06450",
+        "2067a9af60e93b02a9dc5291f2b16055e3d7be6075c27d2ea178f935203d68ce"),
+    101: ("66053212af5e4e6ad297f55d9d4b3729e8baf1817cd0b712b43cb793cecc3a98",
+          "44c1355dd5513675ec27542168ac69192b212c6fab31106954150efc29abcb28"),
+    3: ("515989df957b33254b0319ad7009c385796d886423d70dde9535db546c533270",
+        "4d13ce4608376e9c5cf011975b3437fab451e970dac1922c04f59a4201d954b8"),
+}
+
+# SHA-256 of the refused pairs "j,k\n" in ascending order, j < k
+REFUSED_PAIRS_SHA256 = "3e74365dc4f35904114b3393a5c1d3c8da5185c76f11b7323a011e3d5d424321"
+
+ZERO_HELPER = (
+    "format = srampuf-helper-v1\n"
+    "device_id = \n"
+    "code = hamming-128-120\n"
+    "n = 128\n"
+    "k = 120\n"
+    "r = 8\n"
+    "mask_sha256 = \n"
+    "code_offset = 00000000000000000000000000000000\n"
+)
+
+
+def identity_mask(length=128):
+    return Mask(device_id="", positions=np.arange(length), threshold=1, sample_count=2)
+
+
+@pytest.mark.parametrize("device_seed", sorted(PINNED_HELPERS))
+def test_seeded_helper_and_key_pinned(device_seed):
+    cal = Calibration()
+    device = new_device(device_seed, num_bits=4864, calibration=cal)
+    samples = collect_samples(device, cal.condition("NTNA"), 40)
+    mask = build_mask(samples, 4, device_id=device.device_id)
+    helper, key = generate_key(samples[0], mask, device_seed)
+    text_sha = hashlib.sha256(helper_to_text(helper).encode("ascii")).hexdigest()
+    assert (text_sha, key.hex()) == PINNED_HELPERS[device_seed]
+
+
+def test_refused_double_flips_pinned():
+    # All-zero response and all-zero offset: the committed codeword is zero,
+    # so a reading's error pattern is the reading itself.
+    helper = helper_from_text(ZERO_HELPER)
+    mask = identity_mask()
+    zero = BitVector.zeros(128)
+    enrolled = reproduce_key(zero, mask, helper).digest
+    refused, other = [], 0
+    for j, k in itertools.combinations(range(128), 2):
+        try:
+            other += reproduce_key(zero.with_flips([j, k]), mask, helper).digest != enrolled
+        except ReproduceFailure:
+            refused.append(f"{j},{k}\n")
+    assert len(refused) == 127
+    assert other == 8128 - 127
+    assert hashlib.sha256("".join(refused).encode("ascii")).hexdigest() == REFUSED_PAIRS_SHA256
+
+
+def test_127_position_mask_refused(tmp_path):
+    short = identity_mask(127)
+    raw = BitVector.zeros(1216)
+    with pytest.raises(ValueError, match="128"):
+        generate_key(raw, short, 1)
+    with pytest.raises(ValueError, match="128"):
+        reproduce_key(raw, short, helper_from_text(ZERO_HELPER))
+
+    dumps = tmp_path / "dumps"
+    registry_path = tmp_path / "registry.txt"
+    assert main(["simulate", "--out-dir", str(dumps), "--device-seed", "77",
+                 "-n", "40", "--num-bits", "4864"]) == EXIT_OK
+    assert main(["enroll", "--dumps", str(dumps), "--registry", str(registry_path),
+                 "--device-id", "dev-a"]) == EXIT_OK
+    mask_path = tmp_path / "dev-a.mask"
+    mask = load_mask(mask_path)
+    save_mask(mask_path, dataclasses.replace(mask, positions=mask.positions[:127]))
+    registry = load_registry(registry_path)
+    registry.update(dataclasses.replace(registry.get("dev-a"),
+                                        mask_sha256=file_sha256(mask_path)))
+    save_registry(registry_path, registry)
+    assert main(["genkey", "--dump", str(dumps / "sample-00000.hex"),
+                 "--registry", str(registry_path), "--device-id", "dev-a",
+                 "--seed", "1"]) == EXIT_USAGE

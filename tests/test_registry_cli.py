@@ -448,6 +448,18 @@ class TestCliFlip:
                          "--count", "3", "--seed", "5"]) == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("key, value", [("base_offset", -4000), ("threshold", -3),
+                                            ("sample_count", -1)])
+    def test_mask_with_out_of_range_field_rejected(self, workspace, capsys, key, value):
+        mask = Mask(device_id="dev-a", positions=np.arange(128), threshold=4, sample_count=40)
+        text = mask_to_text(mask).replace(f"{key} = {getattr(mask, key)}\n", f"{key} = {value}\n")
+        (workspace / "bad.mask").write_text(text)
+        assert main(["flip", "--dump", str(workspace / "dumps" / "sample-00000.hex"),
+                     "--out", str(workspace / "x.hex"), "--count", "2", "--seed", "5",
+                     "--mask", str(workspace / "bad.mask")]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not (workspace / "x.hex").exists()
+
     def test_out_of_range_rejected(self, workspace):
         src = workspace / "dumps" / "sample-00000.hex"
         assert main(["flip", "--dump", str(src), "--out", str(workspace / "x.hex"),
