@@ -72,4 +72,4 @@ for kind in ("NTNA", "HTNA", "NTWA"):
 # handy for pinning down pipeline behavior in tests.
 quiet = new_device(seed=7, num_bits=2432, calibration=Calibration(unstable_fraction=0.0))
 a, b = collect_samples(quiet, cal.condition("NTNA"), 2, seed0=0)
-print(f"\nnoiseless calibration: two samples identical? {a == b}")
+print(f"\nnoiseless calibration: two samples identical? {np.array_equal(a.bits, b.bits)}")

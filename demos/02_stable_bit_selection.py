@@ -22,11 +22,11 @@ from srampuf import (
 
 # Stage 1: stability marks. A toy window shows the idea: positions that ever
 # flip across the samples are U, the rest S.
-toy = [BitVector.from01("0110011101"),
-       BitVector.from01("0100011101"),
-       BitVector.from01("0110011100")]
+toy = [BitVector(row) for row in np.array([[0, 1, 1, 0, 0, 1, 1, 1, 0, 1],
+                                           [0, 1, 0, 0, 0, 1, 1, 1, 0, 1],
+                                           [0, 1, 1, 0, 0, 1, 1, 1, 0, 0]])]
 marks = mark_stability(toy)
-print("toy samples:", ", ".join(s.to01() for s in toy))
+print("toy samples:", ", ".join("".join(map(str, s.bits)) for s in toy))
 print("stability:  ", "".join("S" if s else "U" for s in marks))
 
 # Stage 2: weights. Inside each run of S cells the weight counts the distance

@@ -17,7 +17,6 @@ from .analytics import (
 )
 from .bitvec import (
     BitVector,
-    DumpFormatError,
     format_hex_dump,
     load_dump,
     parse_hex_dump,

@@ -37,12 +37,22 @@ class BlockReport:
         return self.stable_count / (self.stable_count + self.unstable_count)
 
 
+def _full_blocks(samples: list[BitVector], block_size: int) -> int:
+    """Number of whole ``block_size``-bit blocks in the first sample; at least 1."""
+    if block_size < 1:
+        raise ValueError("block size must be >= 1")
+    num_blocks = len(samples[0]) // block_size
+    if num_blocks < 1:
+        raise ValueError(f"samples of {len(samples[0])} bits hold no full {block_size}-bit block")
+    return num_blocks
+
+
 def block_stability(samples: list[BitVector],
                     block_size: int = DEFAULT_WINDOW_LENGTH) -> list[BlockReport]:
     """Stability statistics per full block; a trailing partial block is skipped."""
     if len(samples) < 2:
         raise ValueError("block statistics need at least 2 samples")
-    num_blocks = len(samples[0]) // block_size
+    num_blocks = _full_blocks(samples, block_size)
     stable = mark_stability(samples, range(0, num_blocks * block_size))
     counts = np.count_nonzero(stable.reshape(num_blocks, block_size), axis=1)
     return [BlockReport(block_index=b, stable_count=int(c), unstable_count=block_size - int(c))
@@ -104,7 +114,7 @@ def threshold_sweep(enroll_samples: list[BitVector],
         raise ValueError("sweep needs at least 2 enrollment samples")
     if any(t < 1 for t in thresholds):
         raise ValueError("threshold must be >= 1")
-    num_blocks = len(enroll_samples[0]) // block_size
+    num_blocks = _full_blocks(enroll_samples, block_size)
     span = num_blocks * block_size
     stable = mark_stability(enroll_samples, range(0, span))
     weights = weight_positions(stable.reshape(num_blocks, block_size))
@@ -179,18 +189,12 @@ def flip_rate_summary(mask: Mask, reference_response: bytes,
     return summaries
 
 
-def window_flip_rate(samples: list[BitVector], reference: BitVector | None = None) -> float:
-    """Fraction of positions that differ from the reference in any sample.
-
-    With the first sample as reference this is the share of positions an
-    enrollment pass over the set would refuse to trust.
-    """
-    if reference is not None:
-        if not samples:
-            raise ValueError("no samples to compare")
-        samples = [reference, *samples]
-    elif len(samples) < 2:
-        raise ValueError("need a reference or at least 2 samples")
+def window_flip_rate(samples: list[BitVector]) -> float:
+    """Fraction of positions where some sample differs from the first one:
+    the share of positions an enrollment pass over the set would refuse to
+    trust."""
+    if len(samples) < 2:
+        raise ValueError("need at least 2 samples")
     stable = mark_stability(samples)
     return float(np.count_nonzero(~stable)) / len(samples[0])
 

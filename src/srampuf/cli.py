@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write power-up dumps for a simulated device")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--device-seed", type=int, required=True)
-    p.add_argument("--condition", choices=["NTNA", "HTNA", "NTWA"], default="NTNA")
+    p.add_argument("--condition", default="NTNA",
+                   help=f"one of {', '.join(simulate.Calibration().conditions())}")
     p.add_argument("-n", "--count", type=int, default=300)
     p.add_argument("--num-bits", type=int, default=simulate.DEFAULT_NUM_BITS)
     p.add_argument("--seed0", type=int, default=0, help="seed of the first sample")

@@ -158,6 +158,8 @@ def build_mask(samples: list[BitVector], threshold: int,
         raise ValueError("no samples provided")
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
+    if window_length < 1:
+        raise ValueError("window_length must be >= 1")
     total_bits = len(samples[0])
     available = (total_bits - base_offset) // window_length
     if available < 1:

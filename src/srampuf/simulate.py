@@ -24,7 +24,7 @@ from .bitvec import BitVector
 
 DEFAULT_NUM_BITS = 120_000
 
-_CONDITION_KINDS = ("NTNA", "HTNA", "NTWA")
+# Condition kind -> its RNG stream of the device seed; the one list of kinds.
 _CONDITION_STREAM = {"NTNA": 1, "HTNA": 2, "NTWA": 3}
 
 
@@ -36,8 +36,9 @@ class Condition:
     noise_multiplier: float
 
     def __post_init__(self):
-        if self.kind not in _CONDITION_KINDS:
-            raise ValueError(f"unknown condition kind {self.kind!r}; expected one of {_CONDITION_KINDS}")
+        if self.kind not in _CONDITION_STREAM:
+            raise ValueError(f"unknown condition kind {self.kind!r}; "
+                             f"expected one of {', '.join(_CONDITION_STREAM)}")
         if self.kind == "NTNA" and self.noise_multiplier != 1.0:
             raise ValueError("NTNA is the reference condition; its multiplier must be 1.0")
         if self.noise_multiplier < 1.0:
@@ -85,13 +86,11 @@ class Calibration:
             raise ValueError("condition multipliers must be >= 1.0")
 
     def condition(self, kind: str) -> Condition:
-        multipliers = {"NTNA": 1.0, "HTNA": self.htna_multiplier, "NTWA": self.ntwa_multiplier}
-        if kind not in multipliers:
-            raise ValueError(f"unknown condition kind {kind!r}")
-        return Condition(kind, multipliers[kind])
+        # The reference kind NTNA has no multiplier field; Condition rejects unknown kinds.
+        return Condition(kind, getattr(self, f"{kind.lower()}_multiplier", 1.0))
 
     def conditions(self) -> dict[str, Condition]:
-        return {kind: self.condition(kind) for kind in _CONDITION_KINDS}
+        return {kind: self.condition(kind) for kind in _CONDITION_STREAM}
 
 
 # Calibration field name -> int or float, in field order; the annotations are

@@ -2,11 +2,13 @@
 
 These stay deliberately different from the library's algorithms: the weight
 oracle looks up the nearest unstable boundary per position instead of
-counting run prefixes, and the helpers for packed 16-byte words work byte by
-byte in plain Python.
+counting run prefixes, and the helpers for packed 16-byte words and 0/1
+strings work byte by byte or character by character in plain Python.
 """
 
 import numpy as np
+
+from srampuf.bitvec import BitVector
 
 
 def oracle_weights(stable: np.ndarray) -> np.ndarray:
@@ -21,10 +23,19 @@ def oracle_weights(stable: np.ndarray) -> np.ndarray:
     return np.where(stable, np.minimum(left, right), 0).astype(np.int64)
 
 
-def random_bits(rng: np.random.Generator, n: int):
-    from srampuf.bitvec import BitVector
-
+def random_bits(rng: np.random.Generator, n: int) -> BitVector:
     return BitVector(rng.integers(0, 2, n, dtype=np.uint8))
+
+
+def from01(text: str) -> BitVector:
+    """Reading from a string of '0'/'1' characters."""
+    if set(text) - {"0", "1"}:
+        raise ValueError(f"not a 0/1 string: {text!r}")
+    return BitVector([int(c) for c in text])
+
+
+def to01(reading: BitVector) -> str:
+    return "".join(str(int(b)) for b in reading.bits)
 
 
 def random_bytes(rng: np.random.Generator, n: int) -> bytes:

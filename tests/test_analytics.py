@@ -55,6 +55,16 @@ class TestBlockStability:
         with pytest.raises(ValueError):
             block_stability([random_bits(np.random.default_rng(2), 100)])
 
+    @pytest.mark.parametrize("block_size, message", [(0, "block size must be >= 1"),
+                                                     (-5, "block size must be >= 1"),
+                                                     (2433, "hold no full 2433-bit block")])
+    def test_needs_a_full_block(self, block_size, message):
+        samples = [random_bits(np.random.default_rng(2), 2432)] * 2
+        with pytest.raises(ValueError, match=message):
+            block_stability(samples, block_size=block_size)
+        with pytest.raises(ValueError, match=message):
+            threshold_sweep(samples, {"NTNA": samples}, block_size=block_size)
+
     def test_csv(self):
         samples = [random_bits(np.random.default_rng(3), 2432)] * 2
         text = block_reports_to_csv(block_stability(samples))
@@ -210,4 +220,4 @@ class TestWindowEdgeReset:
         for sample in test:
             differs |= sample.bits != reference.bits
         expected = np.count_nonzero(differs) / len(reference)
-        assert window_flip_rate(test, reference) == expected
+        assert window_flip_rate([reference, *test]) == expected

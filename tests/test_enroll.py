@@ -19,11 +19,7 @@ from srampuf.enroll import (
 from srampuf.simulate import Calibration, collect_samples, new_device
 from srampuf._kv import TextFormatError
 
-from _oracles import oracle_weights
-
-
-def bv(s):
-    return BitVector.from01(s)
+from _oracles import from01 as bv, oracle_weights
 
 
 def stability(pattern: str) -> np.ndarray:
@@ -150,6 +146,12 @@ class TestBuildMask:
             with pytest.raises(ValueError, match="same length"):
                 build_mask(ordered, threshold=1)
 
+    @pytest.mark.parametrize("window_length", [0, -1216])
+    def test_window_length_below_one_rejected(self, window_length):
+        samples = [BitVector(np.ones(2432, dtype=np.uint8))] * 2
+        with pytest.raises(ValueError, match="window_length must be >= 1"):
+            build_mask(samples, threshold=1, window_length=window_length)
+
     def test_single_window_truncates_to_target(self):
         samples = [BitVector(np.ones(1216, dtype=np.uint8))] * 2
         mask = build_mask(samples, threshold=1, target_len=128)
@@ -189,7 +191,7 @@ class TestBuildMask:
         assert "window 1" in str(err)
 
     def test_no_full_window(self):
-        samples = [BitVector.zeros(100)] * 2
+        samples = [BitVector(np.zeros(100, dtype=np.uint8))] * 2
         with pytest.raises(ValueError, match="no full"):
             build_mask(samples, threshold=1)
 

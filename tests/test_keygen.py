@@ -40,7 +40,7 @@ class TestApplyMask:
         mask = random_mask(rng)
         last = int(mask.positions[-1])
         with pytest.raises(ValueError, match=f"0..{last}"):
-            apply_mask(BitVector.zeros(last), mask)
+            apply_mask(BitVector(np.zeros(last, dtype=np.uint8)), mask)
 
     def test_noiseless_device_constant_responses(self):
         cal = Calibration(unstable_fraction=0.0)

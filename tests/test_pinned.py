@@ -65,7 +65,7 @@ def test_refused_double_flips_pinned():
     # so a reading's error pattern is the reading itself.
     helper = helper_from_text(ZERO_HELPER)
     mask = identity_mask()
-    zero = BitVector.zeros(128)
+    zero = BitVector(np.zeros(128, dtype=np.uint8))
     enrolled = reproduce_key(zero, mask, helper).digest
     refused, other = [], 0
     for j, k in itertools.combinations(range(128), 2):
@@ -80,7 +80,7 @@ def test_refused_double_flips_pinned():
 
 def test_127_position_mask_refused(tmp_path):
     short = identity_mask(127)
-    raw = BitVector.zeros(1216)
+    raw = BitVector(np.zeros(1216, dtype=np.uint8))
     with pytest.raises(ValueError, match="128"):
         generate_key(raw, short, 1)
     with pytest.raises(ValueError, match="128"):

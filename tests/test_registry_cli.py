@@ -181,8 +181,16 @@ class TestCliSimulate:
         device = new_device(5, num_bits=2432, calibration=cal)
         names = sorted(os.listdir(out))
         assert names == ["sample-00040.hex", "sample-00041.hex", "sample-00042.hex"]
-        assert [load_dump(out / name) for name in names] == collect_samples(
-            device, cal.condition("HTNA"), 3, seed0=40)
+        assert np.array_equal(
+            [load_dump(out / name).bits for name in names],
+            [s.bits for s in collect_samples(device, cal.condition("HTNA"), 3, seed0=40)])
+
+    def test_unknown_condition_names_the_kinds(self, tmp_path, capsys):
+        assert main(["simulate", "--out-dir", str(tmp_path / "hot"), "--device-seed", "1",
+                     "-n", "1", "--num-bits", "2432", "--condition", "HOT"]) == EXIT_USAGE
+        assert ("unknown condition kind 'HOT'; expected one of NTNA, HTNA, NTWA"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "hot").exists()
 
     def test_calibration_file_and_overrides(self, tmp_path):
         cfg = tmp_path / "cal.cfg"
@@ -214,6 +222,11 @@ class TestCliEnroll:
         main(["simulate", "--out-dir", str(dumps), "--device-seed", "1", "-n", "1",
               "--num-bits", "2432"])
         assert enroll_device(tmp_path) == EXIT_USAGE
+
+    def test_zero_window_length_is_usage_error(self, workspace, capsys):
+        assert enroll_device(workspace, extra=("--window-length", "0")) == EXIT_USAGE
+        assert "window_length must be >= 1" in capsys.readouterr().err
+        assert not (workspace / "registry.txt").exists()
 
     def test_threshold_too_high_reports_shortfall(self, workspace, capsys):
         code = enroll_device(workspace, threshold=7, extra=("--base-offset", "3648"))
@@ -404,15 +417,27 @@ class TestCliReports:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + NUM_BITS // 1216
 
-    def test_stats_header_only_when_no_full_block(self, tmp_path, capsys):
+    def test_stats_refuses_dumps_without_a_full_block(self, tmp_path, capsys):
         dumps = tmp_path / "dumps"
         main(["simulate", "--out-dir", str(dumps), "--device-seed", "1", "-n", "2",
               "--num-bits", "64"])
         capsys.readouterr()
-        assert main(["stats", "--dumps", str(dumps)]) == EXIT_OK
+        assert main(["stats", "--dumps", str(dumps)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.out.strip() == "block_index,stable_count,unstable_count,stable_fraction"
-        assert "skipped" in captured.err
+        assert captured.out == ""
+        assert "samples of 64 bits hold no full 1216-bit block" in captured.err
+
+    @pytest.mark.parametrize("command", ["stats", "sweep"])
+    @pytest.mark.parametrize("block_size", ["0", "5000"])
+    def test_block_size_without_a_full_block_is_usage_error(self, workspace, tmp_path, capsys,
+                                                            command, block_size):
+        dumps = str(workspace / "dumps")
+        args = (["stats", "--dumps", dumps] if command == "stats"
+                else ["sweep", "--enroll-dumps", dumps, "--test-dumps", f"NTNA={dumps}"])
+        out = tmp_path / "report.csv"
+        assert main([*args, "--block-size", block_size, "--out", str(out)]) == EXIT_USAGE
+        assert "block" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_rows_and_monotone_counts(self, workspace, tmp_path):
         test_dir = workspace / "test-ntna"
@@ -459,6 +484,14 @@ class TestCliFlip:
                      "--mask", str(workspace / "bad.mask")]) == EXIT_USAGE
         assert key in capsys.readouterr().err
         assert not (workspace / "x.hex").exists()
+
+    def test_repeated_position_rejected(self, workspace, capsys):
+        src = workspace / "dumps" / "sample-00000.hex"
+        dst = workspace / "x.hex"
+        assert main(["flip", "--dump", str(src), "--out", str(dst),
+                     "--positions", "5,5"]) == EXIT_USAGE
+        assert "repeat" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_out_of_range_rejected(self, workspace):
         src = workspace / "dumps" / "sample-00000.hex"

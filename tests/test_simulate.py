@@ -59,8 +59,10 @@ class TestSampling:
     def test_deterministic_per_seed(self):
         device = new_device(5, num_bits=4000)
         cond = device.calibration.condition("NTNA")
-        assert power_up_sample(device, cond, 9) == power_up_sample(device, cond, 9)
-        assert power_up_sample(device, cond, 9) != power_up_sample(device, cond, 10)
+        assert np.array_equal(power_up_sample(device, cond, 9).bits,
+                              power_up_sample(device, cond, 9).bits)
+        assert not np.array_equal(power_up_sample(device, cond, 9).bits,
+                                  power_up_sample(device, cond, 10).bits)
 
     def test_noiseless_device_constant_across_everything(self):
         cal = Calibration(unstable_fraction=0.0)
@@ -68,15 +70,16 @@ class TestSampling:
         reference = power_up_sample(device, cal.condition("NTNA"), 0)
         for kind in ("NTNA", "HTNA", "NTWA"):
             for seed in (1, 77, 12345):
-                assert power_up_sample(device, cal.condition(kind), seed) == reference
+                assert np.array_equal(power_up_sample(device, cal.condition(kind), seed).bits,
+                                      reference.bits)
 
     def test_collect_singleton(self):
         # reading k of a run is the single reading at seed seed0 + k
         device = new_device(7, num_bits=2000)
         for cond in device.calibration.conditions().values():
             for n in (1, 6):
-                assert collect_samples(device, cond, n, seed0=4) == [
-                    power_up_sample(device, cond, 4 + k) for k in range(n)]
+                assert np.array_equal([s.bits for s in collect_samples(device, cond, n, seed0=4)],
+                                      [power_up_sample(device, cond, 4 + k).bits for k in range(n)])
 
     # SHA-256 of the packed readings: dumps, masks and keys everywhere depend
     # on these exact bits, so any sampler change must reproduce them.
@@ -146,6 +149,11 @@ class TestConditions:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown condition"):
             Condition("HOT", 1.5)
+
+    @pytest.mark.parametrize("kind", ["HOT", "ntna", "htna", ""])
+    def test_calibration_rejects_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="expected one of NTNA, HTNA, NTWA"):
+            Calibration().condition(kind)
 
     def test_calibration_builds_conditions(self):
         cal = Calibration(htna_multiplier=1.4, ntwa_multiplier=1.9)
