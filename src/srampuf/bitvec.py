@@ -100,7 +100,9 @@ def format_hex_dump(vector: BitVector) -> str:
     if len(vector) % WORD_BITS:
         raise ValueError(f"length {len(vector)} is not a multiple of {WORD_BITS}")
     packed = np.packbits(vector.bits, bitorder="little").view("<u4")
-    return "".join(f"{int(word):08X}\n" for word in packed)
+    # Big-endian bytes hex to the word's digits; a newline after every 4 bytes.
+    text = packed.astype(">u4").tobytes().hex("\n", 4).upper()
+    return text + "\n" if text else ""
 
 
 def load_dump(path) -> BitVector:

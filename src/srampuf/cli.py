@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import re
@@ -225,7 +226,11 @@ def cmd_flip(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared, so callers
+    must not modify it; parsing keeps no state between calls, as every parse
+    starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="srampuf",
         description="SRAM power-up PUF toolkit: simulate devices, enroll stable-bit "
@@ -302,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except fuzzy.ReproduceFailure as exc:

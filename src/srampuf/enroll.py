@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,7 +126,8 @@ class Mask:
         for name, least in _FIELD_MINIMUMS.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        pos = np.asarray(self.positions, dtype=np.int64)
+        # A copy: a view would let writes to the caller's array change the mask.
+        pos = np.array(self.positions, dtype=np.int64)
         if pos.size and (np.any(np.diff(pos) <= 0) or pos[0] < 0):
             raise ValueError("mask positions must be strictly ascending and non-negative")
         if pos.size and pos[-1] >= self.num_windows * self.window_length:
@@ -136,6 +138,11 @@ class Mask:
     @property
     def target_len(self) -> int:
         return int(self.positions.size)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 of the canonical mask file text, computed once per mask."""
+        return hashlib.sha256(mask_to_text(self).encode("ascii")).hexdigest()
 
     def required_dump_bits(self) -> int:
         return self.base_offset + int(self.positions[-1]) + 1 if self.positions.size else self.base_offset
@@ -225,7 +232,7 @@ def mask_from_text(text: str) -> Mask:
 
 def mask_fingerprint(mask: Mask) -> str:
     """SHA-256 of the canonical mask file text; ties helper data to its mask."""
-    return hashlib.sha256(mask_to_text(mask).encode("ascii")).hexdigest()
+    return mask.fingerprint
 
 
 def save_mask(path, mask: Mask) -> None:

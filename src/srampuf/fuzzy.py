@@ -20,6 +20,11 @@ bits, so a single flipped bit yields its own column code (1..128) and any
 value above 128 proves at least two flips. Minimum distance is 3: of the
 8,128 double flips only the 127 whose syndrome exceeds 128 are refused; the
 rest are corrected to a different codeword.
+
+``COLUMN_CODES`` is the one definition of the code. Two read-only tables are
+derived from it at import: per byte position, the XOR of the column codes for
+each of the 256 byte values, so a syndrome is 16 lookups; and the bit index
+of each column code, so a correction is one lookup.
 """
 
 from __future__ import annotations
@@ -58,6 +63,23 @@ def _column_codes() -> np.ndarray:
 COLUMN_CODES = _column_codes()
 
 
+def _byte_syndromes(codes: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Per byte position, the syndrome of each byte value at that position."""
+    tables = []
+    for j in range(N // 8):
+        table = [0]
+        # Bits 7, 6, ..., 0 of the byte sit at masks 0x01, 0x02, ..., 0x80;
+        # each doubles the table with its code XORed in.
+        for code in reversed(codes[8 * j:8 * j + 8]):
+            table += [s ^ code for s in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+_BYTE_SYNDROMES = _byte_syndromes(COLUMN_CODES.tolist())
+_BIT_OF_CODE = {code: i for i, code in enumerate(COLUMN_CODES.tolist())}
+
+
 def _xor(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)} bytes")
@@ -68,8 +90,10 @@ def syndrome(word: bytes) -> int:
     """XOR of the column codes of the word's set bits; 0 for a codeword."""
     if len(word) != N // 8:
         raise ValueError(f"word must be {N // 8} bytes, got {len(word)}")
-    set_bits = np.unpackbits(np.frombuffer(word, dtype=np.uint8)).view(bool)
-    return int(np.bitwise_xor.reduce(COLUMN_CODES[set_bits], initial=0))
+    s = 0
+    for table, value in zip(_BYTE_SYNDROMES, word):
+        s ^= table[value]
+    return s
 
 
 def encode(message: bytes) -> bytes:
@@ -93,7 +117,7 @@ def correct(word: bytes) -> bytes:
         return word
     if s > N:
         raise ReproduceFailure(f"correction failed (syndrome {s}); re-sample the device")
-    i = int(np.flatnonzero(COLUMN_CODES == s)[0])
+    i = _BIT_OF_CODE[s]
     fixed = bytearray(word)
     fixed[i // 8] ^= 0x80 >> (i % 8)
     return bytes(fixed)

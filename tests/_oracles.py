@@ -2,13 +2,16 @@
 
 These stay deliberately different from the library's algorithms: the weight
 oracle looks up the nearest unstable boundary per position instead of
-counting run prefixes, and the helpers for packed 16-byte words and 0/1
-strings work byte by byte or character by character in plain Python.
+counting run prefixes, the syndrome oracle walks the bits instead of
+looking up bytes, the dump formatter writes one word at a time, and the
+helpers for packed 16-byte words and 0/1 strings work byte by byte or
+character by character in plain Python.
 """
 
 import numpy as np
 
 from srampuf.bitvec import BitVector
+from srampuf.fuzzy import COLUMN_CODES
 
 
 def oracle_weights(stable: np.ndarray) -> np.ndarray:
@@ -59,3 +62,18 @@ def xor(a: bytes, b: bytes) -> bytes:
 def weight(word: bytes) -> int:
     """Number of set bits."""
     return sum(bin(x).count("1") for x in word)
+
+
+def oracle_syndrome(word: bytes) -> int:
+    """XOR of the column codes of the word's set bits, bit by bit."""
+    s = 0
+    for i in range(8 * len(word)):
+        if word[i // 8] & (0x80 >> (i % 8)):
+            s ^= int(COLUMN_CODES[i])
+    return s
+
+
+def oracle_hex_dump(vector: BitVector) -> str:
+    """Canonical dump text, one formatted 32-bit word per line."""
+    packed = np.packbits(vector.bits, bitorder="little").view("<u4")
+    return "".join(f"{int(word):08X}\n" for word in packed)

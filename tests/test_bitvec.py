@@ -10,7 +10,7 @@ from srampuf.bitvec import BitVector, format_hex_dump, load_dump, parse_hex_dump
 from srampuf.enroll import Mask
 from srampuf.keygen import apply_mask
 
-from _oracles import from01 as bv, random_bits, to01
+from _oracles import from01 as bv, oracle_hex_dump, random_bits, to01
 
 
 def same(a: BitVector, b: BitVector) -> bool:
@@ -95,6 +95,13 @@ class TestDumpFormat:
     def test_serialize_requires_word_multiple(self):
         with pytest.raises(ValueError):
             format_hex_dump(bv("101"))
+
+    def test_format_matches_per_word_oracle(self):
+        rng = np.random.default_rng(3)
+        lengths = [0, 32, 120_000, *(32 * rng.integers(2, 4000, size=8)).tolist()]
+        for n in lengths:
+            reading = random_bits(rng, n)
+            assert format_hex_dump(reading) == oracle_hex_dump(reading), n
 
     @given(st.lists(st.integers(0, 2**32 - 1), max_size=50))
     def test_round_trip_is_canonical(self, words):

@@ -234,6 +234,20 @@ class TestMaskFile:
         assert mask_fingerprint(a) != mask_fingerprint(b)
         assert mask_fingerprint(a) == mask_fingerprint(self.make_mask(1))
 
+    def test_mask_owns_its_positions(self):
+        base = np.arange(0, 30, 3, dtype=np.int64)
+        view = base[2:8]
+        mask = Mask(device_id="x", positions=view, threshold=1, sample_count=2,
+                    num_windows=1)
+        text, fingerprint = mask_to_text(mask), mask_fingerprint(mask)
+        assert view.flags.writeable and base.flags.writeable
+        assert not mask.positions.flags.writeable
+        base[2] = 1
+        view[-1] = 0
+        assert mask.positions.tolist() == [6, 9, 12, 15, 18, 21]
+        assert mask_to_text(mask) == text
+        assert mask_fingerprint(mask_from_text(text)) == fingerprint
+
     def test_rejects_position_count_mismatch(self):
         text = mask_to_text(self.make_mask())
         with pytest.raises(TextFormatError, match="target_len"):

@@ -21,7 +21,7 @@ from srampuf.fuzzy import (
 )
 from srampuf._kv import TextFormatError
 
-from _oracles import flip_bits, random_bytes, weight, xor
+from _oracles import flip_bits, oracle_syndrome, random_bytes, weight, xor
 
 
 def random_codeword(rng) -> bytes:
@@ -59,6 +59,14 @@ class TestHammingCode:
             encode(bytes(16))
         with pytest.raises(ValueError):
             correct(bytes(15))
+
+    def test_syndrome_matches_bitwise_oracle(self):
+        rng = np.random.default_rng(6)
+        words = [bytes(16), bytes([0xFF] * 16)]
+        words += [flip_bits(bytes(16), [i]) for i in range(128)]
+        words += [random_bytes(rng, 128) for _ in range(1000)]
+        for word in words:
+            assert syndrome(word) == oracle_syndrome(word), word.hex()
 
     def test_column_codes_distinct_and_in_range(self):
         codes = COLUMN_CODES

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from srampuf import enroll
 from srampuf.bitvec import BitVector
-from srampuf.enroll import Mask, build_mask
+from srampuf.enroll import Mask, build_mask, mask_fingerprint
 from srampuf.fuzzy import ReproduceFailure
 from srampuf.keygen import KeyMaterial, apply_mask, derive_key, generate_key, reproduce_key
 from srampuf.simulate import Calibration, collect_samples, new_device
@@ -131,6 +134,27 @@ class TestPipeline:
             except ReproduceFailure:
                 pass
         assert reproduced_original == 0
+
+    def test_mask_text_formatted_once_per_mask(self, monkeypatch):
+        formatted = []
+
+        def counting_mask_to_text(mask):
+            formatted.append(mask)
+            return real_mask_to_text(mask)
+
+        real_mask_to_text = enroll.mask_to_text
+        monkeypatch.setattr(enroll, "mask_to_text", counting_mask_to_text)
+        helper, key = generate_key(self.raw, self.mask, seed=9)
+        for _ in range(10):
+            assert reproduce_key(self.raw, self.mask, helper).digest == key.digest
+        assert len(formatted) == 1 and formatted[0] is self.mask
+
+    def test_replaced_mask_gets_its_own_fingerprint(self):
+        helper, _ = generate_key(self.raw, self.mask, seed=10)
+        other = dataclasses.replace(self.mask, threshold=self.mask.threshold + 1)
+        assert mask_fingerprint(other) != mask_fingerprint(self.mask)
+        with pytest.raises(ValueError, match="different mask"):
+            reproduce_key(self.raw, other, helper)
 
     def test_mask_mismatch_rejected(self):
         helper, _ = generate_key(self.raw, self.mask, seed=8)

@@ -12,6 +12,7 @@ from srampuf.cli import (
     EXIT_OK,
     EXIT_REPRODUCE_FAILURE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from srampuf._kv import TextFormatError, format_kv_block
@@ -202,6 +203,15 @@ class TestCliSimulate:
         assert a0 == a1  # noiseless calibration
         assert main(["simulate", "--out-dir", str(tmp_path / "b"), "--device-seed", "2",
                      "-n", "1", "--num-bits", "2432", "--set", "bogus=1"]) == EXIT_USAGE
+
+    def test_set_values_do_not_reach_the_next_call(self, tmp_path):
+        # main reuses one parser per process; each call parses afresh
+        args = ["simulate", "--out-dir", str(tmp_path / "a"), "--device-seed", "2",
+                "-n", "1", "--num-bits", "2432"]
+        assert main([*args, "--set", "bogus=1"]) == EXIT_USAGE
+        assert main(args) == EXIT_OK
+        assert main([*args, "--set", "unstable_fraction=0.0"]) == EXIT_OK
+        assert build_parser().parse_args(args).set is None
 
 
 class TestCliEnroll:
