@@ -121,7 +121,11 @@ def threshold_sweep(enroll_samples: list[BitVector],
     # selected[j, b]: positions of block b whose weight reaches thresholds[j]
     selected = np.count_nonzero(weights >= np.array(thresholds)[:, None, None], axis=2)
     weights = weights.ravel()
-    reference = enroll_samples[0].bits[:span]
+    # Packed bytes over the span; keep has a bit set at every stable position,
+    # which includes every selected position at any threshold.
+    keep = np.packbits(stable, bitorder="little")
+    reference = enroll_samples[0].packed[:keep.size]
+    row_bits = 8 * keep.size
 
     rows = []
     for condition in sorted(test_samples):
@@ -131,18 +135,24 @@ def threshold_sweep(enroll_samples: list[BitVector],
         if any(len(s) < span for s in samples):
             raise ValueError(f"condition {condition!r} has samples shorter than the "
                              f"enrolled {num_blocks} block(s)")
-        # flips[i, j, b]: selected bits of block b at thresholds[j] that sample i flipped
-        flips = np.empty((len(samples), len(thresholds), num_blocks), dtype=np.int32)
-        for i, sample in enumerate(samples):
-            # every selected position is stable, at any threshold
-            flipped = np.flatnonzero((sample.bits[:span] != reference) & stable)
-            depth, block = weights[flipped], flipped // block_size
-            for j, t in enumerate(thresholds):
-                flips[i, j] = np.bincount(block[depth >= t], minlength=num_blocks)
-        max_flips = flips.max(axis=0)
-        zero = np.count_nonzero(flips == 0, axis=0)
-        one = np.count_nonzero(flips == 1, axis=0)
-        multi = np.count_nonzero(flips >= 2, axis=0)
+        # Row i: the stable bits that sample i flipped, packed.
+        flipped = np.empty((len(samples), keep.size), dtype=np.uint8)
+        for row, sample in zip(flipped, samples):
+            np.bitwise_xor(sample.packed[:keep.size], reference, out=row)
+        flipped &= keep
+        flipped = flipped.ravel()
+        # Unpack only the nonzero bytes; each set bit is (sample, position).
+        nonzero = np.flatnonzero(flipped != 0)
+        set_bits = np.unpackbits(flipped[nonzero, None], axis=1, bitorder="little") != 0
+        hit, position = np.divmod((8 * nonzero[:, None] + np.arange(8))[set_bits], row_bits)
+        depth, cell = weights[position], hit * num_blocks + position // block_size
+        # flips[j, i, b]: selected bits of block b at thresholds[j] that sample i flipped
+        flips = np.stack([np.bincount(cell[depth >= t], minlength=len(samples) * num_blocks)
+                          for t in thresholds]).reshape(len(thresholds), len(samples), num_blocks)
+        max_flips = flips.max(axis=1)
+        zero = np.count_nonzero(flips == 0, axis=1)
+        one = np.count_nonzero(flips == 1, axis=1)
+        multi = np.count_nonzero(flips >= 2, axis=1)
         rows += [SweepRow(condition=condition, threshold=t, block_index=b,
                           selected_count=int(selected[j, b]), max_flips=int(max_flips[j, b]),
                           sample_count=len(samples), samples_zero_flips=int(zero[j, b]),

@@ -8,9 +8,13 @@ a word is its least-significant bit. A dump file is one uppercase 8-hex-digit
 word per line; that layout is the canonical form, and parsing then serializing
 any valid dump reproduces it exactly.
 
-A reading is a :class:`BitVector`: a read-only 0/1 array (``.bits``), its
-length and :meth:`~BitVector.with_flips`. Everything else is numpy on
-``.bits``; two readings are equal when ``np.array_equal(a.bits, b.bits)``.
+A reading is a :class:`BitVector`. It stores its bits packed eight to a byte
+in that same order (``packed``: bit ``i`` is bit ``i % 8`` of byte ``i // 8``,
+LSB first, trailing pad bits zero), so a 120,000-bit reading holds 15,000
+bytes. ``bits`` unpacks a fresh read-only 0/1 array on every call; the
+library's own passes (stability marks, sweeps, masking, dumps) work on the
+packed bytes. Two readings are equal when their lengths and ``packed`` bytes
+are.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ _HEX_RE = re.compile("[0-9A-Fa-f]+")
 
 
 class BitVector:
-    """One power-up reading: a read-only ``uint8`` array of 0/1 values,
-    safe to share across threads."""
+    """One power-up reading: its bits packed in dump order plus its length,
+    read-only and safe to share across threads."""
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_packed", "_length")
 
     def __init__(self, bits: Sequence[int] | np.ndarray | Iterable[int]):
         arr = np.array(bits, dtype=np.uint8)
@@ -39,16 +43,35 @@ class BitVector:
             raise ValueError(f"bits must be one-dimensional, got shape {arr.shape}")
         if arr.max(initial=0) > 1:
             raise ValueError("bits must contain only 0 and 1")
-        arr.flags.writeable = False
-        self._bits = arr
+        self._set(np.packbits(arr, bitorder="little"), arr.size)
+
+    def _set(self, packed: np.ndarray, length: int) -> None:
+        packed.flags.writeable = False
+        self._packed = packed
+        self._length = length
+
+    @classmethod
+    def from_packed(cls, packed: np.ndarray, length: int) -> "BitVector":
+        """Adopt ``uint8`` bytes already packed in dump order, pad bits zero;
+        the caller hands them over and must not write them again."""
+        vector = cls.__new__(cls)
+        vector._set(packed, length)
+        return vector
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The read-only packed bytes, ``ceil(len / 8)`` of them."""
+        return self._packed
 
     @property
     def bits(self) -> np.ndarray:
-        """Read-only view of the underlying 0/1 array."""
-        return self._bits
+        """A fresh read-only 0/1 ``uint8`` array, unpacked on every call."""
+        arr = np.unpackbits(self._packed, count=self._length, bitorder="little")
+        arr.flags.writeable = False
+        return arr
 
     def __len__(self) -> int:
-        return self._bits.size
+        return self._length
 
     def with_flips(self, positions: Sequence[int] | np.ndarray) -> "BitVector":
         """Copy with the bits at the given indices inverted; an index may
@@ -56,9 +79,13 @@ class BitVector:
         idx = np.asarray(positions, dtype=np.int64)
         if np.unique(idx).size != idx.size:
             raise ValueError("flip positions must not repeat")
-        arr = self._bits.copy()
-        arr[idx] ^= 1
-        return BitVector(arr)
+        if idx.size and not -self._length <= idx.min() <= idx.max() < self._length:
+            raise IndexError(f"flip positions out of range for {self._length} bits")
+        idx = idx % max(self._length, 1)     # a negative index counts from the end
+        packed = self._packed.copy()
+        # ufunc.at applies each flip, also when two fall in one byte.
+        np.bitwise_xor.at(packed, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
+        return BitVector.from_packed(packed, self._length)
 
 
 def parse_hex_dump(text: str, *, what: str = "dump") -> BitVector:
@@ -77,10 +104,10 @@ def parse_hex_dump(text: str, *, what: str = "dump") -> BitVector:
     # All lines 8 digits long and 4 bytes each: no line held a non-hex character or space.
     if len(packed) != 4 * len(lines) or any(len(line) != _WORD_HEX_DIGITS for line in lines):
         raise _malformed_line(text, what)
-    # Each line is a big-endian word; little-endian byte order + unpackbits(bitorder="little")
-    # gives LSB-first per word.
-    as_bytes = np.frombuffer(packed, dtype=">u4").astype("<u4").view(np.uint8)
-    return BitVector(np.unpackbits(as_bytes, bitorder="little"))
+    # Each line is a big-endian word; in little-endian byte order its bytes are
+    # the packed form, LSB first per word.
+    words = np.frombuffer(packed, dtype=">u4").astype("<u4")
+    return BitVector.from_packed(words.view(np.uint8), WORD_BITS * words.size)
 
 
 def _malformed_line(text: str, what: str) -> TextFormatError:
@@ -99,9 +126,8 @@ def format_hex_dump(vector: BitVector) -> str:
     """Serialize to the canonical dump form: uppercase 8-hex-digit lines."""
     if len(vector) % WORD_BITS:
         raise ValueError(f"length {len(vector)} is not a multiple of {WORD_BITS}")
-    packed = np.packbits(vector.bits, bitorder="little").view("<u4")
     # Big-endian bytes hex to the word's digits; a newline after every 4 bytes.
-    text = packed.astype(">u4").tobytes().hex("\n", 4).upper()
+    text = vector.packed.view("<u4").astype(">u4").tobytes().hex("\n", 4).upper()
     return text + "\n" if text else ""
 
 

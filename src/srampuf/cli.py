@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytics, enroll, fuzzy, keygen, registry as reg, simulate
 from ._kv import TextFormatError, atomic_write_text, format_kv_block
-from .bitvec import BitVector, load_dump, save_dump
+from .bitvec import WORD_BITS, BitVector, load_dump, save_dump
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,6 +79,9 @@ def _write_csv(text: str, out: str | None) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.num_bits % WORD_BITS:
+        _fail(f"--num-bits {args.num_bits} is not a multiple of {WORD_BITS}: "
+              f"a dump holds whole {WORD_BITS}-bit words")
     cal = _load_calibration(args)
     condition = cal.condition(args.condition)
     device = simulate.new_device(args.device_seed, num_bits=args.num_bits, calibration=cal)

@@ -49,7 +49,11 @@ class InsufficientStableBitsError(Exception):
 
 def mark_stability(samples: list[BitVector], window: range | None = None) -> np.ndarray:
     """Read-only bool marks over the window: True (S) where all samples agree,
-    False (U) elsewhere. Needs at least 2 samples."""
+    False (U) elsewhere. Needs at least 2 samples.
+
+    The samples are compared byte by byte over the packed bytes that cover
+    the window; only the result is unpacked and cut to the window.
+    """
     if len(samples) < 2:
         raise ValueError("stability needs at least 2 samples")
     length = len(samples[0])
@@ -61,12 +65,16 @@ def mark_stability(samples: list[BitVector], window: range | None = None) -> np.
         raise ValueError("window must be a contiguous range")
     if window.start < 0 or window.stop > length:
         raise ValueError(f"window {window} does not fit samples of length {length}")
-    lo, hi = window.start, window.stop
-    reference = samples[0].bits[lo:hi]
-    differs = np.zeros(len(window), dtype=bool)
+    lo, hi = window.start // 8, -(-window.stop // 8)
+    reference = samples[0].packed[lo:hi]
+    differs = np.zeros(hi - lo, dtype=np.uint8)
+    scratch = np.empty_like(differs)
     for s in samples[1:]:
-        differs |= s.bits[lo:hi] != reference
-    stable = ~differs
+        np.bitwise_xor(s.packed[lo:hi], reference, out=scratch)
+        differs |= scratch
+    unstable = np.unpackbits(differs, bitorder="little")
+    start = window.start - 8 * lo
+    stable = unstable[start:start + len(window)] == 0
     stable.flags.writeable = False
     return stable
 
@@ -110,9 +118,13 @@ _FIELD_MINIMUMS = {"threshold": 1, "sample_count": 2, "base_offset": 0,
                    "window_length": 1, "num_windows": 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
-    """Selected bit positions (relative to base_offset) plus how they were chosen."""
+    """Selected bit positions (relative to base_offset) plus how they were chosen.
+
+    Two masks are equal when their canonical texts are, so equality and hash
+    go through :attr:`fingerprint`, which covers every field.
+    """
 
     device_id: str
     positions: np.ndarray
@@ -143,6 +155,24 @@ class Mask:
     def fingerprint(self) -> str:
         """SHA-256 of the canonical mask file text, computed once per mask."""
         return hashlib.sha256(mask_to_text(self).encode("ascii")).hexdigest()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mask):
+            return NotImplemented
+        return self.fingerprint == other.fingerprint
+
+    def __hash__(self) -> int:
+        return hash(self.fingerprint)
+
+    @cached_property
+    def packed_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per position, in mask order: the byte of a packed dump that holds
+        it and the one-bit ``uint8`` mask of its bit in that byte, computed
+        once per mask."""
+        absolute = self.base_offset + self.positions
+        byte, bit = absolute >> 3, np.left_shift(1, absolute & 7).astype(np.uint8)
+        byte.flags.writeable = bit.flags.writeable = False
+        return byte, bit
 
     def required_dump_bits(self) -> int:
         return self.base_offset + int(self.positions[-1]) + 1 if self.positions.size else self.base_offset

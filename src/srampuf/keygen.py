@@ -8,9 +8,10 @@ Either way the recovered response is hashed with SHA-256 into 256 key bits,
 handed out as two 128-bit halves. Keys are a pure function of the response;
 helper data never enters the hash.
 
-``apply_mask`` packs the response big-endian (bit 0 into the MSB of byte 0),
-and those 16 bytes are the hash input. That choice is arbitrary but pinned by
-test vectors so independent implementations interoperate.
+``apply_mask`` gathers the masked bits from the dump's packed bytes and packs
+the response big-endian (bit 0 into the MSB of byte 0); those 16 bytes are
+the hash input. That choice is arbitrary but pinned by test vectors so
+independent implementations interoperate.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ def apply_mask(raw, mask: Mask) -> bytes:
             f"dump has {len(raw)} bits but the mask needs bits "
             f"{mask.base_offset}..{needed - 1}"
         )
-    return np.packbits(raw.bits[mask.base_offset + mask.positions]).tobytes()
+    byte, bit = mask.packed_index
+    # packbits packs every nonzero value as a 1.
+    return np.packbits(raw.packed[byte] & bit).tobytes()
 
 
 def derive_key(response: bytes) -> KeyMaterial:

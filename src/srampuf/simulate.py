@@ -15,7 +15,7 @@ blocks keep their stable share inside 72-78%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -132,10 +132,28 @@ class DeviceModel:
     seed: int
     cell_bias: np.ndarray
     calibration: Calibration
+    # Condition -> its cell probabilities, for the latest condition only, so a
+    # device holds at most one extra float per cell (about 1 MB at 120,000 bits).
+    # Threads racing on it can only recompute the same values.
+    _prob_one: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_bits(self) -> int:
         return int(self.cell_bias.size)
+
+    def prob_one(self, condition: Condition) -> np.ndarray:
+        """Read-only per-cell probability of powering up as 1 under a condition."""
+        cached = self._prob_one.get(condition)
+        if cached is None:
+            bias = self.cell_bias
+            flip = np.minimum(bias, 1.0 - bias) * condition.noise_multiplier
+            np.clip(flip, 0.0, 1.0, out=flip)
+            # Not ``bias`` itself under NTNA: 1 - (1 - b) need not equal b in float64.
+            cached = np.where(bias >= 0.5, 1.0 - flip, flip)
+            cached.flags.writeable = False
+            self._prob_one.clear()
+            self._prob_one[condition] = cached
+        return cached
 
 
 def _smooth(latent: np.ndarray, radius: int, mix: float) -> np.ndarray:
@@ -194,16 +212,18 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
 
 
 def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> list[BitVector]:
-    """One reading per sample seed, each from its own RNG stream; the cell
-    probabilities depend only on device and condition, so they are computed once."""
-    bias = device.cell_bias
-    flip = np.minimum(bias, 1.0 - bias) * condition.noise_multiplier
-    np.clip(flip, 0.0, 1.0, out=flip)
-    # Not ``bias`` itself under NTNA: 1 - (1 - b) need not equal b in float64.
-    prob_one = np.where(bias >= 0.5, 1.0 - flip, flip)
+    """One packed reading per sample seed, each from its own RNG stream, drawn
+    into one reused buffer."""
+    prob_one = device.prob_one(condition)
+    draws = np.empty(prob_one.size)
+    ones = np.empty(prob_one.size, dtype=bool)
     key = [device.seed & 0xFFFFFFFF, _CONDITION_STREAM[condition.kind]]
-    return [BitVector(np.random.default_rng(key + [s]).random(bias.size) < prob_one)
-            for s in sample_seeds]
+    readings = []
+    for s in sample_seeds:
+        np.random.default_rng(key + [s]).random(out=draws)
+        np.less(draws, prob_one, out=ones)
+        readings.append(BitVector.from_packed(np.packbits(ones, bitorder="little"), ones.size))
+    return readings
 
 
 def power_up_sample(device: DeviceModel, condition: Condition, sample_seed: int) -> BitVector:

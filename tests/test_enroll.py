@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +235,34 @@ class TestMaskFile:
         a, b = self.make_mask(1), self.make_mask(2)
         assert mask_fingerprint(a) != mask_fingerprint(b)
         assert mask_fingerprint(a) == mask_fingerprint(self.make_mask(1))
+
+    def test_equal_masks_compare_equal(self):
+        a, b = self.make_mask(), self.make_mask()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert mask_from_text(mask_to_text(a)) == a
+        assert a != mask_to_text(a)
+
+    @pytest.mark.parametrize("field, value", [
+        ("device_id", "dev-other"), ("threshold", 5), ("sample_count", 299),
+        ("base_offset", 1), ("window_length", 1217), ("num_windows", 3),
+    ])
+    def test_any_field_change_makes_masks_unequal(self, field, value):
+        mask = self.make_mask()
+        assert dataclasses.replace(mask, **{field: value}) != mask
+
+    def test_position_change_makes_masks_unequal(self):
+        mask = self.make_mask()
+        moved = mask.positions.copy()
+        moved[-1] += 1 if moved[-1] + 1 < 2432 else -1
+        assert moved[-1] not in mask.positions[:-1]
+        assert dataclasses.replace(mask, positions=np.sort(moved)) != mask
+
+    def test_mask_is_a_set_member(self):
+        a, b, other = self.make_mask(), self.make_mask(), self.make_mask(2)
+        masks = {a, b, other}
+        assert len(masks) == 2
+        assert self.make_mask() in masks and self.make_mask(3) not in masks
 
     def test_mask_owns_its_positions(self):
         base = np.arange(0, 30, 3, dtype=np.int64)

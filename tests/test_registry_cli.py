@@ -193,6 +193,16 @@ class TestCliSimulate:
                 in capsys.readouterr().err)
         assert not (tmp_path / "hot").exists()
 
+    def test_num_bits_off_word_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking --num-bits")
+
+        monkeypatch.setattr("srampuf.simulate.collect_samples", no_sampling)
+        assert main(["simulate", "--out-dir", str(tmp_path / "odd"), "--device-seed", "1",
+                     "-n", "2", "--num-bits", "100"]) == EXIT_USAGE
+        assert "--num-bits 100 is not a multiple of 32" in capsys.readouterr().err
+        assert not (tmp_path / "odd").exists()
+
     def test_calibration_file_and_overrides(self, tmp_path):
         cfg = tmp_path / "cal.cfg"
         cfg.write_text("unstable_fraction = 0.0\n")
