@@ -11,10 +11,17 @@ yields a perfectly noiseless device.
 Default calibration targets, measured over a 300-sample enrollment at normal
 temperature: about 24.9% of positions flip at least once, and per-1216-bit
 blocks keep their stable share inside 72-78%.
+
+Every reading is a pure function of (device, condition, sample seed): it
+comes from its own RNG stream. So a run of readings is drawn on up to one
+thread per usable CPU, and its bytes do not depend on how many threads drew
+it. There is no option to set that number.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -124,9 +131,13 @@ def calibration_to_text(cal: Calibration) -> str:
     return "".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceModel:
-    """One simulated chip: per-cell probability of powering up as 1."""
+    """One simulated chip: per-cell probability of powering up as 1.
+
+    Two devices are equal when their ids, seeds, calibrations and cell biases
+    are; the probability cache takes no part in equality or hash.
+    """
 
     device_id: str
     seed: int
@@ -134,8 +145,19 @@ class DeviceModel:
     calibration: Calibration
     # Condition -> its cell probabilities, for the latest condition only, so a
     # device holds at most one extra float per cell (about 1 MB at 120,000 bits).
-    # Threads racing on it can only recompute the same values.
-    _prob_one: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The sampler fills it on the calling thread before any worker starts, and
+    # the workers only read the array it hands them.
+    _prob_one: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeviceModel):
+            return NotImplemented
+        return (self.device_id == other.device_id and self.seed == other.seed
+                and self.calibration == other.calibration
+                and np.array_equal(self.cell_bias, other.cell_bias))
+
+    def __hash__(self) -> int:
+        return hash((self.device_id, self.seed, self.num_bits, self.calibration))
 
     @property
     def num_bits(self) -> int:
@@ -181,6 +203,8 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
                calibration: Calibration | None = None,
                device_id: str | None = None) -> DeviceModel:
     """Build a deterministic device from a seed, geometry, and calibration."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if num_bits <= 0:
         raise ValueError("num_bits must be positive")
     cal = calibration if calibration is not None else Calibration()
@@ -211,19 +235,47 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
     )
 
 
-def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> list[BitVector]:
-    """One packed reading per sample seed, each from its own RNG stream, drawn
-    into one reused buffer."""
-    prob_one = device.prob_one(condition)
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_packed(prob_one: np.ndarray, key: list[int], sample_seeds) -> list[np.ndarray]:
+    """Packed bytes of one reading per sample seed, drawn into buffers of its
+    own. It calls only numpy, so it is safe on a worker thread."""
     draws = np.empty(prob_one.size)
     ones = np.empty(prob_one.size, dtype=bool)
-    key = [device.seed & 0xFFFFFFFF, _CONDITION_STREAM[condition.kind]]
-    readings = []
+    rows = []
     for s in sample_seeds:
         np.random.default_rng(key + [s]).random(out=draws)
         np.less(draws, prob_one, out=ones)
-        readings.append(BitVector.from_packed(np.packbits(ones, bitorder="little"), ones.size))
-    return readings
+        rows.append(np.packbits(ones, bitorder="little"))
+    return rows
+
+
+def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> list[BitVector]:
+    """One packed reading per sample seed, each from its own RNG stream.
+
+    The seeds are split into contiguous chunks, one per usable CPU, and each
+    chunk is drawn on a thread of its own; a single chunk is drawn inline and
+    starts no thread. Each reading is still a pure function of (device,
+    condition, sample seed), so the bytes do not depend on the worker count.
+    """
+    prob_one = device.prob_one(condition)
+    key = [device.seed & 0xFFFFFFFF, _CONDITION_STREAM[condition.kind]]
+    n = len(sample_seeds)
+    workers = min(_usable_cpus(), n)
+    if workers == 1:
+        rows = _draw_packed(prob_one, key, sample_seeds)
+    else:
+        bounds = [n * w // workers for w in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = [pool.submit(_draw_packed, prob_one, key, sample_seeds[lo:hi])
+                      for lo, hi in zip(bounds, bounds[1:])]
+            rows = [row for chunk in chunks for row in chunk.result()]
+    return [BitVector.from_packed(row, prob_one.size) for row in rows]
 
 
 def power_up_sample(device: DeviceModel, condition: Condition, sample_seed: int) -> BitVector:
@@ -236,4 +288,6 @@ def collect_samples(device: DeviceModel, condition: Condition, n: int,
     """n consecutive power-up readings with sample seeds seed0, seed0+1, ..."""
     if n < 1:
         raise ValueError("need at least one sample")
+    if seed0 < 0:
+        raise ValueError("seed0 must be >= 0")
     return _readings(device, condition, range(seed0, seed0 + n))

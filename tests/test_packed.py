@@ -2,9 +2,14 @@
 the unpacked oracles, at lengths and offsets that do not fall on byte
 boundaries."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from srampuf import simulate
 from srampuf.analytics import threshold_sweep
 from srampuf.bitvec import BitVector, format_hex_dump, parse_hex_dump
 from srampuf.enroll import Mask, mark_stability
@@ -178,3 +183,121 @@ class TestCellProbabilityCache:
         for i, (kind, reading) in enumerate(zip(kinds, lone)):
             collected = collect_samples(fresh, cal.condition(kind), 1, seed0=30 + i)[0]
             assert np.array_equal(reading.packed, collected.packed)
+
+
+@pytest.fixture(scope="module")
+def full_device():
+    device = new_device(7)
+    return device, device.calibration.condition("NTNA")
+
+
+@pytest.fixture(scope="module")
+def lone_readings(full_device):
+    """seed0 -> the 300 lone readings at seeds seed0, seed0+1, ..."""
+    device, cond = full_device
+    return {seed0: [power_up_sample(device, cond, seed0 + k).packed for k in range(300)]
+            for seed0 in (0, 4, 50_000)}
+
+
+def use_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Make the sampler see ``cpus`` usable CPUs; returns the worker count of
+    every thread pool it then opens."""
+    pools = []
+
+    class RecordingPool(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+def refuse_threads(monkeypatch):
+    def start(thread):
+        raise AssertionError("the sampler started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
+class TestThreadedSampler:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_same_bytes_in_seed_order_at_any_worker_count(
+            self, monkeypatch, full_device, lone_readings, cpus):
+        device, cond = full_device
+        pools = use_cpus(monkeypatch, cpus)
+        for seed0, lone in lone_readings.items():
+            for n in (1, 2, 3, 7, 300):
+                readings = collect_samples(device, cond, n, seed0)
+                assert len(readings) == n
+                for k, reading in enumerate(readings):
+                    assert np.array_equal(reading.packed, lone[k]), (seed0, n, k)
+                    assert len(reading) == 120_000
+                    assert owned_bytes(reading) <= 15_000
+            # neighbouring readings differ, so a reordering could not pass unseen
+            assert not any(np.array_equal(a, b) for a, b in zip(lone, lone[1:]))
+        threaded = [min(cpus, n) for n in (1, 2, 3, 7, 300) if min(cpus, n) > 1]
+        assert pools == threaded * len(lone_readings)
+
+    def test_more_workers_than_cores_with_fast_switching(
+            self, monkeypatch, full_device, lone_readings):
+        # workers share the device's probabilities and the stream key; eight
+        # of them switching every microsecond must still draw the same bytes
+        device, cond = full_device
+        pools = use_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readings = collect_samples(device, cond, 64, seed0=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [8] and len(readings) == 64
+        for k, reading in enumerate(readings):
+            assert np.array_equal(reading.packed, lone_readings[4][k]), k
+
+    def test_lone_and_single_cpu_readings_start_no_thread(self, monkeypatch, full_device):
+        device, cond = full_device
+        before = threading.active_count()
+        use_cpus(monkeypatch, 4)
+        refuse_threads(monkeypatch)
+        power_up_sample(device, cond, 3)
+        collect_samples(device, cond, 1, seed0=3)
+        use_cpus(monkeypatch, 1)
+        collect_samples(device, cond, 300)
+        assert threading.active_count() == before
+
+    def test_bad_seed0_refused_before_any_thread(self, monkeypatch, full_device):
+        device, cond = full_device
+        use_cpus(monkeypatch, 2)
+        refuse_threads(monkeypatch)
+        with pytest.raises(ValueError, match=r"^seed0 must be >= 0$"):
+            collect_samples(device, cond, 5, seed0=-1)
+
+    def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch, full_device):
+        device, cond = full_device
+        pools = use_cpus(monkeypatch, 3)
+        before = set(threading.enumerate())
+        boom = RuntimeError("no reading at seed 5")
+        default_rng = np.random.default_rng
+
+        def failing_rng(seed):
+            if seed[-1] == 5:
+                raise boom
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", failing_rng)
+        with pytest.raises(RuntimeError) as caught:
+            collect_samples(device, cond, 7)
+        assert caught.value is boom
+        assert pools == [3]
+        assert set(threading.enumerate()) == before
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert simulate._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert simulate._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1

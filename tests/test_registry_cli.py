@@ -203,6 +203,19 @@ class TestCliSimulate:
         assert "--num-bits 100 is not a multiple of 32" in capsys.readouterr().err
         assert not (tmp_path / "odd").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--device-seed", "1", "--seed0", "-1"], "error: seed0 must be >= 0"),
+        (["--device-seed", "-3"], "error: seed must be >= 0"),
+    ])
+    def test_negative_seed_names_the_argument(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "neg"
+        assert main(["simulate", "--out-dir", str(out), "-n", "2",
+                     "--num-bits", "2432", *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == message + "\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_calibration_file_and_overrides(self, tmp_path):
         cfg = tmp_path / "cal.cfg"
         cfg.write_text("unstable_fraction = 0.0\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -54,6 +55,46 @@ class TestDeviceConstruction:
         device = new_device(4, num_bits=3000, calibration=cal)
         assert set(np.unique(device.cell_bias)) <= {0.0, 1.0}
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            new_device(-3, num_bits=64)
+
+
+class TestDeviceEquality:
+    def test_equal_devices_compare_equal(self):
+        a, b = new_device(1, num_bits=64), new_device(1, num_bits=64)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != a.device_id
+
+    def test_probability_cache_plays_no_part(self):
+        a, b = new_device(1, num_bits=64), new_device(1, num_bits=64)
+        a.prob_one(a.calibration.condition("HTNA"))
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("field, value", [
+        ("device_id", "device-other"), ("seed", 2),
+        ("calibration", Calibration(flip_decay=0.5)),
+    ])
+    def test_any_field_change_makes_devices_unequal(self, field, value):
+        device = new_device(1, num_bits=64)
+        assert dataclasses.replace(device, **{field: value}) != device
+
+    def test_cell_bias_change_makes_devices_unequal(self):
+        device = new_device(1, num_bits=64)
+        moved = device.cell_bias.copy()
+        moved[5] = 1.0 - moved[5]
+        assert dataclasses.replace(device, cell_bias=moved) != device
+        assert dataclasses.replace(device, cell_bias=device.cell_bias[:32]) != device
+
+    def test_device_is_a_set_member(self):
+        devices = {new_device(1, num_bits=64), new_device(1, num_bits=64),
+                   new_device(2, num_bits=64)}
+        assert len(devices) == 2
+        assert new_device(1, num_bits=64) in devices
+        assert new_device(1, num_bits=128) not in devices
+        assert new_device(3, num_bits=64) not in devices
+
 
 class TestSampling:
     def test_deterministic_per_seed(self):
@@ -98,6 +139,11 @@ class TestSampling:
         device = new_device(7, num_bits=2000)
         with pytest.raises(ValueError):
             collect_samples(device, device.calibration.condition("NTNA"), 0)
+
+    def test_collect_validates_seed0(self):
+        device = new_device(7, num_bits=2000)
+        with pytest.raises(ValueError, match=r"^seed0 must be >= 0$"):
+            collect_samples(device, device.calibration.condition("NTNA"), 3, seed0=-1)
 
     def test_hotter_conditions_flip_more(self):
         cal = Calibration()
