@@ -140,11 +140,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             collect_samples(device, device.calibration.condition("NTNA"), 0)
 
-    def test_collect_validates_seed0(self):
-        device = new_device(7, num_bits=2000)
-        with pytest.raises(ValueError, match=r"^seed0 must be >= 0$"):
-            collect_samples(device, device.calibration.condition("NTNA"), 3, seed0=-1)
-
     def test_hotter_conditions_flip_more(self):
         cal = Calibration()
         device = new_device(8, num_bits=30_000, calibration=cal)
