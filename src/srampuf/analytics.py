@@ -100,6 +100,40 @@ class SweepReport:
         return float(np.mean(list(counts.values()))) if counts else 0.0
 
 
+# Rows per chunk: 64 rows of a 120,000-bit reading, about 1 MB, stay in cache
+# from the XOR to the word scan, where one buffer for all samples does not.
+_FLIP_ROWS = 64
+
+
+def _flipped_bits(samples: list[BitVector], reference: np.ndarray,
+                  keep: np.ndarray) -> np.ndarray:
+    """Flat indices ``i * 8 * keep.size + position``, in no set order, of the
+    bits set in ``(samples[i].packed ^ reference) & keep``. ``keep`` is zero
+    padded to whole 64-bit words, so the rows are scanned a word at a time."""
+    used = reference.size
+    buffer = np.empty((min(len(samples), _FLIP_ROWS), keep.size), dtype=np.uint8)
+    found = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(samples), _FLIP_ROWS):
+        chunk = samples[lo:lo + _FLIP_ROWS]
+        flipped = buffer[:len(chunk)]
+        for row, sample in zip(flipped, chunk):
+            np.bitwise_xor(sample.packed[:used], reference, out=row[:used])
+        flipped &= keep                     # also clears the pad bytes left unset
+        words = np.flatnonzero(flipped.view(np.uint64) != 0)
+        # Little-endian words, so bit k of a word is bit k % 8 of its byte k // 8.
+        values = flipped.view("<u8").ravel()[words]
+        words += lo * keep.size // 8
+        # Peel each word's set bits off, lowest first: w & -w isolates the
+        # lowest, and frexp reads its index off the exponent, exactly.
+        while words.size:
+            lowest = values & -values
+            found.append(64 * words + np.frexp(lowest.astype(np.float64))[1] - 1)
+            values ^= lowest
+            left = values != 0
+            words, values = words[left], values[left]
+    return np.concatenate(found)
+
+
 def threshold_sweep(enroll_samples: list[BitVector],
                     test_samples: dict[str, list[BitVector]],
                     thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS,
@@ -121,11 +155,13 @@ def threshold_sweep(enroll_samples: list[BitVector],
     # selected[j, b]: positions of block b whose weight reaches thresholds[j]
     selected = np.count_nonzero(weights >= np.array(thresholds)[:, None, None], axis=2)
     weights = weights.ravel()
-    # Packed bytes over the span; keep has a bit set at every stable position,
-    # which includes every selected position at any threshold.
-    keep = np.packbits(stable, bitorder="little")
-    reference = enroll_samples[0].packed[:keep.size]
-    row_bits = 8 * keep.size
+    # keep has a bit set at every stable position, which includes every
+    # selected position at any threshold; it is padded with zero bytes to
+    # whole 64-bit words, so no pad bit ever counts as a flip.
+    used = -(-span // 8)
+    keep = np.zeros(8 * -(-span // 64), dtype=np.uint8)
+    keep[:used] = np.packbits(stable, bitorder="little")
+    reference = enroll_samples[0].packed[:used]
 
     rows = []
     for condition in sorted(test_samples):
@@ -135,29 +171,22 @@ def threshold_sweep(enroll_samples: list[BitVector],
         if any(len(s) < span for s in samples):
             raise ValueError(f"condition {condition!r} has samples shorter than the "
                              f"enrolled {num_blocks} block(s)")
-        # Row i: the stable bits that sample i flipped, packed.
-        flipped = np.empty((len(samples), keep.size), dtype=np.uint8)
-        for row, sample in zip(flipped, samples):
-            np.bitwise_xor(sample.packed[:keep.size], reference, out=row)
-        flipped &= keep
-        flipped = flipped.ravel()
-        # Unpack only the nonzero bytes; each set bit is (sample, position).
-        nonzero = np.flatnonzero(flipped != 0)
-        set_bits = np.unpackbits(flipped[nonzero, None], axis=1, bitorder="little") != 0
-        hit, position = np.divmod((8 * nonzero[:, None] + np.arange(8))[set_bits], row_bits)
+        hit, position = np.divmod(_flipped_bits(samples, reference, keep), 8 * keep.size)
         depth, cell = weights[position], hit * num_blocks + position // block_size
-        # flips[j, i, b]: selected bits of block b at thresholds[j] that sample i flipped
-        flips = np.stack([np.bincount(cell[depth >= t], minlength=len(samples) * num_blocks)
-                          for t in thresholds]).reshape(len(thresholds), len(samples), num_blocks)
-        max_flips = flips.max(axis=1)
-        zero = np.count_nonzero(flips == 0, axis=1)
-        one = np.count_nonzero(flips == 1, axis=1)
-        multi = np.count_nonzero(flips >= 2, axis=1)
-        rows += [SweepRow(condition=condition, threshold=t, block_index=b,
-                          selected_count=int(selected[j, b]), max_flips=int(max_flips[j, b]),
-                          sample_count=len(samples), samples_zero_flips=int(zero[j, b]),
-                          samples_one_flip=int(one[j, b]), samples_multi_flips=int(multi[j, b]))
-                 for j, t in enumerate(thresholds) for b in range(num_blocks)]
+        for j, t in enumerate(thresholds):
+            # cells[k]: a (sample, block) cell in which counts[k] of the bits
+            # selected at threshold t flipped; no other cell had a flip.
+            cells, counts = np.unique(cell[depth >= t], return_counts=True)
+            block = cells % num_blocks
+            worst = np.zeros(num_blocks, dtype=np.int64)
+            np.maximum.at(worst, block, counts)
+            one = np.bincount(block[counts == 1], minlength=num_blocks)
+            multi = np.bincount(block[counts >= 2], minlength=num_blocks)
+            # columns[b]: the figures of block b, as Python ints
+            columns = np.stack([selected[j], worst, one, multi], axis=1).tolist()
+            rows += [SweepRow(condition, t, b, count, most, len(samples),
+                              len(samples) - single - many, single, many)
+                     for b, (count, most, single, many) in enumerate(columns)]
     return SweepReport(rows=rows)
 
 
@@ -182,19 +211,26 @@ def flip_rate_summary(mask: Mask, reference_response: bytes,
     if len(reference_response) != N // 8:
         raise ValueError(f"reference response must be {N // 8} bytes, "
                          f"got {len(reference_response)}")
-    reference = int.from_bytes(reference_response, "big")
+    byte, bit = mask.packed_index
     summaries = {}
     for condition in sorted(test_samples):
         samples = test_samples[condition]
         if not samples:
             raise ValueError(f"condition {condition!r} has no test samples")
-        distances = [(int.from_bytes(apply_mask(s, mask), "big") ^ reference).bit_count()
-                     for s in samples]
+        # apply_mask refuses a mask without N positions, or too long for the
+        # shortest sample, before the gather below reads past it.
+        apply_mask(min(samples, key=len), mask)
+        # expected[k]: the k-th masked bit's one-bit byte mask where the reference
+        # holds a 1, else 0; responses pack bit 0 into the MSB, as apply_mask does.
+        expected = np.unpackbits(np.frombuffer(reference_response, dtype=np.uint8)) * bit
+        # distances[i]: the masked bits of sample i that differ from the reference
+        gathered = np.stack([s.packed[byte] for s in samples]) & bit
+        distances = np.count_nonzero(gathered != expected, axis=1)
         summaries[condition] = FlipRateSummary(
             condition=condition,
             sample_count=len(samples),
-            flipped_samples=sum(1 for d in distances if d > 0),
-            max_flips=max(distances),
+            flipped_samples=int(np.count_nonzero(distances)),
+            max_flips=int(distances.max()),
         )
     return summaries
 
@@ -221,7 +257,14 @@ def sweep_to_csv(report: SweepReport) -> str:
     out = io.StringIO()
     out.write("condition,threshold,block_index,selected_count,max_flips,"
               "pct_samples_0_flips,pct_samples_1_flip,pct_samples_2plus_flips\n")
+    # A share is one of sample_count + 1 values, so each distinct one is
+    # formatted once; the floats are those of the pct_* properties.
+    shares = {(k, r.sample_count) for r in report.rows
+              for k in (r.samples_zero_flips, r.samples_one_flip, r.samples_multi_flips)}
+    text = {(k, n): f"{100.0 * k / n:.4f}" for k, n in shares}
     for r in report.rows:
+        n = r.sample_count
         out.write(f"{r.condition},{r.threshold},{r.block_index},{r.selected_count},"
-                  f"{r.max_flips},{r.pct_zero:.4f},{r.pct_one:.4f},{r.pct_multi:.4f}\n")
+                  f"{r.max_flips},{text[r.samples_zero_flips, n]},"
+                  f"{text[r.samples_one_flip, n]},{text[r.samples_multi_flips, n]}\n")
     return out.getvalue()

@@ -13,8 +13,9 @@ in that same order (``packed``: bit ``i`` is bit ``i % 8`` of byte ``i // 8``,
 LSB first, trailing pad bits zero), so a 120,000-bit reading holds 15,000
 bytes. ``bits`` unpacks a fresh read-only 0/1 array on every call; the
 library's own passes (stability marks, sweeps, masking, dumps) work on the
-packed bytes. Two readings are equal when their lengths and ``packed`` bytes
-are.
+packed bytes. ``BitVector`` defines no ``__eq__``, so ``==`` is identity; two
+readings hold the same bits when their lengths are equal and so are their
+``packed`` bytes.
 """
 
 from __future__ import annotations

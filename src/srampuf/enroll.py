@@ -4,10 +4,11 @@ Enrollment watches a window of cells across many power-up samples, marks each
 position stable (S) when its value never changed, and weights every stable
 position by how deep it sits inside its run of consecutive stable cells: the
 ends of a run weigh 1 and the weight grows by 1 per step toward the middle,
-i.e. ``min(offset + 1, run_length - offset)``. Runs end at window edges.
-One pass marks and weights every window at once; the lowest-index positions
-whose weight reaches a threshold form a fixed-size mask of bit positions that
-later filters raw power-up dumps into a response.
+i.e. ``min(offset + 1, run_length - offset)``. Runs end at window edges, so
+windows are marked and weighted in doubling chunks (1, 2, 4, ... windows)
+until enough positions qualify; the lowest-index positions whose weight
+reaches a threshold form a fixed-size mask of bit positions that later
+filters raw power-up dumps into a response.
 """
 
 from __future__ import annotations
@@ -185,9 +186,10 @@ def build_mask(samples: list[BitVector], threshold: int,
                device_id: str = "") -> Mask:
     """Select ``target_len`` positions from consecutive windows of the samples.
 
-    Every available window from ``base_offset`` on is marked and weighted in
-    one pass, runs ending at window edges; the lowest-index qualifying
-    positions win, and ``num_windows`` counts the windows they reach. Raises
+    Windows from ``base_offset`` on are marked and weighted in doubling
+    chunks (1, 2, 4, ... windows), runs ending at window edges, until
+    ``target_len`` positions qualify; the lowest-index qualifying positions
+    win, and ``num_windows`` counts the windows they reach. Raises
     :class:`InsufficientStableBitsError` when all available windows together
     fall short.
     """
@@ -205,10 +207,19 @@ def build_mask(samples: list[BitVector], threshold: int,
             f"past offset {base_offset}"
         )
 
-    stable = mark_stability(samples, range(base_offset, base_offset + available * window_length))
-    # Flat indices into the (window, offset) rows are positions relative to base_offset.
-    chosen = select_positions(weight_positions(stable.reshape(available, window_length)), threshold)
+    # Runs end at window edges, so each chunk stands alone. found[k]: the
+    # qualifying positions of chunk k, relative to base_offset.
+    found, scanned = [], 0
+    while scanned < available and sum(f.size for f in found) < target_len:
+        chunk = min(scanned + 1, available - scanned)     # 1, 2, 4, ... windows
+        lo = base_offset + scanned * window_length
+        stable = mark_stability(samples, range(lo, lo + chunk * window_length))
+        weights = weight_positions(stable.reshape(chunk, window_length))
+        found.append(select_positions(weights, threshold) + scanned * window_length)
+        scanned += chunk
+    chosen = np.concatenate(found)
     if chosen.size < target_len:
+        # Every window was scanned, so the counts cover them all.
         window_counts = np.bincount(chosen // window_length, minlength=available)
         raise InsufficientStableBitsError(target_len, int(chosen.size), window_counts.tolist())
     positions = chosen[:target_len]

@@ -20,6 +20,7 @@ it. There is no option to set that number.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -35,6 +36,12 @@ DEFAULT_NUM_BITS = 120_000
 _CONDITION_STREAM = {"NTNA": 1, "HTNA": 2, "NTWA": 3}
 
 
+def _check_multiplier(name: str, value: float) -> None:
+    # Written so that NaN fails too: every comparison with NaN is False.
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 1.0, got {value}")
+
+
 @dataclass(frozen=True)
 class Condition:
     """Sampling environment: normal, heated, or aged, as a flip-noise scale."""
@@ -48,8 +55,7 @@ class Condition:
                              f"expected one of {', '.join(_CONDITION_STREAM)}")
         if self.kind == "NTNA" and self.noise_multiplier != 1.0:
             raise ValueError("NTNA is the reference condition; its multiplier must be 1.0")
-        if self.noise_multiplier < 1.0:
-            raise ValueError("noise multiplier must be >= 1.0")
+        _check_multiplier("noise_multiplier", self.noise_multiplier)
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,8 @@ class Calibration:
                 raise ValueError(f"{name} must be a probability")
         if not 0.0 < self.flip_decay <= 1.0:
             raise ValueError("flip_decay must be in (0, 1]")
-        if self.htna_multiplier < 1.0 or self.ntwa_multiplier < 1.0:
-            raise ValueError("condition multipliers must be >= 1.0")
+        for name in ("htna_multiplier", "ntwa_multiplier"):
+            _check_multiplier(name, getattr(self, name))
 
     def condition(self, kind: str) -> Condition:
         # The reference kind NTNA has no multiplier field; Condition rejects unknown kinds.

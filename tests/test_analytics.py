@@ -11,7 +11,7 @@ from srampuf.analytics import (
 )
 from srampuf.bitvec import BitVector, save_dump
 from srampuf.cli import EXIT_OK, main
-from srampuf.enroll import build_mask
+from srampuf.enroll import InsufficientStableBitsError, build_mask
 from srampuf.keygen import apply_mask
 
 from _oracles import oracle_weights, random_bits
@@ -133,6 +133,18 @@ class TestFlipRateSummary:
             assert summary[condition].flipped_sample_pct <= 3.0
             assert summary[condition].max_flips <= 1
 
+    def test_refuses_what_apply_mask_refuses(self):
+        rng = np.random.default_rng(7)
+        raw = random_bits(rng, 2432)
+        mask = build_mask([raw, raw], threshold=4)
+        reference = apply_mask(raw, mask)
+        short = BitVector(raw.bits[:mask.required_dump_bits() - 1])
+        with pytest.raises(ValueError, match="dump has .* bits but the mask needs"):
+            flip_rate_summary(mask, reference, {"HTNA": [raw], "NTNA": [raw, short]})
+        narrow = build_mask([raw, raw], threshold=4, target_len=127)
+        with pytest.raises(ValueError, match="mask selects 127 positions"):
+            flip_rate_summary(narrow, reference, {"NTNA": [raw]})
+
     def test_window_flip_rate_matches_calibration(self, enrolled_device):
         rate = window_flip_rate(enrolled_device["enroll"])
         assert abs(rate - 0.249) < 0.02
@@ -144,11 +156,12 @@ class TestFlipRateSummary:
 
 
 class TestWindowEdgeReset:
-    """Runs of stable cells end at window edges: the one-pass marking and
-    weighting must match a window-by-window brute force built on the oracle."""
+    """Runs of stable cells end at window edges: marking and weighting many
+    windows at once must match a window-by-window brute force built on the
+    oracle. Seven windows fill build_mask's chunks of 1, 2 and 4 windows."""
 
     WINDOW = 96
-    WINDOWS = 4
+    WINDOWS = 7
     OFFSET = 37
 
     def make_case(self, seed):
@@ -175,6 +188,7 @@ class TestWindowEdgeReset:
     def test_build_mask_matches_per_window_oracle(self, seed):
         stable, enroll, _ = self.make_case(seed)
         weights = self.brute_weights(stable, self.OFFSET, self.WINDOWS)
+        reached = 0
         for threshold in (1, 2, 3, 4):
             per_window = [np.flatnonzero(w >= threshold) for w in weights]
             total = sum(p.size for p in per_window)
@@ -188,6 +202,19 @@ class TestWindowEdgeReset:
                                   window_length=self.WINDOW, base_offset=self.OFFSET)
                 assert np.array_equal(mask.positions, expected)
                 assert mask.num_windows == used
+                reached = max(reached, used)
+        assert reached > 3          # some mask reached into the third chunk
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_short_mask_reports_every_window(self, seed):
+        stable, enroll, _ = self.make_case(seed)
+        weights = self.brute_weights(stable, self.OFFSET, self.WINDOWS)
+        counts = [int(np.count_nonzero(w >= 2)) for w in weights]
+        with pytest.raises(InsufficientStableBitsError) as exc:
+            build_mask(enroll, 2, target_len=sum(counts) + 1,
+                       window_length=self.WINDOW, base_offset=self.OFFSET)
+        assert exc.value.window_counts == counts
+        assert exc.value.collected == sum(counts)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_threshold_sweep_matches_per_block_oracle(self, seed):

@@ -140,6 +140,22 @@ class TestThresholdSweepPacked:
         assert got == expected
         assert any(row[4] >= 2 for row in expected)      # the oracle saw multi-flip samples
 
+    def test_many_samples_and_dense_flips_match_oracle(self):
+        # 2 * 64 + 5 samples span three row chunks, the last one short; at a
+        # flip rate of 0.5 many 64-bit words hold several flipped bits.
+        rng = np.random.default_rng(11)
+        n = 3000 + 5
+        enroll = noisy_samples(rng, n, 4, 0.3)
+        base = enroll[0].bits
+        test = {kind: [BitVector(base ^ (rng.random(n) < rate)) for _ in range(133)]
+                for kind, rate in (("NTNA", 0.001), ("HOT", 0.5))}
+        thresholds = (3, 1, 2)
+        report = threshold_sweep(enroll, test, thresholds=thresholds, block_size=601)
+        got = [(r.condition, r.threshold, r.block_index, r.selected_count, r.max_flips,
+                r.samples_zero_flips, r.samples_one_flip, r.samples_multi_flips)
+               for r in report.rows]
+        assert got == oracle_threshold_sweep(enroll, test, thresholds, 601)
+
 
 class TestApplyMaskPacked:
     @pytest.mark.parametrize("base_offset", [0, 37])

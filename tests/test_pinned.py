@@ -1,7 +1,8 @@
 """Outputs of the key path that must not move when its internals change.
 
 The digests were recorded once and are frozen here: helper files and keys
-for seeded enrollments, and which double flips the extractor refuses.
+for seeded enrollments, which double flips the extractor refuses, and the
+characterization report of the shared 300-sample device.
 """
 
 import dataclasses
@@ -11,11 +12,18 @@ import itertools
 import numpy as np
 import pytest
 
+from srampuf.analytics import (
+    block_reports_to_csv,
+    block_stability,
+    flip_rate_summary,
+    sweep_to_csv,
+    window_flip_rate,
+)
 from srampuf.bitvec import BitVector
 from srampuf.cli import EXIT_OK, EXIT_USAGE, main
 from srampuf.enroll import Mask, build_mask, load_mask, save_mask
 from srampuf.fuzzy import ReproduceFailure, helper_from_text, helper_to_text
-from srampuf.keygen import generate_key, reproduce_key
+from srampuf.keygen import apply_mask, generate_key, reproduce_key
 from srampuf.registry import file_sha256, load_registry, save_registry
 from srampuf.simulate import Calibration, collect_samples, new_device
 
@@ -32,6 +40,16 @@ PINNED_HELPERS = {
 
 # SHA-256 of the refused pairs "j,k\n" in ascending order, j < k
 REFUSED_PAIRS_SHA256 = "3e74365dc4f35904114b3393a5c1d3c8da5185c76f11b7323a011e3d5d424321"
+
+# SHA-256 of each characterization output for the shared enrolled device
+# (device 7; 300 NTNA enrollment samples and 300 test samples per condition)
+PINNED_REPORT = {
+    "stability_csv": "6505473eeda99a6a0ec3b44f94e7eefa4aa2b4a19bad0b906dd85db3475cad0f",
+    "sweep_csv": "eac4aa3cdf559363560ab3a3e72977a8b6c5873af8315850b3d0a4ba60fff8a6",
+    "mask": "de46d7f31609a447b3f27e934faeef6bb7743f6875f005aa91a25d691015abe9",
+    "summary": "f11a9d066fbe39036dbc42b454da06cf93d235458c5c8f3f89e07e7f95c5b47d",
+    "flip_rate": "99aa8d28ced5af83fdac0a58152b2a47a403a04d85e00973d1e72349820c38fd",
+}
 
 ZERO_HELPER = (
     "format = srampuf-helper-v1\n"
@@ -58,6 +76,23 @@ def test_seeded_helper_and_key_pinned(device_seed):
     helper, key = generate_key(samples[0], mask, device_seed)
     text_sha = hashlib.sha256(helper_to_text(helper).encode("ascii")).hexdigest()
     assert (text_sha, key.hex()) == PINNED_HELPERS[device_seed]
+
+
+def test_characterization_report_pinned(enrolled_device, default_sweep):
+    samples, test = enrolled_device["enroll"], enrolled_device["test"]
+    mask = build_mask(samples, 4, device_id=enrolled_device["device"].device_id)
+    summary = flip_rate_summary(mask, apply_mask(samples[0], mask), test)
+    outputs = {
+        "stability_csv": block_reports_to_csv(block_stability(samples)),
+        "sweep_csv": sweep_to_csv(default_sweep),
+        "mask": ",".join(map(str, mask.positions.tolist())),
+        "summary": repr(sorted((c, s.sample_count, s.flipped_samples, s.max_flips)
+                               for c, s in summary.items())),
+        "flip_rate": repr(window_flip_rate(samples)),
+    }
+    digests = {name: hashlib.sha256(text.encode("ascii")).hexdigest()
+               for name, text in outputs.items()}
+    assert digests == PINNED_REPORT
 
 
 def test_refused_double_flips_pinned():

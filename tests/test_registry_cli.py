@@ -186,6 +186,14 @@ class TestCliSimulate:
             [load_dump(out / name).bits for name in names],
             [s.bits for s in collect_samples(device, cal.condition("HTNA"), 3, seed0=40)])
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_multiplier_refused(self, tmp_path, capsys, value):
+        assert main(["simulate", "--out-dir", str(tmp_path / "hot"), "--device-seed", "1",
+                     "-n", "1", "--num-bits", "2432", "--condition", "HTNA",
+                     "--set", f"htna_multiplier={value}"]) == EXIT_USAGE
+        assert "htna_multiplier must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "hot").exists()
+
     def test_unknown_condition_names_the_kinds(self, tmp_path, capsys):
         assert main(["simulate", "--out-dir", str(tmp_path / "hot"), "--device-seed", "1",
                      "-n", "1", "--num-bits", "2432", "--condition", "HOT"]) == EXIT_USAGE

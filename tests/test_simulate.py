@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -187,6 +188,11 @@ class TestConditions:
         with pytest.raises(ValueError):
             Condition("HTNA", 0.9)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_multiplier_refused(self, value):
+        with pytest.raises(ValueError, match="noise_multiplier must be finite"):
+            Condition("HTNA", value)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown condition"):
             Condition("HOT", 1.5)
@@ -239,6 +245,14 @@ class TestCalibrationFile:
             "htna_multiplier = 1.33\n"
             "ntwa_multiplier = 1.67\n"
         )
+
+    @pytest.mark.parametrize("key", ["htna_multiplier", "ntwa_multiplier"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_multiplier_refused(self, key, value):
+        # A NaN multiplier would make every draw compare False; inf with a
+        # zero edge probability would make NaN cell probabilities.
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            parse_calibration(f"{key} = {value}\nflip_prob_edge = 0\n")
 
     def test_validation(self):
         with pytest.raises(ValueError):
