@@ -1,12 +1,15 @@
-"""The Hamming code-offset fuzzy extractor.
+"""The SEC-DED code-offset fuzzy extractor.
 ===========================================
 
 A masked response is stable to within one bit, but "within one bit" is not
 good enough for a hash input. The fix: XOR the response against a random
-codeword of a single-error-correcting code and publish only that offset.
-Anyone holding the offset and a fresh response can cancel a one-bit error;
-the offset alone reveals at most the code's 8 redundancy bits.
+codeword of a single-error-correcting, double-error-detecting code and
+publish only that offset. Anyone holding the offset and a fresh response can
+cancel a one-bit error, and a two-bit error is always refused; the offset
+alone reveals at most the code's 8 redundancy bits.
 """
+
+import itertools
 
 import numpy as np
 
@@ -27,7 +30,7 @@ def with_flips(word: bytes, positions) -> bytes:
 
 
 rng = np.random.default_rng(2026)
-print(f"code: n={N}, k={K}, r={R} (shortened binary Hamming)")
+print(f"code: n={N}, k={K}, r={R} (Hsiao SEC-DED: every column code has odd weight)")
 
 # Encoding appends a parity byte (parity bit b at index 120 + b); any codeword
 # has syndrome 0.
@@ -41,16 +44,21 @@ print(f"flip bit 57 -> syndrome {syndrome(flipped)} "
       f"(column code of position 57 is {COLUMN_CODES[57]})")
 print(f"corrected back? {correct(flipped) == codeword}")
 
-# Two flips either hit an impossible syndrome (detected) or miscorrect to a
-# DIFFERENT codeword; a distance-3 code cannot tell those apart.
-double = with_flips(codeword, [119, 127])
-try:
-    correct(double)
-except ReproduceFailure:
-    print(f"flip bits 119+127 -> syndrome {syndrome(double)}: detected as uncorrectable")
-miscorrected = correct(with_flips(codeword, [0, 1]))
-print(f"flip bits 0+1 -> silently miscorrected to a different codeword: "
-      f"{miscorrected != codeword}")
+# Two flips XOR two odd-weight columns into an even-weight syndrome, which is
+# no column code, so every one of the 8,128 double flips is detected.
+detected = 0
+for j, k in itertools.combinations(range(N), 2):
+    try:
+        correct(with_flips(codeword, [j, k]))
+    except ReproduceFailure:
+        detected += 1
+print(f"double flips detected as uncorrectable: {detected}/{N * (N - 1) // 2}")
+
+# Three flips can land on a column code: bits 0, 1 and 2 carry codes 7, 11 and
+# 13, whose XOR is 1, the code of parity bit 120. Distance 4 cannot catch that.
+triple = with_flips(codeword, [0, 1, 2])
+print(f"flip bits 0+1+2 -> syndrome {syndrome(triple)}, silently miscorrected to "
+      f"a different codeword: {correct(triple) != codeword}")
 
 # The extractor. Enrollment: commit a random codeword against the response.
 response = random_word(rng, N)
@@ -63,7 +71,8 @@ print(f"\nhelper data (public, {len(helper.code_offset) * 8} bits): "
 recovered = sum(reproduce(with_flips(response, [j]), helper) == response for j in range(N))
 print(f"single-bit flips recovered exactly: {recovered}/128")
 
-# Beyond one flip the extractor refuses (or the key check downstream fails).
+# Two flips are always refused; beyond that the key check downstream is the
+# last guard.
 survived = 0
 for _ in range(500):
     j, k = rng.choice(128, size=2, replace=False)

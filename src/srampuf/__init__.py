@@ -2,13 +2,12 @@
 
 Simulates noisy SRAM power-up behavior, enrolls devices by selecting highly
 stable bit positions, and turns masked responses into stable 256-bit keys
-through a Hamming code-offset fuzzy extractor and SHA-256.
+through a SEC-DED code-offset fuzzy extractor and SHA-256.
 """
 
 from .analytics import (
     BlockReport,
     FlipRateSummary,
-    SweepReport,
     SweepRow,
     block_stability,
     flip_rate_summary,

@@ -1,15 +1,15 @@
 """Evaluation reports: block stability, threshold sweeps, flip-rate summaries.
 
-All reports are plain dataclass rows with CSV emitters; plotting stays out of
-tree. Row order is deterministic (condition, then threshold, then block) so
-reports diff cleanly. Each report marks stability once over all of its blocks
-and reads per-block figures off that one map.
+All reports are plain immutable rows (``NamedTuple``) with CSV emitters;
+plotting stays out of tree. Row order is deterministic (condition, then
+threshold, then block) so reports diff cleanly. Each report marks stability
+once over all of its blocks and reads per-block figures off that one map.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .keygen import apply_mask
 DEFAULT_THRESHOLDS = (1, 2, 3, 4, 5)
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     block_index: int
     stable_count: int
     unstable_count: int
@@ -59,8 +58,7 @@ def block_stability(samples: list[BitVector],
             for b, c in enumerate(counts)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Flip behavior of one block's selected positions under one condition."""
 
     condition: str
@@ -72,32 +70,6 @@ class SweepRow:
     samples_zero_flips: int
     samples_one_flip: int
     samples_multi_flips: int
-
-    @property
-    def pct_zero(self) -> float:
-        return 100.0 * self.samples_zero_flips / self.sample_count
-
-    @property
-    def pct_one(self) -> float:
-        return 100.0 * self.samples_one_flip / self.sample_count
-
-    @property
-    def pct_multi(self) -> float:
-        return 100.0 * self.samples_multi_flips / self.sample_count
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: list[SweepRow]
-
-    def max_flips(self, threshold: int, condition: str | None = None) -> int:
-        rows = [r for r in self.rows
-                if r.threshold == threshold and (condition is None or r.condition == condition)]
-        return max((r.max_flips for r in rows), default=0)
-
-    def mean_selected(self, threshold: int) -> float:
-        counts = {r.block_index: r.selected_count for r in self.rows if r.threshold == threshold}
-        return float(np.mean(list(counts.values()))) if counts else 0.0
 
 
 # Rows per chunk: 64 rows of a 120,000-bit reading, about 1 MB, stay in cache
@@ -137,7 +109,7 @@ def _flipped_bits(samples: list[BitVector], reference: np.ndarray,
 def threshold_sweep(enroll_samples: list[BitVector],
                     test_samples: dict[str, list[BitVector]],
                     thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS,
-                    block_size: int = DEFAULT_WINDOW_LENGTH) -> SweepReport:
+                    block_size: int = DEFAULT_WINDOW_LENGTH) -> list[SweepRow]:
     """Per block and threshold: how many positions qualify, and how the
     selected bits flip across each condition's test samples.
 
@@ -187,21 +159,16 @@ def threshold_sweep(enroll_samples: list[BitVector],
             rows += [SweepRow(condition, t, b, count, most, len(samples),
                               len(samples) - single - many, single, many)
                      for b, (count, most, single, many) in enumerate(columns)]
-    return SweepReport(rows=rows)
+    return rows
 
 
-@dataclass(frozen=True)
-class FlipRateSummary:
+class FlipRateSummary(NamedTuple):
     """How often a condition's masked responses strayed from the reference."""
 
     condition: str
     sample_count: int
     flipped_samples: int
     max_flips: int
-
-    @property
-    def flipped_sample_pct(self) -> float:
-        return 100.0 * self.flipped_samples / self.sample_count
 
 
 def flip_rate_summary(mask: Mask, reference_response: bytes,
@@ -253,18 +220,15 @@ def block_reports_to_csv(reports: list[BlockReport]) -> str:
     return out.getvalue()
 
 
-def sweep_to_csv(report: SweepReport) -> str:
+def sweep_to_csv(rows: list[SweepRow]) -> str:
     out = io.StringIO()
     out.write("condition,threshold,block_index,selected_count,max_flips,"
               "pct_samples_0_flips,pct_samples_1_flip,pct_samples_2plus_flips\n")
     # A share is one of sample_count + 1 values, so each distinct one is
-    # formatted once; the floats are those of the pct_* properties.
-    shares = {(k, r.sample_count) for r in report.rows
-              for k in (r.samples_zero_flips, r.samples_one_flip, r.samples_multi_flips)}
+    # formatted once. Rows are unpacked, which is quicker than reading fields.
+    shares = {(k, n) for *_, n, zero, one, multi in rows for k in (zero, one, multi)}
     text = {(k, n): f"{100.0 * k / n:.4f}" for k, n in shares}
-    for r in report.rows:
-        n = r.sample_count
-        out.write(f"{r.condition},{r.threshold},{r.block_index},{r.selected_count},"
-                  f"{r.max_flips},{text[r.samples_zero_flips, n]},"
-                  f"{text[r.samples_one_flip, n]},{text[r.samples_multi_flips, n]}\n")
+    for condition, threshold, block, selected, most, n, zero, one, multi in rows:
+        out.write(f"{condition},{threshold},{block},{selected},{most},"
+                  f"{text[zero, n]},{text[one, n]},{text[multi, n]}\n")
     return out.getvalue()

@@ -198,9 +198,9 @@ def cmd_sweep(args) -> int:
             _fail(f"--test-dumps expects CONDITION=DIR, got {item!r}")
         test_samples[condition] = _load_dumps(directory, minimum=1)
     thresholds = tuple(int(t) for t in args.thresholds.split(","))
-    report = analytics.threshold_sweep(enroll_samples, test_samples,
-                                       thresholds=thresholds, block_size=args.block_size)
-    _write_csv(analytics.sweep_to_csv(report), args.out)
+    rows = analytics.threshold_sweep(enroll_samples, test_samples,
+                                     thresholds=thresholds, block_size=args.block_size)
+    _write_csv(analytics.sweep_to_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srampuf",
         description="SRAM power-up PUF toolkit: simulate devices, enroll stable-bit "
-                    "masks, and generate/reproduce keys via a Hamming code-offset "
+                    "masks, and generate/reproduce keys via a SEC-DED code-offset "
                     "fuzzy extractor.",
         epilog="exit codes: 0 ok, 2 usage/input error, 3 reproduce failure, "
                "4 debug key-hash mismatch, 5 insufficient stable bits",

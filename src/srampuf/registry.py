@@ -19,7 +19,7 @@ import fcntl
 import hashlib
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
 from ._kv import TextFormatError, atomic_write_text, format_kv_block, parse_kv_block, require_keys
@@ -28,9 +28,6 @@ REGISTRY_FORMAT = "srampuf-registry-v2"
 # v1 entries also repeated five of the mask's enrollment parameters; they are
 # read past, since the fingerprinted mask file holds them.
 _READABLE_FORMATS = (REGISTRY_FORMAT, "srampuf-registry-v1")
-
-_REQUIRED_ENTRY_KEYS = ["device_id", "mask_file", "mask_sha256", "created"]
-_OPTIONAL_ENTRY_KEYS = ["helper_file", "helper_sha256", "key_sha256"]
 
 
 class RegistryError(Exception):
@@ -48,7 +45,11 @@ def utc_timestamp() -> str:
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """One enrolled device and the files that reproduce its key."""
+    """One enrolled device and the files that reproduce its key.
+
+    The fields are the entry's keys, in file order: those without a default
+    are required, and the rest are written only when non-empty.
+    """
 
     device_id: str
     mask_file: str
@@ -59,17 +60,14 @@ class RegistryEntry:
     key_sha256: str = ""      # debug only, opt-in
 
     def to_pairs(self) -> list[tuple[str, str]]:
-        pairs = [
-            ("device_id", self.device_id),
-            ("mask_file", self.mask_file),
-            ("mask_sha256", self.mask_sha256),
-            ("created", self.created),
-        ]
-        for key in _OPTIONAL_ENTRY_KEYS:
-            value = getattr(self, key)
-            if value:
-                pairs.append((key, value))
-        return pairs
+        # vars() holds the fields in declaration order, the order __init__ sets them in
+        return [(key, value) for key, value in vars(self).items() if value or _ENTRY_KEYS[key]]
+
+
+# RegistryEntry's keys in file order, each mapped to whether every entry
+# must hold it
+_ENTRY_KEYS = {f.name: f.default is MISSING for f in fields(RegistryEntry)}
+_REQUIRED_ENTRY_KEYS = [key for key, required in _ENTRY_KEYS.items() if required]
 
 
 @dataclass
@@ -111,22 +109,15 @@ def registry_from_text(text: str) -> Registry:
         raise TextFormatError(f"registry: unsupported format {header.get('format')!r}")
     registry = Registry()
     for block in blocks[1:]:
-        fields = parse_kv_block(block, what="registry entry")
-        require_keys(fields, _REQUIRED_ENTRY_KEYS, what="registry entry")
+        values = parse_kv_block(block, what="registry entry")
+        require_keys(values, _REQUIRED_ENTRY_KEYS, what="registry entry")
         for key in ("mask_file", "helper_file"):  # names of files next to the registry
-            name = fields.get(key)
+            name = values.get(key)
             if name is not None and (name in ("", ".", "..") or "/" in name or "\\" in name):
                 raise TextFormatError(f"registry entry: key {key!r} must be a bare file name: {name!r}")
-        entry = RegistryEntry(
-            device_id=fields["device_id"],
-            mask_file=fields["mask_file"],
-            mask_sha256=fields["mask_sha256"],
-            created=fields["created"],
-            helper_file=fields.get("helper_file", ""),
-            helper_sha256=fields.get("helper_sha256", ""),
-            key_sha256=fields.get("key_sha256", ""),
-        )
-        registry.add(entry)
+        # "" fills only optional keys, as the required ones are present; keys
+        # that are no field, such as a v1 entry's mask parameters, are read past
+        registry.add(RegistryEntry(*[values.get(key, "") for key in _ENTRY_KEYS]))
     return registry
 
 

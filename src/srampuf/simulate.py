@@ -248,17 +248,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_packed(prob_one: np.ndarray, key: list[int], sample_seeds) -> list[np.ndarray]:
-    """Packed bytes of one reading per sample seed, drawn into buffers of its
-    own. It calls only numpy, so it is safe on a worker thread."""
-    draws = np.empty(prob_one.size)
-    ones = np.empty(prob_one.size, dtype=bool)
-    rows = []
-    for s in sample_seeds:
+def _draw_packed(prob_one: np.ndarray, key: list[int], sample_seeds,
+                 draws: np.ndarray, ones: np.ndarray, rows: list[np.ndarray]) -> None:
+    """Write the packed bytes of the reading for ``sample_seeds[k]`` into
+    ``rows[k]``, drawing through the scratch buffers ``draws`` and ``ones``.
+    It calls only numpy, so it is safe on a worker thread."""
+    for s, row in zip(sample_seeds, rows):
         np.random.default_rng(key + [s]).random(out=draws)
         np.less(draws, prob_one, out=ones)
-        rows.append(np.packbits(ones, bitorder="little"))
-    return rows
+        row[:] = np.packbits(ones, bitorder="little")
 
 
 def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> list[BitVector]:
@@ -268,19 +266,24 @@ def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> list[B
     chunk is drawn on a thread of its own; a single chunk is drawn inline and
     starts no thread. Each reading is still a pure function of (device,
     condition, sample seed), so the bytes do not depend on the worker count.
+    Every row and scratch buffer is allocated here, on the calling thread, so
+    none of them lands in a worker thread's own malloc arena.
     """
     prob_one = device.prob_one(condition)
     key = [device.seed & 0xFFFFFFFF, _CONDITION_STREAM[condition.kind]]
     n = len(sample_seeds)
     workers = min(_usable_cpus(), n)
+    rows = [np.empty(-(-prob_one.size // 8), dtype=np.uint8) for _ in range(n)]
+    bounds = [n * w // workers for w in range(workers + 1)]
+    jobs = [(prob_one, key, sample_seeds[lo:hi], np.empty(prob_one.size),
+             np.empty(prob_one.size, dtype=bool), rows[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
-        rows = _draw_packed(prob_one, key, sample_seeds)
+        _draw_packed(*jobs[0])
     else:
-        bounds = [n * w // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = [pool.submit(_draw_packed, prob_one, key, sample_seeds[lo:hi])
-                      for lo, hi in zip(bounds, bounds[1:])]
-            rows = [row for chunk in chunks for row in chunk.result()]
+            for done in [pool.submit(_draw_packed, *job) for job in jobs]:
+                done.result()
     return [BitVector.from_packed(row, prob_one.size) for row in rows]
 
 

@@ -105,7 +105,9 @@ def test_criterion_4_threshold_monotonicity(default_sweep):
             weights = weight_positions(stable)
             counts = [select_positions(weights, t).size for t in range(1, 9)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
-        means = [default_sweep.mean_selected(t) for t in (1, 2, 3, 4, 5)]
+        # each condition repeats every block's selected count
+        means = [np.mean([r.selected_count for r in default_sweep if r.threshold == t])
+                 for t in (1, 2, 3, 4, 5)]
         assert all(a > b for a, b in zip(means, means[1:])), means
         c.note("1000 random maps non-increasing; device block means "
                + " > ".join(f"{m:.1f}" for m in means))

@@ -71,10 +71,14 @@ class TestHammingCode:
     def test_column_codes_distinct_and_in_range(self):
         codes = COLUMN_CODES
         assert len(set(codes.tolist())) == 128
-        assert codes.min() == 1 and codes.max() == 128
+        assert codes.min() == 1 and codes.max() <= 255
+        # odd weight everywhere, so no double flip's syndrome is a column code
+        assert all(bin(c).count("1") % 2 for c in codes.tolist())
         # parity bit b is bit 120 + b, in byte 15, with column code 2**b
         assert codes[120:].tolist() == [1 << b for b in range(8)]
         assert not codes.flags.writeable
+        # v1 helpers keep the shortened Hamming code: 1..128 in some order
+        assert sorted(fuzzy.COLUMNS["hamming-128-120"].tolist()) == list(range(1, 129))
 
 
 class TestCorrection:
@@ -236,6 +240,15 @@ class TestHelperFile:
                       for line in lines)
         with pytest.raises(TextFormatError, match=f"'{key}'"):
             helper_from_text(bad)
+
+    def test_each_format_names_one_code(self):
+        text = helper_to_text(generate(bytes(16), 5))
+        assert text.startswith("format = srampuf-helper-v2\n")
+        assert "code = hsiao-128-120\n" in text
+        with pytest.raises(TextFormatError, match="'code' must be 'hamming-128-120'"):
+            helper_from_text(text.replace("srampuf-helper-v2", "srampuf-helper-v1"))
+        with pytest.raises(ValueError, match="unknown code"):
+            HelperData(code_offset=bytes(16), code="bch-255")
 
     def test_rejects_missing_key(self):
         with pytest.raises(TextFormatError, match="missing keys"):

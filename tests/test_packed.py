@@ -135,7 +135,7 @@ class TestThresholdSweepPacked:
         report = threshold_sweep(enroll, test, thresholds=thresholds, block_size=block_size)
         got = [(r.condition, r.threshold, r.block_index, r.selected_count, r.max_flips,
                 r.samples_zero_flips, r.samples_one_flip, r.samples_multi_flips)
-               for r in report.rows]
+               for r in report]
         expected = oracle_threshold_sweep(enroll, test, thresholds, block_size)
         assert got == expected
         assert any(row[4] >= 2 for row in expected)      # the oracle saw multi-flip samples
@@ -153,7 +153,7 @@ class TestThresholdSweepPacked:
         report = threshold_sweep(enroll, test, thresholds=thresholds, block_size=601)
         got = [(r.condition, r.threshold, r.block_index, r.selected_count, r.max_flips,
                 r.samples_zero_flips, r.samples_one_flip, r.samples_multi_flips)
-               for r in report.rows]
+               for r in report]
         assert got == oracle_threshold_sweep(enroll, test, thresholds, 601)
 
 

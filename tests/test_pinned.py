@@ -1,8 +1,9 @@
 """Outputs of the key path that must not move when its internals change.
 
 The digests were recorded once and are frozen here: helper files and keys
-for seeded enrollments, which double flips the extractor refuses, and the
-characterization report of the shared 300-sample device.
+for seeded enrollments, a v1 helper that must still reproduce its key, which
+double flips each code refuses, and the characterization report of the
+shared 300-sample device.
 """
 
 import dataclasses
@@ -27,18 +28,32 @@ from srampuf.keygen import apply_mask, generate_key, reproduce_key
 from srampuf.registry import file_sha256, load_registry, save_registry
 from srampuf.simulate import Calibration, collect_samples, new_device
 
-# device seed -> (SHA-256 of the helper text, key hex); 4864 bits, 40 NTNA
-# samples, threshold 4, codeword seed = device seed
+# device seed -> (SHA-256 of the v2 helper text, key hex); 4864 bits, 40
+# NTNA samples, threshold 4, codeword seed = device seed. A key is the
+# SHA-256 of the masked response, so it does not depend on the helper's code.
 PINNED_HELPERS = {
-    7: ("5cc5849aa8aa2ea5e85617bc1d9ff37ebae04f65b6280437c1f319dc6de06450",
+    7: ("426728e7c062f2a80c9f03d78ed2a3eaa86863a748e7c12a014826f4c23e2924",
         "2067a9af60e93b02a9dc5291f2b16055e3d7be6075c27d2ea178f935203d68ce"),
-    101: ("66053212af5e4e6ad297f55d9d4b3729e8baf1817cd0b712b43cb793cecc3a98",
+    101: ("082f95ec6e1a592f6bbae0425c39fc400816fd350d8dd99f5848e11ab3d02795",
           "44c1355dd5513675ec27542168ac69192b212c6fab31106954150efc29abcb28"),
-    3: ("515989df957b33254b0319ad7009c385796d886423d70dde9535db546c533270",
+    3: ("d7525912bb07d015b151c3fefd8fee4bb2195afde0959eb63315d516bb4db7e8",
         "4d13ce4608376e9c5cf011975b3437fab451e970dac1922c04f59a4201d954b8"),
 }
 
-# SHA-256 of the refused pairs "j,k\n" in ascending order, j < k
+# The v1 helper written for device 7 above, before helpers moved to v2
+V1_HELPER_DEVICE_7 = (
+    "format = srampuf-helper-v1\n"
+    "device_id = device-7\n"
+    "code = hamming-128-120\n"
+    "n = 128\n"
+    "k = 120\n"
+    "r = 8\n"
+    "mask_sha256 = b32e68ec2cfeb78a35d543651f6e0e6f14f130465fdcc0fb19b1ddf9d002a1db\n"
+    "code_offset = 785E5E6BFE5B0759502E690390098355\n"
+)
+
+# SHA-256 of the pairs "j,k\n", in ascending order with j < k, that the v1
+# code refuses
 REFUSED_PAIRS_SHA256 = "3e74365dc4f35904114b3393a5c1d3c8da5185c76f11b7323a011e3d5d424321"
 
 # SHA-256 of each characterization output for the shared enrolled device
@@ -61,21 +76,39 @@ ZERO_HELPER = (
     "mask_sha256 = \n"
     "code_offset = 00000000000000000000000000000000\n"
 )
+ZERO_HELPER_V2 = (ZERO_HELPER.replace("srampuf-helper-v1", "srampuf-helper-v2")
+                  .replace("hamming-128-120", "hsiao-128-120"))
 
 
 def identity_mask(length=128):
     return Mask(device_id="", positions=np.arange(length), threshold=1, sample_count=2)
 
 
-@pytest.mark.parametrize("device_seed", sorted(PINNED_HELPERS))
-def test_seeded_helper_and_key_pinned(device_seed):
+def seeded_enrollment(device_seed):
     cal = Calibration()
     device = new_device(device_seed, num_bits=4864, calibration=cal)
     samples = collect_samples(device, cal.condition("NTNA"), 40)
-    mask = build_mask(samples, 4, device_id=device.device_id)
+    return samples, build_mask(samples, 4, device_id=device.device_id)
+
+
+@pytest.mark.parametrize("device_seed", sorted(PINNED_HELPERS))
+def test_seeded_helper_and_key_pinned(device_seed):
+    samples, mask = seeded_enrollment(device_seed)
     helper, key = generate_key(samples[0], mask, device_seed)
     text_sha = hashlib.sha256(helper_to_text(helper).encode("ascii")).hexdigest()
     assert (text_sha, key.hex()) == PINNED_HELPERS[device_seed]
+
+
+def test_seeded_v1_helper_reproduces_pinned_key():
+    samples, mask = seeded_enrollment(7)
+    helper = helper_from_text(V1_HELPER_DEVICE_7)
+    assert helper_to_text(helper) == V1_HELPER_DEVICE_7
+    key = PINNED_HELPERS[7][1]
+    assert reproduce_key(samples[0], mask, helper).hex() == key
+    # every single flip of the masked response is still corrected
+    positions = mask.base_offset + mask.positions
+    assert all(reproduce_key(samples[0].with_flips([p]), mask, helper).hex() == key
+               for p in positions.tolist())
 
 
 def test_characterization_report_pinned(enrolled_device, default_sweep):
@@ -111,6 +144,22 @@ def test_refused_double_flips_pinned():
     assert len(refused) == 127
     assert other == 8128 - 127
     assert hashlib.sha256("".join(refused).encode("ascii")).hexdigest() == REFUSED_PAIRS_SHA256
+
+
+def test_every_double_flip_refused_v2():
+    # The v2 twin of the pin above: the same all-zero helper under the code
+    # every new helper uses refuses all 8,128 double flips.
+    helper = helper_from_text(ZERO_HELPER_V2)
+    mask = identity_mask()
+    zero = BitVector(np.zeros(128, dtype=np.uint8))
+    enrolled = reproduce_key(zero, mask, helper).digest
+    refused, wrong = 0, 0
+    for j, k in itertools.combinations(range(128), 2):
+        try:
+            wrong += reproduce_key(zero.with_flips([j, k]), mask, helper).digest != enrolled
+        except ReproduceFailure:
+            refused += 1
+    assert (refused, wrong) == (8128, 0)
 
 
 def test_127_position_mask_refused(tmp_path):

@@ -353,8 +353,8 @@ class TestCliKeyFlow:
         assert "key hash matches" in capsys.readouterr().out
 
     def test_double_flip_uncorrectable_pair(self, enrolled):
-        # response bits 119 and 127 carry column codes 127 and 128; flipping
-        # both gives syndrome 255, which correction must refuse
+        # response bits 119 and 127 carry column codes 254 and 128; flipping
+        # both gives syndrome 126, which correction must refuse
         mask = load_mask(enrolled / "dev-a.mask")
         targets = [int(mask.base_offset + mask.positions[j]) for j in (119, 127)]
         flipped = enrolled / "flip2a.hex"
@@ -362,13 +362,14 @@ class TestCliKeyFlow:
               "--out", str(flipped), "--positions", ",".join(map(str, targets))])
         assert main(reproduce_args(enrolled, flipped)) == EXIT_REPRODUCE_FAILURE
 
-    def test_double_flip_miscorrecting_pair_caught_by_key_hash(self, enrolled, capsys):
-        # response bits 0 and 1 carry column codes 3 and 5; the syndrome lands
-        # on code 6 and correction silently returns a different codeword, so
-        # only the debug key hash can flag the wrong key
+    def test_triple_flip_miscorrection_caught_by_key_hash(self, enrolled, capsys):
+        # every double flip is refused, but response bits 0, 1 and 2 carry
+        # column codes 7, 11 and 13; the syndrome lands on code 1 (parity bit
+        # 120) and correction silently returns a different codeword, so only
+        # the debug key hash can flag the wrong key
         mask = load_mask(enrolled / "dev-a.mask")
-        targets = [int(mask.base_offset + mask.positions[j]) for j in (0, 1)]
-        flipped = enrolled / "flip2b.hex"
+        targets = [int(mask.base_offset + mask.positions[j]) for j in (0, 1, 2)]
+        flipped = enrolled / "flip3.hex"
         main(["flip", "--dump", str(enrolled / "dumps" / "sample-00000.hex"),
               "--out", str(flipped), "--positions", ",".join(map(str, targets))])
         capsys.readouterr()
