@@ -15,10 +15,11 @@ class TextFormatError(ValueError):
     """A structured text file does not match its expected format."""
 
 
-def parse_kv_block(text: str, *, what: str = "file") -> dict[str, str]:
-    """Parse ``key = value`` lines into a dict. Blank lines and ``#`` comments skipped."""
+def parse_kv_block(text: str, *, what: str = "file", first_line: int = 1) -> dict[str, str]:
+    """Parse ``key = value`` lines into a dict. Blank lines and ``#`` comments
+    skipped; errors number ``text``'s first line ``first_line``."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

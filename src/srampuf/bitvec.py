@@ -97,6 +97,31 @@ def parse_hex_dump(text: str, *, what: str = "dump") -> BitVector:
     ignored; anything else that is not exactly 8 hex digits raises
     :class:`~srampuf._kv.TextFormatError` naming ``what`` and the line.
     """
+    packed = _writer_form(text)
+    if packed is None:
+        packed = _parse_lines(text, what)
+    # Each line is a big-endian word; in little-endian byte order its bytes are
+    # the packed form, LSB first per word.
+    words = np.frombuffer(packed, dtype=">u4").astype("<u4")
+    return BitVector.from_packed(words.view(np.uint8), WORD_BITS * words.size)
+
+
+def _writer_form(text: str) -> bytes | None:
+    """The word bytes of ``text`` if every line is exactly 8 hex digits and a
+    ``\\n``, as :func:`format_hex_dump` writes it, else None; never raises."""
+    lines, rest = divmod(len(text), _WORD_HEX_DIGITS + 1)
+    if rest or text[_WORD_HEX_DIGITS::_WORD_HEX_DIGITS + 1] != "\n" * lines:
+        return None
+    try:
+        packed = bytes.fromhex(text)
+    except ValueError:
+        return None
+    # fromhex skips whitespace, so 4 bytes a line leave no room for any but the newlines
+    return packed if len(packed) == 4 * lines else None
+
+
+def _parse_lines(text: str, what: str) -> bytes:
+    """The word bytes of any dump ``text``; raises naming the first bad line."""
     lines = [line for raw in text.splitlines() if (line := raw.strip())]
     try:
         packed = bytes.fromhex("".join(lines))
@@ -105,10 +130,7 @@ def parse_hex_dump(text: str, *, what: str = "dump") -> BitVector:
     # All lines 8 digits long and 4 bytes each: no line held a non-hex character or space.
     if len(packed) != 4 * len(lines) or any(len(line) != _WORD_HEX_DIGITS for line in lines):
         raise _malformed_line(text, what)
-    # Each line is a big-endian word; in little-endian byte order its bytes are
-    # the packed form, LSB first per word.
-    words = np.frombuffer(packed, dtype=">u4").astype("<u4")
-    return BitVector.from_packed(words.view(np.uint8), WORD_BITS * words.size)
+    return packed
 
 
 def _malformed_line(text: str, what: str) -> TextFormatError:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
@@ -101,24 +102,88 @@ def registry_to_text(registry: Registry) -> str:
 
 
 def registry_from_text(text: str) -> Registry:
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    if not blocks:
+    registry = _writer_form(text)
+    return _parse_registry(text) if registry is None else registry
+
+
+_HEADER = f"format = {REGISTRY_FORMAT}\n"
+_VALUE = "([!-~](?:[ -~]*[!-~])?)"        # printable ASCII without surrounding spaces
+# One entry exactly as registry_to_text writes it: a blank line, then its keys
+# in field order, the optional ones only when set.
+_ENTRY_RE = re.compile("\n" + "".join(
+    f"{key} = {_VALUE}\n" if required else f"(?:{key} = {_VALUE}\n)?"
+    for key, required in _ENTRY_KEYS.items()))
+
+
+def _bare_name(name: str) -> bool:
+    """Whether ``name`` names a file in the registry's own directory."""
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
+def _writer_form(text: str) -> Registry | None:
+    """The registry ``text`` holds if it is exactly in the writer's form, else None.
+
+    Never raises: any other text goes to :func:`_parse_registry`, which reads
+    every accepted form and names the line of any fault."""
+    if not text.startswith(_HEADER):
+        return None
+    pos = len(_HEADER)
+    entries = []
+    for match in _ENTRY_RE.finditer(text, pos):
+        if match.start() != pos:
+            return None
+        pos = match.end()
+        entry = RegistryEntry(*match.groups(""))
+        if not _bare_name(entry.mask_file) or entry.helper_file and not _bare_name(entry.helper_file):
+            return None
+        entries.append(entry)
+    by_id = {entry.device_id: entry for entry in entries}
+    if pos != len(text) or len(by_id) != len(entries):
+        return None
+    return Registry(by_id)
+
+
+def _blocks(text: str):
+    """Yield each block of ``text`` as its first line's number and its lines.
+
+    Blocks are split at empty lines, whatever the line ends; a block of only
+    blank lines is skipped."""
+    lines = text.splitlines()
+    start = 0
+    for i, line in enumerate([*lines, ""]):
+        if not line:
+            if any(map(str.strip, lines[start:i])):
+                yield start + 1, lines[start:i]
+            start = i + 1
+
+
+def _parse_registry(text: str) -> Registry:
+    blocks = _blocks(text)
+    first_line, lines = next(blocks, (0, None))
+    if lines is None:
         raise TextFormatError("registry: empty file")
-    header = parse_kv_block(blocks[0], what="registry header")
+    header = parse_kv_block("\n".join(lines), what="registry header", first_line=first_line)
     if header.get("format") not in _READABLE_FORMATS:
         raise TextFormatError(f"registry: unsupported format {header.get('format')!r}")
-    registry = Registry()
-    for block in blocks[1:]:
-        values = parse_kv_block(block, what="registry entry")
-        require_keys(values, _REQUIRED_ENTRY_KEYS, what="registry entry")
-        for key in ("mask_file", "helper_file"):  # names of files next to the registry
+    entries: dict[str, RegistryEntry] = {}
+    first_lines: dict[str, int] = {}
+    for first_line, lines in blocks:
+        values = parse_kv_block("\n".join(lines), what="registry entry", first_line=first_line)
+        what = f"registry entry at line {first_line}"
+        require_keys(values, _REQUIRED_ENTRY_KEYS, what=what)
+        for key in ("mask_file", "helper_file"):
             name = values.get(key)
-            if name is not None and (name in ("", ".", "..") or "/" in name or "\\" in name):
-                raise TextFormatError(f"registry entry: key {key!r} must be a bare file name: {name!r}")
+            if name is not None and not _bare_name(name):
+                raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
+        device_id = values["device_id"]
+        if device_id in first_lines:
+            raise TextFormatError(f"{what}: device_id {device_id!r} is also listed at line "
+                                  f"{first_lines[device_id]}")
+        first_lines[device_id] = first_line
         # "" fills only optional keys, as the required ones are present; keys
         # that are no field, such as a v1 entry's mask parameters, are read past
-        registry.add(RegistryEntry(*[values.get(key, "") for key in _ENTRY_KEYS]))
-    return registry
+        entries[device_id] = RegistryEntry(*[values.get(key, "") for key in _ENTRY_KEYS])
+    return Registry(entries)
 
 
 def save_registry(path, registry: Registry) -> None:

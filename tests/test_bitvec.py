@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from srampuf import bitvec
 from srampuf.analytics import flip_rate_summary
 from srampuf._kv import TextFormatError
 from srampuf.bitvec import BitVector, format_hex_dump, load_dump, parse_hex_dump
@@ -110,6 +111,30 @@ class TestDumpFormat:
         parsed = parse_hex_dump(messy)
         assert format_hex_dump(parsed) == canonical
         assert same(parse_hex_dump(canonical), parsed)
+
+    # The writer's own form is read on a fast path; every other accepted form
+    # goes to the line-by-line parser. The two must agree.
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=50))
+    def test_fast_path_agrees_with_parser(self, words):
+        canonical = "".join(f"{w:08X}\n" for w in words)
+        assert bitvec._writer_form(canonical) == bitvec._parse_lines(canonical, "dump")
+        expected = parse_hex_dump(canonical).packed
+        assert np.array_equal(parse_hex_dump(canonical.lower()).packed, expected)
+        for line_end in ("\n\n", "\r\n", " \n"):
+            text = canonical.replace("\n", line_end)
+            assert bitvec._writer_form(text) is None or not words
+            assert np.array_equal(parse_hex_dump(text).packed, expected)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0000 000\n", "line 1: not hexadecimal"),
+        ("00000000\n\t0000000\n", "line 2: expected 8 hex digits"),
+        ("0000é000\n", "line 1: not hexadecimal"),
+        ("00000000\n0000000", "line 2: expected 8 hex digits"),
+    ])
+    def test_bad_line_in_the_writer_shape_is_named(self, text, message):
+        assert bitvec._writer_form(text) is None
+        with pytest.raises(TextFormatError, match=message):
+            parse_hex_dump(text)
 
 
 class TestAlgebraicProperties:

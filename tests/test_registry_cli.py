@@ -15,8 +15,9 @@ from srampuf.cli import (
     build_parser,
     main,
 )
+from srampuf import bitvec, registry as registry_module
 from srampuf._kv import TextFormatError, format_kv_block
-from srampuf.bitvec import load_dump
+from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.enroll import Mask, load_mask, mask_from_text, mask_to_text
 from srampuf.registry import (
     Registry,
@@ -136,6 +137,95 @@ class TestRegistryData:
         loaded = load_registry(tmp_path / "registry.txt").get("dev-a")
         with pytest.raises(RegistryError, match="missing"):
             read_verified(tmp_path / "registry.txt", loaded, "mask")
+
+
+HELPER_KEYS = dict(helper_sha256="1" * 64)
+DEBUG_KEYS = dict(helper_sha256="1" * 64, key_sha256="2" * 64)
+
+
+def registry_of(n, optional=None):
+    """n entries; the even ones also hold the ``optional`` keys and a helper file."""
+    registry = Registry()
+    for i in range(n):
+        device_id = f"dev-{i:03d}"
+        extra = dict(optional, helper_file=f"{device_id}.helper") if optional and i % 2 == 0 else {}
+        registry.add(entry(device_id, **extra))
+    return registry
+
+
+# The writer's own text is read on a fast path; every other accepted form goes
+# to the general parser. The two must agree.
+class TestRegistryReaders:
+    @pytest.mark.parametrize("n", [0, 1, 256])
+    @pytest.mark.parametrize("optional", [None, HELPER_KEYS, DEBUG_KEYS])
+    def test_fast_path_agrees_with_parser(self, n, optional):
+        registry = registry_of(n, optional)
+        text = registry_to_text(registry)
+        fast = registry_module._writer_form(text)
+        assert fast is not None
+        assert fast == registry_module._parse_registry(text) == registry
+        assert registry_to_text(fast) == text
+
+    @pytest.mark.parametrize("form", [
+        lambda t: t.replace("\ndevice_id = ", "\n# enrolled by hand\ndevice_id = "),
+        lambda t: t.replace(" = ", "  =\t"),
+        lambda t: "\n".join(line and line + " " for line in t.split("\n")),
+        lambda t: t + "\n\n  \n",
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("-v2", "-v1").replace("\ncreated = ", "\nthreshold = 4\ncreated = "),
+    ], ids=["comments", "spaced-equals", "trailing-spaces", "trailing-blank-lines", "crlf", "v1"])
+    @pytest.mark.parametrize("optional", [None, DEBUG_KEYS])
+    def test_other_forms_read_as_before(self, form, optional):
+        registry = registry_of(3, optional)
+        text = form(registry_to_text(registry))
+        assert registry_module._writer_form(text) is None
+        assert registry_from_text(text) == registry
+
+    @pytest.mark.parametrize("text", [
+        "", "format = srampuf-registry-v2", "format = srampuf-registry-v2\n\n",
+        registry_to_text(registry_of(2)) + "\n",
+        registry_to_text(registry_of(2)).replace("dev-001.mask", "../dev-001.mask"),
+        registry_to_text(registry_of(2, HELPER_KEYS)).replace("dev-000.helper", ".."),
+        registry_to_text(registry_of(2)).replace("dev-001", "dev-000"),
+    ], ids=["empty", "no-newline", "blank-line", "trailing-blank-line", "path", "dot-dot",
+            "duplicate-id"])
+    def test_fast_path_declines_without_raising(self, text):
+        assert registry_module._writer_form(text) is None
+
+    def test_error_names_the_line_in_the_file(self):
+        text = registry_to_text(registry_of(2)).replace("mask_file = dev-001", "mask_file dev-001")
+        with pytest.raises(TextFormatError, match="^registry entry: line 9: expected 'key = value'"):
+            registry_from_text(text)
+
+    def test_bare_name_error_names_the_entry(self):
+        text = registry_to_text(registry_of(2)).replace("= dev-001.mask", "= ../dev-001.mask")
+        with pytest.raises(TextFormatError, match="^registry entry at line 8: key 'mask_file'"):
+            registry_from_text(text)
+
+    def test_missing_key_names_the_entry(self):
+        text = registry_to_text(registry_of(2)).replace("created = 2026-08-10T00:00:00Z\n\n", "\n")
+        with pytest.raises(TextFormatError, match="^registry entry at line 3: missing keys: created"):
+            registry_from_text(text)
+
+    def test_duplicate_device_id_names_both_entries(self):
+        text = registry_to_text(registry_of(2)).replace("dev-001", "dev-000")
+        with pytest.raises(TextFormatError, match="^registry entry at line 8: device_id 'dev-000' "
+                                                  "is also listed at line 3$"):
+            registry_from_text(text)
+
+    def test_writer_output_takes_the_fast_path(self, tmp_path, monkeypatch):
+        registry = registry_of(256, DEBUG_KEYS)
+        save_registry(tmp_path / "registry.txt", registry)
+        reading = BitVector(np.random.default_rng(5).integers(0, 2, NUM_BITS))
+        save_dump(tmp_path / "reading.hex", reading)
+
+        def general_path(*args, **kwargs):
+            raise AssertionError("the general parser read the writer's own file")
+
+        monkeypatch.setattr(registry_module, "parse_kv_block", general_path)
+        monkeypatch.setattr(bitvec, "_parse_lines", general_path)
+        assert load_registry(tmp_path / "registry.txt") == registry
+        assert np.array_equal(load_dump(tmp_path / "reading.hex").packed, reading.packed)
 
 
 @pytest.fixture()
@@ -399,6 +489,14 @@ class TestCliKeyFlow:
         assert main(["reproduce", "--dump", str(dump), "--registry", str(inner / "registry.txt"),
                      "--device-id", "dev-a"]) == EXIT_USAGE
         assert "'mask_file'" in capsys.readouterr().err
+
+    def test_device_listed_twice_is_usage_error(self, enrolled, capsys):
+        path = enrolled / "registry.txt"
+        text = path.read_text()
+        path.write_text(text + text[text.index("\n\n"):])
+        dump = enrolled / "dumps" / "sample-00000.hex"
+        assert main(reproduce_args(enrolled, dump)) == EXIT_USAGE
+        assert "line 12: device_id 'dev-a' is also listed at line 3" in capsys.readouterr().err
 
     def test_tampered_mask_detected(self, enrolled, capsys):
         flip_byte(enrolled / "dev-a.mask")
