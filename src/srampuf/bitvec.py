@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kv import TextFormatError, atomic_write_text
+from ._kv import TextFormatError, atomic_write_text, read_text
 
 WORD_BITS = 32
 _WORD_HEX_DIGITS = WORD_BITS // 4
@@ -121,14 +121,11 @@ def _writer_form(text: str) -> bytes | None:
 
 
 def _parse_lines(text: str, what: str) -> bytes:
-    """The word bytes of any dump ``text``; raises naming the first bad line."""
+    """The word bytes of any dump ``text``: its non-blank lines, stripped, in
+    the writer's form; raises naming the first bad line."""
     lines = [line for raw in text.splitlines() if (line := raw.strip())]
-    try:
-        packed = bytes.fromhex("".join(lines))
-    except ValueError:
-        packed = b""
-    # All lines 8 digits long and 4 bytes each: no line held a non-hex character or space.
-    if len(packed) != 4 * len(lines) or any(len(line) != _WORD_HEX_DIGITS for line in lines):
+    packed = _writer_form("\n".join([*lines, ""]))
+    if packed is None:
         raise _malformed_line(text, what)
     return packed
 
@@ -155,8 +152,7 @@ def format_hex_dump(vector: BitVector) -> str:
 
 
 def load_dump(path) -> BitVector:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_hex_dump(fh.read(), what=str(path))
+    return parse_hex_dump(read_text(path), what=str(path))
 
 
 def save_dump(path, vector: BitVector) -> None:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analytics, enroll, fuzzy, keygen, registry as reg, simulate
-from ._kv import TextFormatError, atomic_write_text, format_kv_block
+from ._kv import TextFormatError, atomic_write_text, format_kv_block, parse_kv_block
 from .bitvec import WORD_BITS, BitVector, load_dump, save_dump
 
 EXIT_OK = 0
@@ -41,34 +41,24 @@ class CliUsageError(Exception):
 
 def _load_calibration(args) -> simulate.Calibration:
     cal = simulate.load_calibration(args.config) if args.config else simulate.Calibration()
-    overrides = {}
+    merged = parse_kv_block(simulate.calibration_to_text(cal))
     for item in args.set or []:
-        key, sep, value = item.partition("=")
+        key, sep, value = (part.strip() for part in item.partition("="))
         if not sep:
             _fail(f"--set expects key=value, got {item!r}")
-        overrides[key.strip()] = value.strip()
-    if overrides:
-        merged = {f.name: str(getattr(cal, f.name)) for f in dataclasses.fields(cal)}
-        for key, value in overrides.items():
-            if key not in merged:
-                _fail(f"unknown calibration key {key!r}")
-            merged[key] = value
-        cal = simulate.parse_calibration(format_kv_block(list(merged.items())))
-    return cal
-
-
-def _dump_paths(directory: str) -> list[str]:
-    if not os.path.isdir(directory):
-        _fail(f"not a directory: {directory}")
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".hex"))
-    return [os.path.join(directory, n) for n in names]
+        if key not in merged:
+            _fail(f"unknown calibration key {key!r}")
+        merged[key] = value
+    return simulate.parse_calibration(format_kv_block(merged.items()))
 
 
 def _load_dumps(directory: str, minimum: int = 1) -> list[BitVector]:
-    paths = _dump_paths(directory)
-    if len(paths) < minimum:
-        _fail(f"{directory} holds {len(paths)} dump(s); need at least {minimum}")
-    return [load_dump(p) for p in paths]
+    if not os.path.isdir(directory):
+        _fail(f"not a directory: {directory}")
+    names = sorted(n for n in os.listdir(directory) if n.endswith(".hex"))
+    if len(names) < minimum:
+        _fail(f"{directory} holds {len(names)} dump(s); need at least {minimum}")
+    return [load_dump(os.path.join(directory, n)) for n in names]
 
 
 def _write_csv(text: str, out: str | None) -> None:

@@ -19,14 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kv import (
-    TextFormatError,
-    atomic_write_text,
-    format_kv_block,
-    parse_kv_block,
-    parse_int,
-    require_keys,
-)
+from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
+                  read_text)
 from .bitvec import BitVector
 
 DEFAULT_WINDOW_LENGTH = 1216
@@ -113,10 +107,12 @@ def select_positions(weights: np.ndarray, threshold: int) -> np.ndarray:
     return np.flatnonzero(weights >= threshold)
 
 
-# Least value of each integer Mask field; a negative base_offset would read
-# bits wrapped from the end of a dump.
-_FIELD_MINIMUMS = {"threshold": 1, "sample_count": 2, "base_offset": 0,
-                   "window_length": 1, "num_windows": 1}
+# Least value of each integer Mask field, in file order; a negative
+# base_offset would read bits wrapped from the end of a dump.
+_FIELD_MINIMUMS = {"base_offset": 0, "window_length": 1, "num_windows": 1,
+                   "threshold": 1, "sample_count": 2}
+# The mask file's keys, in the order mask_to_text writes them
+MASK_KEYS = ("format", "device_id", *_FIELD_MINIMUMS, "target_len", "positions")
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,31 +231,17 @@ def build_mask(samples: list[BitVector], threshold: int,
 
 
 def mask_to_text(mask: Mask) -> str:
-    pairs = [
-        ("format", MASK_FORMAT),
-        ("device_id", mask.device_id),
-        ("base_offset", str(mask.base_offset)),
-        ("window_length", str(mask.window_length)),
-        ("num_windows", str(mask.num_windows)),
-        ("threshold", str(mask.threshold)),
-        ("sample_count", str(mask.sample_count)),
-        ("target_len", str(mask.target_len)),
-        ("positions", ",".join(map(str, mask.positions.tolist()))),
-    ]
-    return format_kv_block(pairs)
+    values = [MASK_FORMAT, mask.device_id, *(str(getattr(mask, key)) for key in _FIELD_MINIMUMS),
+              str(mask.target_len), ",".join(map(str, mask.positions.tolist()))]
+    return format_kv_block(zip(MASK_KEYS, values, strict=True))
 
 
 def mask_from_text(text: str) -> Mask:
-    fields = parse_kv_block(text, what="mask")
-    require_keys(fields, ["format", "device_id", "base_offset", "window_length",
-                          "num_windows", "threshold", "sample_count", "target_len",
-                          "positions"], what="mask")
-    if fields["format"] != MASK_FORMAT:
-        raise TextFormatError(f"mask: unsupported format {fields['format']!r}")
+    fields = read_record(text, MASK_KEYS, (MASK_FORMAT,), what="mask")
     try:
         positions = np.array([int(p) for p in fields["positions"].split(",") if p != ""],
                              dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise TextFormatError("mask: positions must be comma-separated integers") from None
     target_len = parse_int(fields, "target_len", what="mask")
     if positions.size != target_len:
@@ -281,5 +263,4 @@ def save_mask(path, mask: Mask) -> None:
 
 
 def load_mask(path) -> Mask:
-    with open(path, "r", encoding="ascii") as fh:
-        return mask_from_text(fh.read())
+    return mask_from_text(read_text(path))

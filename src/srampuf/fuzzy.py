@@ -43,14 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kv import (
-    TextFormatError,
-    atomic_write_text,
-    format_kv_block,
-    parse_int,
-    parse_kv_block,
-    require_keys,
-)
+from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
+                  read_text)
 
 HELPER_FORMAT = "srampuf-helper-v2"
 CODE_NAME = "hsiao-128-120"
@@ -76,6 +70,9 @@ COLUMN_CODES = COLUMNS[CODE_NAME]
 # helper format -> the one code it is written with
 _CODE_OF_FORMAT = {"srampuf-helper-v1": "hamming-128-120", HELPER_FORMAT: CODE_NAME}
 _FORMAT_OF_CODE = {code: fmt for fmt, code in _CODE_OF_FORMAT.items()}
+# The code parameters every helper states; the helper keys in helper_to_text's order
+_PARAMETERS = {"n": N, "k": K, "r": R}
+HELPER_KEYS = ("format", "device_id", "code", *_PARAMETERS, "mask_sha256", "code_offset")
 
 
 def _byte_syndromes(codes: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -190,29 +187,17 @@ def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
 
 
 def helper_to_text(helper: HelperData) -> str:
-    pairs = [
-        ("format", _FORMAT_OF_CODE[helper.code]),
-        ("device_id", helper.device_id),
-        ("code", helper.code),
-        ("n", str(N)),
-        ("k", str(K)),
-        ("r", str(R)),
-        ("mask_sha256", helper.mask_sha256),
-        ("code_offset", helper.code_offset.hex().upper()),
-    ]
-    return format_kv_block(pairs)
+    values = [_FORMAT_OF_CODE[helper.code], helper.device_id, helper.code,
+              *map(str, _PARAMETERS.values()), helper.mask_sha256, helper.code_offset.hex().upper()]
+    return format_kv_block(zip(HELPER_KEYS, values, strict=True))
 
 
 def helper_from_text(text: str) -> HelperData:
-    fields = parse_kv_block(text, what="helper data")
-    require_keys(fields, ["format", "device_id", "code", "n", "k", "r",
-                          "mask_sha256", "code_offset"], what="helper data")
-    code = _CODE_OF_FORMAT.get(fields["format"])
-    if code is None:
-        raise TextFormatError(f"helper data: unsupported format {fields['format']!r}")
+    fields = read_record(text, HELPER_KEYS, _CODE_OF_FORMAT, what="helper data")
+    code = _CODE_OF_FORMAT[fields["format"]]
     if fields["code"] != code:
         raise TextFormatError(f"helper data: key 'code' must be {code!r}, got {fields['code']!r}")
-    for key, value in (("n", N), ("k", K), ("r", R)):
+    for key, value in _PARAMETERS.items():
         if parse_int(fields, key, what="helper data") != value:
             raise TextFormatError(f"helper data: key {key!r} must be {value} for {code}")
     offset_hex = fields["code_offset"]
@@ -232,5 +217,4 @@ def save_helper(path, helper: HelperData) -> None:
 
 
 def load_helper(path) -> HelperData:
-    with open(path, "r", encoding="ascii") as fh:
-        return helper_from_text(fh.read())
+    return helper_from_text(read_text(path))

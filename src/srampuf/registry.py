@@ -23,7 +23,8 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
-from ._kv import TextFormatError, atomic_write_text, format_kv_block, parse_kv_block, require_keys
+from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
+                  parse_kv_block, read_text, require_keys)
 
 REGISTRY_FORMAT = "srampuf-registry-v2"
 # v1 entries also repeated five of the mask's enrollment parameters; they are
@@ -97,7 +98,9 @@ class Registry:
 def registry_to_text(registry: Registry) -> str:
     blocks = [format_kv_block([("format", REGISTRY_FORMAT)])]
     for device_id in sorted(registry.entries):
-        blocks.append(format_kv_block(registry.entries[device_id].to_pairs()))
+        pairs = registry.entries[device_id].to_pairs()
+        _check_file_names(dict(pairs), f"registry entry {device_id!r}")
+        blocks.append(format_kv_block(pairs))
     return "\n".join(blocks)
 
 
@@ -107,17 +110,24 @@ def registry_from_text(text: str) -> Registry:
 
 
 _HEADER = f"format = {REGISTRY_FORMAT}\n"
-_VALUE = "([!-~](?:[ -~]*[!-~])?)"        # printable ASCII without surrounding spaces
 # One entry exactly as registry_to_text writes it: a blank line, then its keys
 # in field order, the optional ones only when set.
 _ENTRY_RE = re.compile("\n" + "".join(
-    f"{key} = {_VALUE}\n" if required else f"(?:{key} = {_VALUE}\n)?"
+    f"{key} = ({VALUE_PATTERN})\n" if required else f"(?:{key} = ({VALUE_PATTERN})\n)?"
     for key, required in _ENTRY_KEYS.items()))
 
 
 def _bare_name(name: str) -> bool:
     """Whether ``name`` names a file in the registry's own directory."""
     return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
+def _check_file_names(values: dict[str, str], what: str) -> None:
+    """Refuse a ``mask_file`` or ``helper_file`` in ``values`` that is no bare name."""
+    for key in ("mask_file", "helper_file"):
+        name = values.get(key)
+        if name is not None and not _bare_name(name):
+            raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
 
 
 def _writer_form(text: str) -> Registry | None:
@@ -144,15 +154,13 @@ def _writer_form(text: str) -> Registry | None:
 
 
 def _blocks(text: str):
-    """Yield each block of ``text`` as its first line's number and its lines.
-
-    Blocks are split at empty lines, whatever the line ends; a block of only
-    blank lines is skipped."""
-    lines = text.splitlines()
+    """Yield each block of ``text`` as its first line's number and its lines;
+    lines that are empty or hold only whitespace separate blocks."""
+    lines = text.split("\n")
     start = 0
     for i, line in enumerate([*lines, ""]):
-        if not line:
-            if any(map(str.strip, lines[start:i])):
+        if not line.strip():
+            if i > start:
                 yield start + 1, lines[start:i]
             start = i + 1
 
@@ -171,10 +179,7 @@ def _parse_registry(text: str) -> Registry:
         values = parse_kv_block("\n".join(lines), what="registry entry", first_line=first_line)
         what = f"registry entry at line {first_line}"
         require_keys(values, _REQUIRED_ENTRY_KEYS, what=what)
-        for key in ("mask_file", "helper_file"):
-            name = values.get(key)
-            if name is not None and not _bare_name(name):
-                raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
+        _check_file_names(values, what)
         device_id = values["device_id"]
         if device_id in first_lines:
             raise TextFormatError(f"{what}: device_id {device_id!r} is also listed at line "
@@ -193,8 +198,7 @@ def save_registry(path, registry: Registry) -> None:
 def load_registry(path) -> Registry:
     """Parse a registry file; referenced files are checked when they are read."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        text = read_text(path)
     except FileNotFoundError:
         raise RegistryError(f"registry file not found: {path}") from None
     return registry_from_text(text)
@@ -217,8 +221,9 @@ def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
     """Read ``entry``'s ``"mask"`` or ``"helper"`` file once and return its
     text, after checking those bytes against the recorded SHA-256."""
     name, expected = getattr(entry, f"{what}_file"), getattr(entry, f"{what}_sha256")
+    path = sibling_path(registry_path, name)
     try:
-        with open(sibling_path(registry_path, name), "rb") as fh:
+        with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         raise RegistryError(f"device {entry.device_id!r}: {what} file {name!r} is missing") from None
@@ -228,4 +233,4 @@ def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
             f"device {entry.device_id!r}: {what} file {name!r} does not match its recorded "
             f"fingerprint (expected {expected[:12]}.., found {actual[:12]}..)"
         )
-    return data.decode("ascii")
+    return read_text(path, data)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._kv import TextFormatError, parse_kv_block
+from ._kv import TextFormatError, format_kv_block, parse_kv_block, read_text
 from .bitvec import BitVector
 
 DEFAULT_NUM_BITS = 120_000
@@ -127,14 +127,12 @@ def parse_calibration(text: str) -> Calibration:
 
 
 def load_calibration(path) -> Calibration:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_calibration(fh.read())
+    return parse_calibration(read_text(path))
 
 
 def calibration_to_text(cal: Calibration) -> str:
-    lines = ["# srampuf device calibration\n"]
-    lines += [f"{key} = {getattr(cal, key)}\n" for key in _CALIBRATION_TYPES]
-    return "".join(lines)
+    pairs = ((key, str(getattr(cal, key))) for key in _CALIBRATION_TYPES)
+    return "# srampuf device calibration\n" + format_kv_block(pairs)
 
 
 @dataclass(frozen=True, eq=False)

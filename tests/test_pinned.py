@@ -2,8 +2,9 @@
 
 The digests were recorded once and are frozen here: helper files and keys
 for seeded enrollments, a v1 helper that must still reproduce its key, which
-double flips each code refuses, and the characterization report of the
-shared 300-sample device.
+double flips each code refuses, how many triple flips each code decodes to a
+wrong codeword, and the characterization report of the shared 300-sample
+device.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from srampuf.analytics import (
 from srampuf.bitvec import BitVector
 from srampuf.cli import EXIT_OK, EXIT_USAGE, main
 from srampuf.enroll import Mask, build_mask, load_mask, save_mask
-from srampuf.fuzzy import ReproduceFailure, helper_from_text, helper_to_text
+from srampuf.fuzzy import COLUMNS, ReproduceFailure, correct, helper_from_text, helper_to_text
 from srampuf.keygen import apply_mask, generate_key, reproduce_key
 from srampuf.registry import file_sha256, load_registry, save_registry
 from srampuf.simulate import Calibration, collect_samples, new_device
@@ -160,6 +161,33 @@ def test_every_double_flip_refused_v2():
         except ReproduceFailure:
             refused += 1
     assert (refused, wrong) == (8128, 0)
+
+
+# code -> (decoded to a wrong codeword, refused) of all 341,376 triple flips.
+# Under hsiao-128-120 every odd-weight byte is a column code, so every triple
+# is miscorrected. Under hamming-128-120, 2,667 triples are themselves
+# codewords and 330,708 land on a column code: 333,375 wrong keys in all.
+PINNED_TRIPLES = {"hsiao-128-120": (341_376, 0), "hamming-128-120": (333_375, 8_001)}
+
+
+@pytest.mark.parametrize("code", sorted(PINNED_TRIPLES))
+def test_triple_flips_pinned(code):
+    # The error pattern of a triple flip against the zero codeword is the
+    # word itself. correct() keeps a zero syndrome, flips the bit of a column
+    # code (never one of the three, as no two columns are equal) and refuses
+    # any other, so no triple is decoded back to the zero codeword.
+    columns = COLUMNS[code]
+    triples = np.array(list(itertools.combinations(range(128), 3)))
+    syndromes = np.bitwise_xor.reduce(columns[triples], axis=1)
+    refused = ~np.isin(syndromes, np.append(columns, 0))
+    assert (int((~refused).sum()), int(refused.sum())) == PINNED_TRIPLES[code]
+    # the decoder itself agrees on every 41st triple
+    for triple, expect_refused in zip(triples[::41], refused[::41]):
+        word = np.packbits(np.isin(np.arange(128), triple)).tobytes()
+        try:
+            assert correct(word, code) != bytes(16) and not expect_refused
+        except ReproduceFailure:
+            assert expect_refused
 
 
 def test_127_position_mask_refused(tmp_path):

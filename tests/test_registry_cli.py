@@ -19,6 +19,8 @@ from srampuf import bitvec, registry as registry_module
 from srampuf._kv import TextFormatError, format_kv_block
 from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.enroll import Mask, load_mask, mask_from_text, mask_to_text
+from srampuf.fuzzy import load_helper
+from srampuf.keygen import reproduce_key
 from srampuf.registry import (
     Registry,
     RegistryEntry,
@@ -548,6 +550,38 @@ class TestCliKeyFlow:
         capsys.readouterr()
         assert main(reproduce_args(enrolled, flipped)) == EXIT_OK
         assert "key reproduced" in capsys.readouterr().out
+
+
+def test_no_key_material_without_debug(tmp_path, capsys):
+    # No command run without --debug prints or writes a key half or the
+    # digest, in either case of hex.
+    dumps, registry = tmp_path / "dumps", str(tmp_path / "registry.txt")
+    sample = str(dumps / "sample-00000.hex")
+    reproduce = ["reproduce", "--dump", str(dumps / "sample-00017.hex"), "--registry", registry,
+                 "--device-id", "dev-a"]
+    commands = [
+        ["simulate", "--out-dir", str(dumps), "--device-seed", str(DEVICE_SEED),
+         "-n", str(N_SAMPLES), "--num-bits", str(NUM_BITS)],
+        ["enroll", "--dumps", str(dumps), "--registry", registry, "--device-id", "dev-a"],
+        ["genkey", "--dump", sample, "--registry", registry, "--device-id", "dev-a"],
+        reproduce,
+        ["stats", "--dumps", str(dumps)],
+        ["sweep", "--enroll-dumps", str(dumps), "--test-dumps", f"NTNA={dumps}"],
+        ["flip", "--dump", sample, "--out", str(tmp_path / "flipped.hex"), "--count", "1",
+         "--seed", "3", "--mask", str(tmp_path / "dev-a.mask")],
+    ]
+    shown = []
+    for command in commands:
+        assert main(command) == EXIT_OK, command[0]
+        shown += capsys.readouterr()
+    shown += [path.read_text() for path in tmp_path.rglob("*") if path.is_file()]
+    key = reproduce_key(load_dump(sample), load_mask(tmp_path / "dev-a.mask"),
+                        load_helper(tmp_path / "dev-a.helper"))
+    secrets = [key.key1.hex(), key.key2.hex(), key.digest.hex()]
+    assert not [s for s in secrets if any(s in text.lower() for text in shown)]
+    # the same search finds the key halves that --debug prints
+    assert main([*reproduce, "--debug"]) == EXIT_OK
+    assert key.key1.hex().upper() in capsys.readouterr().out
 
 
 class TestCliReports:
