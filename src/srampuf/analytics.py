@@ -37,7 +37,9 @@ class BlockReport(NamedTuple):
 
 
 def _full_blocks(samples: list[BitVector], block_size: int) -> int:
-    """Number of whole ``block_size``-bit blocks in the first sample; at least 1."""
+    """Number of whole ``block_size``-bit blocks in the first of 2+ samples; at least 1."""
+    if len(samples) < 2:
+        raise ValueError("stability reports need at least 2 samples")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
     num_blocks = len(samples[0]) // block_size
@@ -49,8 +51,6 @@ def _full_blocks(samples: list[BitVector], block_size: int) -> int:
 def block_stability(samples: list[BitVector],
                     block_size: int = DEFAULT_WINDOW_LENGTH) -> list[BlockReport]:
     """Stability statistics per full block; a trailing partial block is skipped."""
-    if len(samples) < 2:
-        raise ValueError("block statistics need at least 2 samples")
     num_blocks = _full_blocks(samples, block_size)
     stable = mark_stability(samples, range(0, num_blocks * block_size))
     counts = np.count_nonzero(stable.reshape(num_blocks, block_size), axis=1)
@@ -116,8 +116,6 @@ def threshold_sweep(enroll_samples: list[BitVector],
     The reference value of every selected position is its (constant) value in
     the enrollment samples; flips are counted per test sample against it.
     """
-    if len(enroll_samples) < 2:
-        raise ValueError("sweep needs at least 2 enrollment samples")
     if any(t < 1 for t in thresholds):
         raise ValueError("threshold must be >= 1")
     num_blocks = _full_blocks(enroll_samples, block_size)
@@ -206,8 +204,6 @@ def window_flip_rate(samples: list[BitVector]) -> float:
     """Fraction of positions where some sample differs from the first one:
     the share of positions an enrollment pass over the set would refuse to
     trust."""
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
     stable = mark_stability(samples)
     return float(np.count_nonzero(~stable)) / len(samples[0])
 

@@ -29,7 +29,7 @@ from ._kv import TextFormatError, atomic_write_text, read_text
 
 WORD_BITS = 32
 _WORD_HEX_DIGITS = WORD_BITS // 4
-_HEX_RE = re.compile("[0-9A-Fa-f]+")
+_WORD_RE = re.compile(f"[0-9A-Fa-f]{{{_WORD_HEX_DIGITS}}}")
 
 
 class BitVector:
@@ -122,24 +122,18 @@ def _writer_form(text: str) -> bytes | None:
 
 def _parse_lines(text: str, what: str) -> bytes:
     """The word bytes of any dump ``text``: its non-blank lines, stripped, in
-    the writer's form; raises naming the first bad line."""
+    the writer's form; raises naming the first line that is not one word."""
     lines = [line for raw in text.splitlines() if (line := raw.strip())]
     packed = _writer_form("\n".join([*lines, ""]))
-    if packed is None:
-        raise _malformed_line(text, what)
-    return packed
-
-
-def _malformed_line(text: str, what: str) -> TextFormatError:
-    """The error for the first line of a dump that is neither blank nor one word."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and len(line) != _WORD_HEX_DIGITS:
-            return TextFormatError(
-                f"{what}: line {lineno}: expected {_WORD_HEX_DIGITS} hex digits, got {line!r}")
-        if line and not _HEX_RE.fullmatch(line):
-            return TextFormatError(f"{what}: line {lineno}: not hexadecimal: {line!r}")
-    raise AssertionError("no malformed line")
+    if packed is not None:
+        return packed
+    # The joined lines miss the writer's form only if one is not a word, which next() finds.
+    lineno, line = next((n, line) for n, raw in enumerate(text.splitlines(), start=1)
+                        if (line := raw.strip()) and not _WORD_RE.fullmatch(line))
+    if len(line) != _WORD_HEX_DIGITS:
+        raise TextFormatError(
+            f"{what}: line {lineno}: expected {_WORD_HEX_DIGITS} hex digits, got {line!r}")
+    raise TextFormatError(f"{what}: line {lineno}: not hexadecimal: {line!r}")
 
 
 def format_hex_dump(vector: BitVector) -> str:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analytics, enroll, fuzzy, keygen, registry as reg, simulate
-from ._kv import TextFormatError, atomic_write_text, format_kv_block, parse_kv_block
+from ._kv import atomic_write_text, format_kv_block, parse_kv_block
 from .bitvec import WORD_BITS, BitVector, load_dump, save_dump
 
 EXIT_OK = 0
@@ -31,34 +31,33 @@ EXIT_INSUFFICIENT_BITS = 5
 _DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-def _fail(message: str) -> None:
-    raise CliUsageError(message)
-
-
-class CliUsageError(Exception):
-    pass
-
-
 def _load_calibration(args) -> simulate.Calibration:
     cal = simulate.load_calibration(args.config) if args.config else simulate.Calibration()
     merged = parse_kv_block(simulate.calibration_to_text(cal))
     for item in args.set or []:
         key, sep, value = (part.strip() for part in item.partition("="))
         if not sep:
-            _fail(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         if key not in merged:
-            _fail(f"unknown calibration key {key!r}")
+            raise ValueError(f"unknown calibration key {key!r}")
         merged[key] = value
     return simulate.parse_calibration(format_kv_block(merged.items()))
 
 
 def _load_dumps(directory: str, minimum: int = 1) -> list[BitVector]:
     if not os.path.isdir(directory):
-        _fail(f"not a directory: {directory}")
+        raise ValueError(f"not a directory: {directory}")
     names = sorted(n for n in os.listdir(directory) if n.endswith(".hex"))
     if len(names) < minimum:
-        _fail(f"{directory} holds {len(names)} dump(s); need at least {minimum}")
+        raise ValueError(f"{directory} holds {len(names)} dump(s); need at least {minimum}")
     return [load_dump(os.path.join(directory, n)) for n in names]
+
+
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError as exc:      # int() names the bad item
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _write_csv(text: str, out: str | None) -> None:
@@ -70,8 +69,8 @@ def _write_csv(text: str, out: str | None) -> None:
 
 def cmd_simulate(args) -> int:
     if args.num_bits % WORD_BITS:
-        _fail(f"--num-bits {args.num_bits} is not a multiple of {WORD_BITS}: "
-              f"a dump holds whole {WORD_BITS}-bit words")
+        raise ValueError(f"--num-bits {args.num_bits} is not a multiple of {WORD_BITS}: "
+                         f"a dump holds whole {WORD_BITS}-bit words")
     cal = _load_calibration(args)
     condition = cal.condition(args.condition)
     device = simulate.new_device(args.device_seed, num_bits=args.num_bits, calibration=cal)
@@ -85,7 +84,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_enroll(args) -> int:
     if not _DEVICE_ID_RE.match(args.device_id):
-        _fail(f"device id {args.device_id!r} must match {_DEVICE_ID_RE.pattern}")
+        raise ValueError(f"device id {args.device_id!r} must match {_DEVICE_ID_RE.pattern}")
     samples = _load_dumps(args.dumps, minimum=2)
     mask_name = f"{args.device_id}.mask"
     mask_path = reg.sibling_path(args.registry, mask_name)
@@ -96,7 +95,7 @@ def cmd_enroll(args) -> int:
         else:
             registry = reg.Registry()
         if args.device_id in registry.entries:
-            _fail(f"device {args.device_id!r} is already enrolled")
+            raise ValueError(f"device {args.device_id!r} is already enrolled")
 
         mask = enroll.build_mask(
             samples,
@@ -152,7 +151,7 @@ def cmd_genkey(args) -> int:
 def cmd_reproduce(args) -> int:
     _, entry, mask = _load_enrolled_mask(args.registry, args.device_id)
     if not entry.helper_file:
-        _fail(f"device {args.device_id!r} has no helper data yet; run genkey first")
+        raise ValueError(f"device {args.device_id!r} has no helper data yet; run genkey first")
     helper = fuzzy.helper_from_text(reg.read_verified(args.registry, entry, "helper"))
     raw = load_dump(args.dump)
     key = keygen.reproduce_key(raw, mask, helper)
@@ -185,9 +184,9 @@ def cmd_sweep(args) -> int:
     for item in args.test_dumps:
         condition, sep, directory = item.partition("=")
         if not sep:
-            _fail(f"--test-dumps expects CONDITION=DIR, got {item!r}")
+            raise ValueError(f"--test-dumps expects CONDITION=DIR, got {item!r}")
         test_samples[condition] = _load_dumps(directory, minimum=1)
-    thresholds = tuple(int(t) for t in args.thresholds.split(","))
+    thresholds = tuple(_int_list("--thresholds", args.thresholds))
     rows = analytics.threshold_sweep(enroll_samples, test_samples,
                                      thresholds=thresholds, block_size=args.block_size)
     _write_csv(analytics.sweep_to_csv(rows), args.out)
@@ -197,10 +196,10 @@ def cmd_sweep(args) -> int:
 def cmd_flip(args) -> int:
     raw = load_dump(args.dump)
     if args.positions:
-        positions = [int(p) for p in args.positions.split(",")]
+        positions = _int_list("--positions", args.positions)
     elif args.count is not None:
         if args.seed is None:
-            _fail("--count needs --seed for a reproducible choice")
+            raise ValueError("--count needs --seed for a reproducible choice")
         rng = np.random.default_rng(args.seed)
         if args.mask:
             mask = enroll.load_mask(args.mask)
@@ -210,10 +209,10 @@ def cmd_flip(args) -> int:
         else:
             positions = [int(p) for p in rng.choice(len(raw), size=args.count, replace=False)]
     else:
-        _fail("give --positions or --count")
+        raise ValueError("give --positions or --count")
     bad = [p for p in positions if not 0 <= p < len(raw)]
     if bad:
-        _fail(f"positions out of range for a {len(raw)}-bit dump: {bad}")
+        raise ValueError(f"positions out of range for a {len(raw)}-bit dump: {bad}")
     save_dump(args.out, raw.with_flips(positions))
     print(f"flipped {len(positions)} bit(s): {','.join(str(p) for p in sorted(positions))}")
     return EXIT_OK
@@ -309,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except enroll.InsufficientStableBitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_BITS
-    except (CliUsageError, reg.RegistryError, TextFormatError, ValueError, OSError) as exc:
+    except (reg.RegistryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -135,6 +135,8 @@ class Mask:
         for name, least in _FIELD_MINIMUMS.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if int(self.base_offset) + int(self.num_windows) * int(self.window_length) > 2**63 - 1:
+            raise ValueError("base_offset + num_windows * window_length must not pass 2**63 - 1")
         # A copy: a view would let writes to the caller's array change the mask.
         pos = np.array(self.positions, dtype=np.int64)
         if pos.size and (np.any(np.diff(pos) <= 0) or pos[0] < 0):

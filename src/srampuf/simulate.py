@@ -191,16 +191,13 @@ def _smooth(latent: np.ndarray, radius: int, mix: float) -> np.ndarray:
     return (1.0 - mix) * latent + mix * window_mean
 
 
-def _distance_to_unstable(num_bits: int, unstable_idx: np.ndarray) -> np.ndarray:
-    positions = np.arange(num_bits, dtype=np.int64)
-    insert = np.searchsorted(unstable_idx, positions)
-    right = np.where(insert < unstable_idx.size,
-                     unstable_idx[np.minimum(insert, unstable_idx.size - 1)] - positions,
-                     np.iinfo(np.int64).max)
-    left = np.where(insert > 0,
-                    positions - unstable_idx[np.maximum(insert - 1, 0)],
-                    np.iinfo(np.int64).max)
-    return np.minimum(left, right)
+def _distance_to_unstable(unstable: np.ndarray) -> np.ndarray:
+    """Per cell, the smaller gap to the last True of ``unstable`` at or before
+    it and to the next at or after it; a side with no True is 2**62 away."""
+    index = np.arange(unstable.size, dtype=np.int64)
+    last = np.maximum.accumulate(np.where(unstable, index, -2**62))
+    following = np.minimum.accumulate(np.where(unstable, index, 2**62)[::-1])[::-1]
+    return np.minimum(index - last, following - index)
 
 
 def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
@@ -222,9 +219,8 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
     preferred = smoothed >= (lo + hi) / 2.0
 
     flip = np.zeros(num_bits)
-    unstable_idx = np.flatnonzero(unstable)
-    if unstable_idx.size:
-        dist = _distance_to_unstable(num_bits, unstable_idx)
+    if unstable.any():
+        dist = _distance_to_unstable(unstable)
         exponent = np.minimum(dist - 1, 512).astype(np.float64)
         flip = cal.flip_prob_edge * np.power(cal.flip_decay, exponent)
         flip[unstable] = cal.flip_prob_unstable

@@ -153,6 +153,38 @@ class TestFlipRateSummary:
             window_flip_rate([random_bits(rng, 10)])
 
 
+READING = random_bits(np.random.default_rng(8), 2432)     # two full 1216-bit blocks
+ONE_BLOCK = BitVector(READING.bits[:1216])
+
+
+def summary_of_empty_condition():
+    mask = build_mask([READING, READING], threshold=4)
+    return flip_rate_summary(mask, apply_mask(READING, mask), {"HTNA": []})
+
+
+# Each report's refusals, all ValueErrors: an IndexError here would mean a
+# report read a sample before checking the count.
+REPORT_REFUSALS = {
+    "blocks-no-samples": (lambda: block_stability([]), "at least 2"),
+    "sweep-no-samples": (lambda: threshold_sweep([], {}), "at least 2"),
+    "flip-rate-one-sample": (lambda: window_flip_rate([READING]), "at least 2"),
+    "sweep-threshold-0": (lambda: threshold_sweep([READING] * 2, {}, thresholds=(0,)),
+                          "^threshold must be >= 1$"),
+    "sweep-empty-condition": (lambda: threshold_sweep([READING] * 2, {"HTNA": []}),
+                              "^condition 'HTNA' has no test samples$"),
+    "sweep-short-samples": (lambda: threshold_sweep([READING] * 2, {"NTWA": [READING, ONE_BLOCK]}),
+                            r"^condition 'NTWA' has samples shorter than the enrolled 2 block\(s\)$"),
+    "summary-empty-condition": (summary_of_empty_condition,
+                                "^condition 'HTNA' has no test samples$"),
+}
+
+
+@pytest.mark.parametrize("report, message", REPORT_REFUSALS.values(), ids=list(REPORT_REFUSALS))
+def test_report_refusal_is_a_value_error(report, message):
+    with pytest.raises(ValueError, match=message):
+        report()
+
+
 class TestWindowEdgeReset:
     """Runs of stable cells end at window edges: marking and weighting many
     windows at once must match a window-by-window brute force built on the

@@ -61,6 +61,11 @@ class TestMarkStability:
         with pytest.raises(ValueError, match="does not fit"):
             mark_stability(samples, range(4, 12))
 
+    @pytest.mark.parametrize("window", [range(0, 8, 2), range(7, -1, -1)])
+    def test_window_must_be_contiguous(self, window):
+        with pytest.raises(ValueError, match="^window must be a contiguous range$"):
+            mark_stability([bv("00110011"), bv("01100110")], window)
+
 
 class TestWeights:
     def test_odd_run_peaks_in_middle(self):
@@ -297,7 +302,9 @@ class TestMaskFile:
     # wrapped from the end of the dump.
     OUT_OF_RANGE = [("base_offset", -4000), ("base_offset", -1), ("threshold", -3),
                     ("threshold", 0), ("sample_count", -1), ("sample_count", 1),
-                    ("window_length", 0), ("num_windows", 0)]
+                    ("window_length", 0), ("num_windows", 0),
+                    # each field fits in 64 bits, the last enrolled bit's index does not
+                    ("base_offset", 2**63 - 1), ("num_windows", 2**62)]
 
     @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
     def test_rejects_out_of_range_field(self, key, value):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srampuf import bitvec, registry as registry_module
-from srampuf._kv import TextFormatError, format_kv_block, parse_kv_block
+from srampuf._kv import TextFormatError, atomic_write_text, format_kv_block, parse_kv_block
 from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.cli import EXIT_OK, EXIT_USAGE, main
 from srampuf.enroll import MASK_KEYS, Mask, load_mask, mask_from_text, mask_to_text, save_mask
@@ -201,6 +201,7 @@ class TestOneReader:
         ("positions", "99999999999999999999999," + ",".join(map(str, range(1, 128)))),
         ("base_offset", "99999999999999999999999"),
         ("window_length", str(2**63)),
+        ("base_offset", str(2**63 - 1)),     # fits, but the enrolled windows run past it
     ])
     def test_integer_beyond_64_bits_is_a_format_error(self, files, capsys, key, value):
         path = files / "dev-a.mask"
@@ -237,3 +238,42 @@ def test_genkey_refuses_a_registry_it_could_not_write_back(tmp_path, capsys):
         f"error: registry entry: line {line + 1}: key 'created': value ")
     assert registry_path.read_bytes() == registry_bytes
     assert (tmp_path / "dev-a.helper").read_bytes() == helper_bytes
+
+
+MASK_TEXT = mask_to_text(Mask(device_id="dev-a", positions=np.arange(8), threshold=4,
+                              sample_count=40))
+HELPER_TEXT = helper_to_text(HelperData(code_offset=bytes(16)))
+REFUSALS = {
+    "empty-key": (parse_kv_block, "a = 1\n = 2\n", "^file: line 2: empty key$"),
+    "duplicate-key": (parse_kv_block, "a = 1\n\na = 2\n", "^file: line 3: duplicate key 'a'$"),
+    "mask-format": (mask_from_text, MASK_TEXT.replace("srampuf-mask-v1", "srampuf-mask-v9"),
+                    "^mask: unsupported format 'srampuf-mask-v9'$"),
+    "helper-format": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v2", "x"),
+                      "^helper data: unsupported format 'x'$"),
+    "empty-registry": (registry_from_text, "\n \n", "^registry: empty file$"),
+    "registry-format": (registry_from_text, "format = srampuf-registry-v9\n",
+                        "^registry: unsupported format 'srampuf-registry-v9'$"),
+}
+
+
+@pytest.mark.parametrize("read, text, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_reader_refusal_names_what_is_wrong(read, text, message):
+    with pytest.raises(TextFormatError, match=message):
+        read(text)
+
+
+def test_missing_registry_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "--dump", "x.hex", "--registry", "nope.txt",
+                 "--device-id", "dev-a"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: registry file not found: nope.txt\n"
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "registry.txt"
+    path.write_text("format = srampuf-registry-v2\n")
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "created = caf\xe9\n")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["registry.txt"]

@@ -671,3 +671,54 @@ class TestCliFlip:
         src = workspace / "dumps" / "sample-00000.hex"
         assert main(["flip", "--dump", str(src), "--out", str(workspace / "x.hex"),
                      "--positions", str(NUM_BITS)]) == EXIT_USAGE
+
+
+@pytest.fixture()
+def two_dumps(tmp_path):
+    dumps = tmp_path / "dumps"
+    assert main(["simulate", "--out-dir", str(dumps), "--device-seed", "1", "-n", "2",
+                 "--num-bits", "64"]) == EXIT_OK
+    return dumps
+
+
+# Each usage refusal the commands make before touching the library, with its message
+USAGE_REFUSALS = {
+    "simulate-set": (["simulate", "--out-dir", "{tmp}/out", "--device-seed", "1", "--set", "foo"],
+                     "--set expects key=value, got 'foo'"),
+    "enroll-dumps": (["enroll", "--dumps", "{dumps}/sample-00000.hex", "--registry",
+                      "{tmp}/registry.txt", "--device-id", "dev-a"],
+                     "not a directory: {dumps}/sample-00000.hex"),
+    "enroll-device-id": (["enroll", "--dumps", "{dumps}", "--registry", "{tmp}/registry.txt",
+                          "--device-id", "a b"],
+                         "device id 'a b' must match ^[A-Za-z0-9._-]+$"),
+    "sweep-test-dumps": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps", "NTNA"],
+                         "--test-dumps expects CONDITION=DIR, got 'NTNA'"),
+    "flip-count-seed": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out", "{tmp}/x.hex",
+                         "--count", "2"],
+                        "--count needs --seed for a reproducible choice"),
+    "flip-no-choice": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out", "{tmp}/x.hex"],
+                       "give --positions or --count"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_REFUSALS.values(), ids=list(USAGE_REFUSALS))
+def test_usage_refusal_is_one_error_line(tmp_path, two_dumps, capsys, argv, message):
+    capsys.readouterr()
+    paths = dict(tmp=tmp_path, dumps=two_dumps)
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert sorted(os.listdir(tmp_path)) == ["dumps"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps", "NTNA={dumps}",
+      "--thresholds", "1,x"], "--thresholds"),
+    (["flip", "--dump", "{dumps}/sample-00000.hex", "--out", "{tmp}/x.hex",
+      "--positions", "3,x"], "--positions"),
+], ids=["thresholds", "positions"])
+def test_integer_list_error_names_flag_and_item(tmp_path, two_dumps, capsys, argv, flag):
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path, dumps=two_dumps) for arg in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and err.endswith(" 'x'\n") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["dumps"]

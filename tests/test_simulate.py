@@ -15,6 +15,7 @@ from srampuf.simulate import (
     new_device,
     parse_calibration,
     power_up_sample,
+    _distance_to_unstable,
 )
 from srampuf._kv import TextFormatError
 
@@ -254,8 +255,32 @@ class TestCalibrationFile:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             parse_calibration(f"{key} = {value}\nflip_prob_edge = 0\n")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("cluster_radius", -1, "^cluster_radius must be >= 0$"),
+        ("cluster_mix", -0.1, r"^cluster_mix must be in \[0, 1\]$"),
+        ("cluster_mix", 1.5, r"^cluster_mix must be in \[0, 1\]$"),
+        ("flip_prob_unstable", 1.5, "^flip_prob_unstable must be a probability$"),
+        ("flip_prob_edge", 1.0001, "^flip_prob_edge must be a probability$"),
+    ])
+    def test_out_of_range_value_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            Calibration(**{field: value})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Calibration(unstable_fraction=1.5)
         with pytest.raises(ValueError):
             Calibration(flip_decay=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distance_to_unstable_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 201):
+        unstable = rng.random(n) < rng.random()
+        # Also with every unstable cell on one side of a random cut
+        cut = rng.integers(0, n + 1)
+        for mask in (unstable, unstable & (np.arange(n) < cut), unstable & (np.arange(n) >= cut)):
+            if mask.any():
+                brute = np.abs(np.arange(n)[:, None] - np.flatnonzero(mask)).min(axis=1)
+                assert np.array_equal(_distance_to_unstable(mask), brute)
