@@ -42,9 +42,11 @@ def read_text(path, data: bytes | None = None) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def parse_kv_block(text: str, *, what: str = "file", first_line: int = 1) -> dict[str, str]:
-    """Parse ``key = value`` lines into a dict. Blank lines and ``#`` comments
-    skipped; errors number ``text``'s first line ``first_line``."""
+def parse_kv_block(text: str, *, what: str = "file", first_line: int = 1,
+                   keys=None) -> dict[str, str]:
+    """Parse ``key = value`` lines into a dict, refusing any key not in ``keys`` when
+    given. Blank lines and ``#`` comments skipped; errors number ``text``'s first
+    line ``first_line``."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=first_line):
         line = raw.strip()
@@ -56,6 +58,8 @@ def parse_kv_block(text: str, *, what: str = "file", first_line: int = 1) -> dic
         key, value = key.strip(), value.strip()
         if not key:
             raise TextFormatError(f"{what}: line {lineno}: empty key")
+        if keys is not None and key not in keys:
+            raise TextFormatError(f"{what}: line {lineno}: unknown key {key!r}")
         if key in out:
             raise TextFormatError(f"{what}: line {lineno}: duplicate key {key!r}")
         if not is_value(value):
@@ -87,7 +91,7 @@ def require_keys(fields: dict[str, str], keys, *, what: str) -> None:
 def read_record(text: str, keys: tuple[str, ...], formats, *, what: str) -> dict[str, str]:
     """Parse one ``key = value`` record that holds every key of ``keys`` and
     whose ``format`` is one of ``formats``."""
-    fields = parse_kv_block(text, what=what)
+    fields = parse_kv_block(text, what=what, keys=keys)
     require_keys(fields, keys, what=what)
     if fields["format"] not in formats:
         raise TextFormatError(f"{what}: unsupported format {fields['format']!r}")

@@ -20,7 +20,7 @@ from .enroll import (
     mark_stability,
     weight_positions,
 )
-from .fuzzy import N
+from .fuzzy import N, require_size
 from .keygen import apply_mask
 
 DEFAULT_THRESHOLDS = (1, 2, 3, 4, 5)
@@ -173,9 +173,7 @@ def flip_rate_summary(mask: Mask, reference_response: bytes,
                       test_samples: dict[str, list[BitVector]]) -> dict[str, FlipRateSummary]:
     """Per condition: share of raw test samples whose masked response differs
     from the 16-byte reference at all, plus the worst-case differing bit count."""
-    if len(reference_response) != N // 8:
-        raise ValueError(f"reference response must be {N // 8} bytes, "
-                         f"got {len(reference_response)}")
+    require_size("reference response", reference_response, N // 8)
     byte, bit = mask.packed_index
     summaries = {}
     for condition in sorted(test_samples):
@@ -220,11 +218,7 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     out = io.StringIO()
     out.write("condition,threshold,block_index,selected_count,max_flips,"
               "pct_samples_0_flips,pct_samples_1_flip,pct_samples_2plus_flips\n")
-    # A share is one of sample_count + 1 values, so each distinct one is
-    # formatted once. Rows are unpacked, which is quicker than reading fields.
-    shares = {(k, n) for *_, n, zero, one, multi in rows for k in (zero, one, multi)}
-    text = {(k, n): f"{100.0 * k / n:.4f}" for k, n in shares}
     for condition, threshold, block, selected, most, n, zero, one, multi in rows:
-        out.write(f"{condition},{threshold},{block},{selected},{most},"
-                  f"{text[zero, n]},{text[one, n]},{text[multi, n]}\n")
+        out.write(f"{condition},{threshold},{block},{selected},{most},{100.0 * zero / n:.4f},"
+                  f"{100.0 * one / n:.4f},{100.0 * multi / n:.4f}\n")
     return out.getvalue()

@@ -108,7 +108,7 @@ def cmd_enroll(args) -> int:
         registry.add(reg.RegistryEntry(
             device_id=args.device_id,
             mask_file=mask_name,
-            mask_sha256=reg.file_sha256(mask_path),
+            mask_sha256=mask.fingerprint,
             created=reg.utc_timestamp(),
         ))
         reg.save_registry(args.registry, registry)
@@ -232,6 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
                "4 debug key-hash mismatch, 5 insufficient stable bits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    device, dump, csv = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    device.add_argument("--registry", required=True)
+    device.add_argument("--device-id", required=True)
+    dump.add_argument("--dump", required=True)
+    csv.add_argument("--block-size", type=int, default=enroll.DEFAULT_WINDOW_LENGTH)
+    csv.add_argument("--out", help="CSV path (stdout when omitted)")
 
     p = sub.add_parser("simulate", help="write power-up dumps for a simulated device")
     p.add_argument("--out-dir", required=True)
@@ -246,48 +252,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override one calibration value (repeatable)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("enroll", help="build a stable-bit mask from dumps and register it")
+    p = sub.add_parser("enroll", parents=[device],
+                       help="build a stable-bit mask from dumps and register it")
     p.add_argument("--dumps", required=True, help="directory of enrollment dumps (*.hex)")
-    p.add_argument("--registry", required=True)
-    p.add_argument("--device-id", required=True)
     p.add_argument("--threshold", type=int, default=4)
     p.add_argument("--window-length", type=int, default=enroll.DEFAULT_WINDOW_LENGTH)
     p.add_argument("--base-offset", type=int, default=0)
     p.set_defaults(func=cmd_enroll)
 
-    p = sub.add_parser("genkey", help="generate helper data (and keys) from a dump")
-    p.add_argument("--dump", required=True)
-    p.add_argument("--registry", required=True)
-    p.add_argument("--device-id", required=True)
+    p = sub.add_parser("genkey", parents=[dump, device],
+                       help="generate helper data (and keys) from a dump")
     p.add_argument("--seed", type=int, help="reproducible codeword seed, for tests only; "
                                             "the OS CSPRNG draws the codeword when omitted")
     p.add_argument("--debug", action="store_true",
                    help="print the keys and store a key hash for verification")
     p.set_defaults(func=cmd_genkey)
 
-    p = sub.add_parser("reproduce", help="reproduce the enrolled key from a fresh dump")
-    p.add_argument("--dump", required=True)
-    p.add_argument("--registry", required=True)
-    p.add_argument("--device-id", required=True)
+    p = sub.add_parser("reproduce", parents=[dump, device],
+                       help="reproduce the enrolled key from a fresh dump")
     p.add_argument("--debug", action="store_true", help="print the keys")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("stats", help="per-block stability statistics as CSV")
+    p = sub.add_parser("stats", parents=[csv], help="per-block stability statistics as CSV")
     p.add_argument("--dumps", required=True)
-    p.add_argument("--block-size", type=int, default=enroll.DEFAULT_WINDOW_LENGTH)
-    p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("sweep", help="threshold sweep with per-condition flip tallies as CSV")
+    p = sub.add_parser("sweep", parents=[csv],
+                       help="threshold sweep with per-condition flip tallies as CSV")
     p.add_argument("--enroll-dumps", required=True)
     p.add_argument("--test-dumps", action="append", required=True, metavar="CONDITION=DIR")
     p.add_argument("--thresholds", default="1,2,3,4,5")
-    p.add_argument("--block-size", type=int, default=enroll.DEFAULT_WINDOW_LENGTH)
-    p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("flip", help="copy a dump with chosen bits inverted (test tool)")
-    p.add_argument("--dump", required=True)
+    p = sub.add_parser("flip", parents=[dump],
+                       help="copy a dump with chosen bits inverted (test tool)")
     p.add_argument("--out", required=True)
     p.add_argument("--positions", help="comma-separated global bit indices")
     p.add_argument("--count", type=int, help="flip this many randomly chosen bits")

@@ -14,6 +14,7 @@ filters raw power-up dumps into a response.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -255,9 +256,8 @@ def mask_from_text(text: str) -> Mask:
         raise TextFormatError(f"mask: {exc}") from None
 
 
-def mask_fingerprint(mask: Mask) -> str:
-    """SHA-256 of the canonical mask file text; ties helper data to its mask."""
-    return mask.fingerprint
+# SHA-256 of the canonical mask file text, read through Mask.fingerprint's cache
+mask_fingerprint = operator.attrgetter("fingerprint")
 
 
 def save_mask(path, mask: Mask) -> None:

@@ -93,16 +93,18 @@ _BIT_OF_CODE = {name: {code: i for i, code in enumerate(codes.tolist())}
                 for name, codes in COLUMNS.items()}
 
 
+def require_size(what: str, value: bytes, size: int) -> None:
+    if len(value) != size:
+        raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
+
+
 def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)} bytes")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def syndrome(word: bytes, code: str = CODE_NAME) -> int:
     """XOR of the column codes of the word's set bits; 0 for a codeword."""
-    if len(word) != N // 8:
-        raise ValueError(f"word must be {N // 8} bytes, got {len(word)}")
+    require_size("word", word, N // 8)
     s = 0
     for table, value in zip(_BYTE_SYNDROMES[code], word):
         s ^= table[value]
@@ -111,8 +113,7 @@ def syndrome(word: bytes, code: str = CODE_NAME) -> int:
 
 def encode(message: bytes) -> bytes:
     """Append the parity byte that zeroes the syndrome to a 15-byte message."""
-    if len(message) != K // 8:
-        raise ValueError(f"message must be {K // 8} bytes, got {len(message)}")
+    require_size("message", message, K // 8)
     acc = syndrome(message + b"\0")
     return message + bytes([sum(((acc >> b) & 1) << (7 - b) for b in range(R))])
 
@@ -150,8 +151,7 @@ class HelperData:
     code: str = CODE_NAME
 
     def __post_init__(self):
-        if len(self.code_offset) != N // 8:
-            raise ValueError(f"code offset must be {N // 8} bytes, got {len(self.code_offset)}")
+        require_size("code offset", self.code_offset, N // 8)
         if self.code not in COLUMNS:
             raise ValueError(f"unknown code {self.code!r}")
 
@@ -164,8 +164,7 @@ def generate(response: bytes, seed: int | None = None, *, device_id: str = "",
     from the OS CSPRNG unless ``seed`` asks for reproducible PCG64 bits, which
     are for tests and benchmarks only: they carry no secrecy.
     """
-    if len(response) != N // 8:
-        raise ValueError(f"response must be {N // 8} bytes, got {len(response)}")
+    require_size("response", response, N // 8)
     if seed is None:
         message = secrets.token_bytes(K // 8)
     else:
@@ -182,6 +181,7 @@ def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
     flipped than the code can repair; callers should re-sample rather than
     continue with a wrong key.
     """
+    require_size("noisy response", noisy_response, N // 8)
     return _xor(helper.code_offset,
                 correct(_xor(noisy_response, helper.code_offset), helper.code))
 

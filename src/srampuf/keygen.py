@@ -23,7 +23,7 @@ import hashlib
 import numpy as np
 
 from .enroll import Mask, mask_fingerprint
-from .fuzzy import N, HelperData, generate, reproduce
+from .fuzzy import N, HelperData, generate, reproduce, require_size
 
 KEY_BITS = 256
 
@@ -35,8 +35,7 @@ class KeyMaterial:
     digest: bytes
 
     def __post_init__(self):
-        if len(self.digest) != KEY_BITS // 8:
-            raise ValueError(f"digest must be {KEY_BITS // 8} bytes")
+        require_size("digest", self.digest, KEY_BITS // 8)
 
     @property
     def key1(self) -> bytes:
@@ -67,8 +66,7 @@ def apply_mask(raw, mask: Mask) -> bytes:
 
 def derive_key(response: bytes) -> KeyMaterial:
     """Hash a recovered 16-byte response into key material."""
-    if len(response) != N // 8:
-        raise ValueError(f"response must be {N // 8} bytes, got {len(response)}")
+    require_size("response", response, N // 8)
     return KeyMaterial(digest=hashlib.sha256(response).digest())
 
 

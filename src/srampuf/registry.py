@@ -27,9 +27,10 @@ from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_b
                   parse_kv_block, read_text, require_keys)
 
 REGISTRY_FORMAT = "srampuf-registry-v2"
-# v1 entries also repeated five of the mask's enrollment parameters; they are
-# read past, since the fingerprinted mask file holds them.
-_READABLE_FORMATS = (REGISTRY_FORMAT, "srampuf-registry-v1")
+# Readable format -> the keys its entries hold besides RegistryEntry's fields: v1
+# entries repeated five of the mask's parameters, read past as the mask file holds them.
+_READABLE_FORMATS = {REGISTRY_FORMAT: (), "srampuf-registry-v1": (
+    "threshold", "sample_count", "base_offset", "window_length", "num_windows")}
 
 
 class RegistryError(Exception):
@@ -96,7 +97,7 @@ class Registry:
 
 
 def registry_to_text(registry: Registry) -> str:
-    blocks = [format_kv_block([("format", REGISTRY_FORMAT)])]
+    blocks = [_HEADER]
     for device_id in sorted(registry.entries):
         pairs = registry.entries[device_id].to_pairs()
         _check_file_names(dict(pairs), f"registry entry {device_id!r}")
@@ -170,13 +171,17 @@ def _parse_registry(text: str) -> Registry:
     first_line, lines = next(blocks, (0, None))
     if lines is None:
         raise TextFormatError("registry: empty file")
-    header = parse_kv_block("\n".join(lines), what="registry header", first_line=first_line)
-    if header.get("format") not in _READABLE_FORMATS:
+    header = parse_kv_block("\n".join(lines), what="registry header", first_line=first_line,
+                            keys=("format",))
+    legacy_keys = _READABLE_FORMATS.get(header.get("format"))
+    if legacy_keys is None:
         raise TextFormatError(f"registry: unsupported format {header.get('format')!r}")
+    entry_keys = (*_ENTRY_KEYS, *legacy_keys)
     entries: dict[str, RegistryEntry] = {}
     first_lines: dict[str, int] = {}
     for first_line, lines in blocks:
-        values = parse_kv_block("\n".join(lines), what="registry entry", first_line=first_line)
+        values = parse_kv_block("\n".join(lines), what="registry entry", first_line=first_line,
+                                keys=entry_keys)
         what = f"registry entry at line {first_line}"
         require_keys(values, _REQUIRED_ENTRY_KEYS, what=what)
         _check_file_names(values, what)
@@ -185,8 +190,8 @@ def _parse_registry(text: str) -> Registry:
             raise TextFormatError(f"{what}: device_id {device_id!r} is also listed at line "
                                   f"{first_lines[device_id]}")
         first_lines[device_id] = first_line
-        # "" fills only optional keys, as the required ones are present; keys
-        # that are no field, such as a v1 entry's mask parameters, are read past
+        # "" fills only optional keys, as the required ones are present; a v1
+        # entry's legacy keys are no field, so they are read past
         entries[device_id] = RegistryEntry(*[values.get(key, "") for key in _ENTRY_KEYS])
     return Registry(entries)
 

@@ -114,10 +114,8 @@ _CALIBRATION_TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fiel
 def parse_calibration(text: str) -> Calibration:
     """Read a calibration from ``key = value`` text; unknown keys are errors."""
     kwargs = {}
-    for key, value in parse_kv_block(text, what="calibration").items():
-        kind = _CALIBRATION_TYPES.get(key)
-        if kind is None:
-            raise TextFormatError(f"calibration: unknown key {key!r}")
+    for key, value in parse_kv_block(text, what="calibration", keys=_CALIBRATION_TYPES).items():
+        kind = _CALIBRATION_TYPES[key]
         try:
             kwargs[key] = kind(value)
         except ValueError:

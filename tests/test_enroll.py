@@ -153,6 +153,15 @@ class TestBuildMask:
             with pytest.raises(ValueError, match="same length"):
                 build_mask(ordered, threshold=1)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="^no samples provided$"):
+            build_mask([], threshold=1)
+
+    def test_target_len_below_one_rejected(self):
+        samples = [BitVector(np.ones(2432, dtype=np.uint8))] * 2
+        with pytest.raises(ValueError, match="^target_len must be >= 1$"):
+            build_mask(samples, threshold=1, target_len=0)
+
     @pytest.mark.parametrize("window_length", [0, -1216])
     def test_window_length_below_one_rejected(self, window_length):
         samples = [BitVector(np.ones(2432, dtype=np.uint8))] * 2

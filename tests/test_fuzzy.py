@@ -20,6 +20,9 @@ from srampuf.fuzzy import (
     syndrome,
 )
 from srampuf._kv import TextFormatError
+from srampuf.analytics import flip_rate_summary
+from srampuf.enroll import Mask
+from srampuf.keygen import KeyMaterial, derive_key
 
 from _oracles import flip_bits, oracle_syndrome, random_bytes, weight, xor
 
@@ -197,6 +200,32 @@ class TestReproduce:
     def test_round_trip_property(self, bits_seed, codeword_seed):
         y = random_bytes(np.random.default_rng(bits_seed), 128)
         assert reproduce(y, generate(y, codeword_seed)) == y
+
+
+HELPER = HelperData(code_offset=bytes(16))
+# Every entry of the key path that takes bytes of one size, with a wrong-sized
+# value; all of them state the rule in the same words.
+SIZE_REFUSALS = {
+    "syndrome": (lambda: syndrome(bytes(15)), "word must be 16 bytes, got 15"),
+    "encode": (lambda: encode(bytes(16)), "message must be 15 bytes, got 16"),
+    "helper": (lambda: HelperData(code_offset=bytes(8)), "code offset must be 16 bytes, got 8"),
+    "generate": (lambda: generate(bytes(17), 0), "response must be 16 bytes, got 17"),
+    "reproduce-short": (lambda: reproduce(bytes(15), HELPER),
+                        "noisy response must be 16 bytes, got 15"),
+    "reproduce-long": (lambda: reproduce(bytes(17), HELPER),
+                       "noisy response must be 16 bytes, got 17"),
+    "derive-key": (lambda: derive_key(bytes(15)), "response must be 16 bytes, got 15"),
+    "key-material": (lambda: KeyMaterial(digest=bytes(31)), "digest must be 32 bytes, got 31"),
+    "flip-rate-summary": (lambda: flip_rate_summary(
+        Mask(device_id="", positions=np.arange(128), threshold=1, sample_count=2), bytes(15), {}),
+        "reference response must be 16 bytes, got 15"),
+}
+
+
+@pytest.mark.parametrize("call, message", SIZE_REFUSALS.values(), ids=list(SIZE_REFUSALS))
+def test_wrong_size_is_refused_in_one_wording(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestHelperFile:

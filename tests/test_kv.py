@@ -26,7 +26,7 @@ from srampuf.registry import (
     registry_to_text,
     save_registry,
 )
-from srampuf.simulate import Calibration, calibration_to_text, load_calibration
+from srampuf.simulate import Calibration, calibration_to_text, load_calibration, parse_calibration
 
 # Any text, and ASCII text with its control characters
 VALUES = st.text() | st.text(st.characters(max_codepoint=127))
@@ -243,8 +243,27 @@ def test_genkey_refuses_a_registry_it_could_not_write_back(tmp_path, capsys):
 MASK_TEXT = mask_to_text(Mask(device_id="dev-a", positions=np.arange(8), threshold=4,
                               sample_count=40))
 HELPER_TEXT = helper_to_text(HelperData(code_offset=bytes(16)))
+# Line 7 holds the entry's helper_file key.
+REGISTRY_TEXT = registry_to_text(registry_of(entry("dev-a", helper_file="dev-a.helper",
+                                                   helper_sha256="1" * 64)))
 REFUSALS = {
     "empty-key": (parse_kv_block, "a = 1\n = 2\n", "^file: line 2: empty key$"),
+    "unknown-key": (lambda text: parse_kv_block(text, keys=("a",)), "a = 1\nb = 2\n",
+                    "^file: line 2: unknown key 'b'$"),
+    "mask-extra-key": (mask_from_text, MASK_TEXT + "note = x\n",
+                       f"^mask: line {len(MASK_KEYS) + 1}: unknown key 'note'$"),
+    "helper-extra-key": (helper_from_text, HELPER_TEXT + "note = x\n",
+                         f"^helper data: line {len(HELPER_KEYS) + 1}: unknown key 'note'$"),
+    "calibration-extra-key": (parse_calibration, calibration_to_text(Calibration()) + "note = x\n",
+                              r"^calibration: line \d+: unknown key 'note'$"),
+    "registry-header-key": (registry_from_text, "format = srampuf-registry-v2\nnote = x\n",
+                            "^registry header: line 2: unknown key 'note'$"),
+    "registry-misspelled-key": (registry_from_text,
+                                REGISTRY_TEXT.replace("helper_file", "helper_fiel"),
+                                "^registry entry: line 7: unknown key 'helper_fiel'$"),
+    "registry-v2-legacy-key": (registry_from_text,
+                               REGISTRY_TEXT.replace("helper_file", "threshold = 4\nhelper_file"),
+                               "^registry entry: line 7: unknown key 'threshold'$"),
     "duplicate-key": (parse_kv_block, "a = 1\n\na = 2\n", "^file: line 3: duplicate key 'a'$"),
     "mask-format": (mask_from_text, MASK_TEXT.replace("srampuf-mask-v1", "srampuf-mask-v9"),
                     "^mask: unsupported format 'srampuf-mask-v9'$"),
@@ -277,3 +296,16 @@ def test_failed_write_leaves_the_old_file(tmp_path):
         atomic_write_text(path, "created = caf\xe9\n")
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["registry.txt"]
+
+
+def test_failed_cleanup_lets_the_write_error_through(tmp_path, monkeypatch):
+    def fail(name):
+        def refuse(*args):
+            raise OSError(name)
+        return refuse
+
+    monkeypatch.setattr(os, "replace", fail("replace failed"))
+    monkeypatch.setattr(os, "unlink", fail("unlink failed"))
+    with pytest.raises(OSError, match="^replace failed$"):
+        atomic_write_text(tmp_path / "registry.txt", "format = srampuf-registry-v2\n")
+    assert not (tmp_path / "registry.txt").exists()

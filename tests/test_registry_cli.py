@@ -114,6 +114,8 @@ class TestRegistryData:
     def test_unknown_device(self):
         with pytest.raises(RegistryError, match="not enrolled"):
             Registry().get("ghost")
+        with pytest.raises(RegistryError, match="^device 'ghost' is not enrolled$"):
+            Registry().update(entry("ghost"))
 
     def test_load_checks_mask_fingerprint(self, tmp_path):
         mask_path = tmp_path / "dev-a.mask"
@@ -491,6 +493,17 @@ class TestCliKeyFlow:
         assert main(["reproduce", "--dump", str(dump), "--registry", str(inner / "registry.txt"),
                      "--device-id", "dev-a"]) == EXIT_USAGE
         assert "'mask_file'" in capsys.readouterr().err
+
+    def test_misspelled_key_is_usage_error(self, enrolled, capsys):
+        path = enrolled / "registry.txt"
+        lines = path.read_text().split("\n")
+        line = lines.index("helper_file = dev-a.helper")
+        lines[line] = "helper_fiel = dev-a.helper"
+        path.write_text("\n".join(lines))
+        dump = enrolled / "dumps" / "sample-00000.hex"
+        assert main(reproduce_args(enrolled, dump)) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: registry entry: line {line + 1}: unknown key 'helper_fiel'\n")
 
     def test_device_listed_twice_is_usage_error(self, enrolled, capsys):
         path = enrolled / "registry.txt"

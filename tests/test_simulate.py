@@ -16,6 +16,7 @@ from srampuf.simulate import (
     parse_calibration,
     power_up_sample,
     _distance_to_unstable,
+    _smooth,
 )
 from srampuf._kv import TextFormatError
 
@@ -60,6 +61,13 @@ class TestDeviceConstruction:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
             new_device(-3, num_bits=64)
+
+    def test_no_smoothing_at_zero_radius_or_zero_mix(self):
+        latent = np.random.default_rng(4).random(64)
+        assert _smooth(latent, 0, 0.65) is latent and _smooth(latent, 2, 0.0) is latent
+        by_radius = new_device(4, num_bits=256, calibration=Calibration(cluster_radius=0))
+        by_mix = new_device(4, num_bits=256, calibration=Calibration(cluster_mix=0.0))
+        assert dataclasses.replace(by_radius, calibration=by_mix.calibration) == by_mix
 
 
 class TestDeviceEquality:
