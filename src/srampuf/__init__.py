@@ -29,7 +29,6 @@ from .enroll import (
     mark_stability,
     mask_fingerprint,
     save_mask,
-    select_positions,
     weight_positions,
 )
 from .fuzzy import (
@@ -41,7 +40,7 @@ from .fuzzy import (
     save_helper,
 )
 from .keygen import KeyMaterial, apply_mask, derive_key, generate_key, reproduce_key
-from .registry import Registry, RegistryEntry, RegistryError, load_registry, save_registry
+from .registry import Registry, RegistryEntry, load_registry, save_registry
 from .simulate import (
     Calibration,
     Condition,

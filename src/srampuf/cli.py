@@ -1,9 +1,10 @@
 """Command-line front end tying simulation, enrollment, and key handling together.
 
 Exit codes: 0 success; 2 usage or input error (bad arguments, malformed or
-mismatched files, unknown device); 3 key reproduction failure (re-sample the
-device); 4 reproduced key does not match the stored debug key hash; 5 not
-enough stable bits to fill a mask at the requested threshold.
+mismatched files, unknown device, a request too large to allocate); 3 key
+reproduction failure (re-sample the device); 4 reproduced key does not match
+the stored debug key hash; 5 not enough stable bits to fill a mask at the
+requested threshold.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import os
 import re
 import sys
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -109,7 +111,7 @@ def cmd_enroll(args) -> int:
             device_id=args.device_id,
             mask_file=mask_name,
             mask_sha256=mask.fingerprint,
-            created=reg.utc_timestamp(),
+            created=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         ))
         reg.save_registry(args.registry, registry)
     print(f"enrolled {args.device_id}: {mask.target_len} positions from "
@@ -138,9 +140,9 @@ def cmd_genkey(args) -> int:
         helper, key = keygen.generate_key(raw, mask, args.seed)
         fuzzy.save_helper(helper_path, helper)
         key_sha = hashlib.sha256(key.digest).hexdigest() if args.debug else ""
-        registry.update(dataclasses.replace(entry, helper_file=helper_name,
-                                            helper_sha256=reg.file_sha256(helper_path),
-                                            key_sha256=key_sha))
+        registry.entries[args.device_id] = dataclasses.replace(
+            entry, helper_file=helper_name, helper_sha256=reg.file_sha256(helper_path),
+            key_sha256=key_sha)
         reg.save_registry(args.registry, registry)
     print(f"helper data written to {helper_path}")
     if args.debug:
@@ -200,14 +202,16 @@ def cmd_flip(args) -> int:
     elif args.count is not None:
         if args.seed is None:
             raise ValueError("--count needs --seed for a reproducible choice")
-        rng = np.random.default_rng(args.seed)
         if args.mask:
             mask = enroll.load_mask(args.mask)
             pool = mask.base_offset + mask.positions
-            chosen = rng.choice(pool.size, size=args.count, replace=False)
-            positions = [int(pool[i]) for i in chosen]
         else:
-            positions = [int(p) for p in rng.choice(len(raw), size=args.count, replace=False)]
+            pool = np.arange(len(raw))
+        if not 0 <= args.count <= pool.size:
+            raise ValueError(f"--count {args.count} is outside 0..{pool.size}, "
+                             f"the number of bits to choose from")
+        rng = np.random.default_rng(args.seed)
+        positions = pool[rng.choice(pool.size, size=args.count, replace=False)].tolist()
     else:
         raise ValueError("give --positions or --count")
     bad = [p for p in positions if not 0 <= p < len(raw)]
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="threshold sweep with per-condition flip tallies as CSV")
     p.add_argument("--enroll-dumps", required=True)
     p.add_argument("--test-dumps", action="append", required=True, metavar="CONDITION=DIR")
-    p.add_argument("--thresholds", default="1,2,3,4,5")
+    p.add_argument("--thresholds", default=",".join(map(str, analytics.DEFAULT_THRESHOLDS)))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("flip", parents=[dump],
@@ -306,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except enroll.InsufficientStableBitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_BITS
-    except (reg.RegistryError, ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,9 +23,9 @@ import numpy as np
 from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
                   read_text)
 from .bitvec import BitVector
+from .fuzzy import N
 
 DEFAULT_WINDOW_LENGTH = 1216
-DEFAULT_TARGET_LEN = 128
 MASK_FORMAT = "srampuf-mask-v1"
 
 
@@ -101,13 +101,6 @@ def weight_positions(stable: np.ndarray) -> np.ndarray:
     return weights
 
 
-def select_positions(weights: np.ndarray, threshold: int) -> np.ndarray:
-    """Ascending indices of all positions whose weight reaches the threshold."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    return np.flatnonzero(weights >= threshold)
-
-
 # Least value of each integer Mask field, in file order; a negative
 # base_offset would read bits wrapped from the end of a dump.
 _FIELD_MINIMUMS = {"base_offset": 0, "window_length": 1, "num_windows": 1,
@@ -174,28 +167,24 @@ class Mask:
         byte.flags.writeable = bit.flags.writeable = False
         return byte, bit
 
-    def required_dump_bits(self) -> int:
-        return self.base_offset + int(self.positions[-1]) + 1 if self.positions.size else self.base_offset
-
 
 def build_mask(samples: list[BitVector], threshold: int,
-               target_len: int = DEFAULT_TARGET_LEN,
                window_length: int = DEFAULT_WINDOW_LENGTH,
                base_offset: int = 0,
                device_id: str = "") -> Mask:
-    """Select ``target_len`` positions from consecutive windows of the samples.
+    """Select one response's ``fuzzy.N`` positions from consecutive windows.
 
     Windows from ``base_offset`` on are marked and weighted in doubling
     chunks (1, 2, 4, ... windows), runs ending at window edges, until
-    ``target_len`` positions qualify; the lowest-index qualifying positions
-    win, and ``num_windows`` counts the windows they reach. Raises
+    ``fuzzy.N`` positions reach ``threshold``; the lowest-index qualifying
+    positions win, and ``num_windows`` counts the windows they reach. Raises
     :class:`InsufficientStableBitsError` when all available windows together
     fall short.
     """
     if not samples:
         raise ValueError("no samples provided")
-    if target_len < 1:
-        raise ValueError("target_len must be >= 1")
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
     if window_length < 1:
         raise ValueError("window_length must be >= 1")
     total_bits = len(samples[0])
@@ -209,19 +198,19 @@ def build_mask(samples: list[BitVector], threshold: int,
     # Runs end at window edges, so each chunk stands alone. found[k]: the
     # qualifying positions of chunk k, relative to base_offset.
     found, scanned = [], 0
-    while scanned < available and sum(f.size for f in found) < target_len:
+    while scanned < available and sum(f.size for f in found) < N:
         chunk = min(scanned + 1, available - scanned)     # 1, 2, 4, ... windows
         lo = base_offset + scanned * window_length
         stable = mark_stability(samples, range(lo, lo + chunk * window_length))
         weights = weight_positions(stable.reshape(chunk, window_length))
-        found.append(select_positions(weights, threshold) + scanned * window_length)
+        found.append(np.flatnonzero(weights >= threshold) + scanned * window_length)
         scanned += chunk
     chosen = np.concatenate(found)
-    if chosen.size < target_len:
+    if chosen.size < N:
         # Every window was scanned, so the counts cover them all.
         window_counts = np.bincount(chosen // window_length, minlength=available)
-        raise InsufficientStableBitsError(target_len, int(chosen.size), window_counts.tolist())
-    positions = chosen[:target_len]
+        raise InsufficientStableBitsError(N, int(chosen.size), window_counts.tolist())
+    positions = chosen[:N]
     return Mask(
         device_id=device_id,
         positions=positions,

@@ -53,7 +53,7 @@ def apply_mask(raw, mask: Mask) -> bytes:
     """Filter a raw dump down to the 16-byte masked response, in mask order."""
     if mask.target_len != N:
         raise ValueError(f"mask selects {mask.target_len} positions; a response needs {N}")
-    needed = mask.required_dump_bits()
+    needed = mask.base_offset + int(mask.positions[-1]) + 1
     if len(raw) < needed:
         raise ValueError(
             f"dump has {len(raw)} bits but the mask needs bits "

@@ -21,7 +21,6 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from datetime import datetime, timezone
 
 from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
                   parse_kv_block, read_text, require_keys)
@@ -33,17 +32,9 @@ _READABLE_FORMATS = {REGISTRY_FORMAT: (), "srampuf-registry-v1": (
     "threshold", "sample_count", "base_offset", "window_length", "num_windows")}
 
 
-class RegistryError(Exception):
-    """The registry file or a referenced artifact is missing or inconsistent."""
-
-
 def file_sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-def utc_timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 @dataclass(frozen=True)
@@ -81,19 +72,14 @@ class Registry:
 
     def add(self, entry: RegistryEntry) -> None:
         if entry.device_id in self.entries:
-            raise RegistryError(f"device {entry.device_id!r} is already enrolled")
+            raise ValueError(f"device {entry.device_id!r} is already enrolled")
         self.entries[entry.device_id] = entry
 
     def get(self, device_id: str) -> RegistryEntry:
         try:
             return self.entries[device_id]
         except KeyError:
-            raise RegistryError(f"device {device_id!r} is not enrolled") from None
-
-    def update(self, entry: RegistryEntry) -> None:
-        if entry.device_id not in self.entries:
-            raise RegistryError(f"device {entry.device_id!r} is not enrolled")
-        self.entries[entry.device_id] = entry
+            raise ValueError(f"device {device_id!r} is not enrolled") from None
 
 
 def registry_to_text(registry: Registry) -> str:
@@ -205,7 +191,7 @@ def load_registry(path) -> Registry:
     try:
         text = read_text(path)
     except FileNotFoundError:
-        raise RegistryError(f"registry file not found: {path}") from None
+        raise ValueError(f"registry file not found: {path}") from None
     return registry_from_text(text)
 
 
@@ -231,10 +217,10 @@ def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        raise RegistryError(f"device {entry.device_id!r}: {what} file {name!r} is missing") from None
+        raise ValueError(f"device {entry.device_id!r}: {what} file {name!r} is missing") from None
     actual = hashlib.sha256(data).hexdigest()
     if actual != expected:
-        raise RegistryError(
+        raise ValueError(
             f"device {entry.device_id!r}: {what} file {name!r} does not match its recorded "
             f"fingerprint (expected {expected[:12]}.., found {actual[:12]}..)"
         )

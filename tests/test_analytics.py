@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from srampuf.analytics import (
 from srampuf.bitvec import BitVector, save_dump
 from srampuf.cli import EXIT_OK, main
 from srampuf.enroll import InsufficientStableBitsError, build_mask
+from srampuf.fuzzy import N
 from srampuf.keygen import apply_mask
 
 from _oracles import oracle_weights, random_bits
@@ -136,10 +140,10 @@ class TestFlipRateSummary:
         raw = random_bits(rng, 2432)
         mask = build_mask([raw, raw], threshold=4)
         reference = apply_mask(raw, mask)
-        short = BitVector(raw.bits[:mask.required_dump_bits() - 1])
+        short = BitVector(raw.bits[:mask.base_offset + int(mask.positions[-1])])
         with pytest.raises(ValueError, match="dump has .* bits but the mask needs"):
             flip_rate_summary(mask, reference, {"HTNA": [raw], "NTNA": [raw, short]})
-        narrow = build_mask([raw, raw], threshold=4, target_len=127)
+        narrow = dataclasses.replace(mask, positions=mask.positions[:127])
         with pytest.raises(ValueError, match="mask selects 127 positions"):
             flip_rate_summary(narrow, reference, {"NTNA": [raw]})
 
@@ -219,30 +223,35 @@ class TestWindowEdgeReset:
         stable, enroll, _ = self.make_case(seed)
         weights = self.brute_weights(stable, self.OFFSET, self.WINDOWS)
         reached = 0
-        for threshold in (1, 2, 3, 4):
+        for threshold in range(1, 9):
             per_window = [np.flatnonzero(w >= threshold) for w in weights]
-            total = sum(p.size for p in per_window)
-            for target_len in (1, total // 2 + 1, total):
-                collected, used = [], 0
-                while sum(c.size for c in collected) < target_len:
-                    collected.append(per_window[used] + used * self.WINDOW)
-                    used += 1
-                expected = np.concatenate(collected)[:target_len]
-                mask = build_mask(enroll, threshold, target_len=target_len,
-                                  window_length=self.WINDOW, base_offset=self.OFFSET)
-                assert np.array_equal(mask.positions, expected)
-                assert mask.num_windows == used
-                reached = max(reached, used)
+            if sum(p.size for p in per_window) < N:
+                with pytest.raises(InsufficientStableBitsError):
+                    build_mask(enroll, threshold, window_length=self.WINDOW,
+                               base_offset=self.OFFSET)
+                continue
+            collected, used = [], 0
+            while sum(c.size for c in collected) < N:
+                collected.append(per_window[used] + used * self.WINDOW)
+                used += 1
+            expected = np.concatenate(collected)[:N]
+            mask = build_mask(enroll, threshold, window_length=self.WINDOW,
+                              base_offset=self.OFFSET)
+            assert np.array_equal(mask.positions, expected)
+            assert mask.num_windows == used
+            reached = max(reached, used)
         assert reached > 3          # some mask reached into the third chunk
 
     @pytest.mark.parametrize("seed", range(4))
     def test_short_mask_reports_every_window(self, seed):
         stable, enroll, _ = self.make_case(seed)
         weights = self.brute_weights(stable, self.OFFSET, self.WINDOWS)
-        counts = [int(np.count_nonzero(w >= 2)) for w in weights]
+        for threshold in itertools.count(1):    # the lowest threshold that falls short
+            counts = [int(np.count_nonzero(w >= threshold)) for w in weights]
+            if sum(counts) < N:
+                break
         with pytest.raises(InsufficientStableBitsError) as exc:
-            build_mask(enroll, 2, target_len=sum(counts) + 1,
-                       window_length=self.WINDOW, base_offset=self.OFFSET)
+            build_mask(enroll, threshold, window_length=self.WINDOW, base_offset=self.OFFSET)
         assert exc.value.window_counts == counts
         assert exc.value.collected == sum(counts)
 

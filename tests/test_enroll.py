@@ -15,7 +15,6 @@ from srampuf.enroll import (
     mask_from_text,
     mask_to_text,
     save_mask,
-    select_positions,
     weight_positions,
 )
 from srampuf.simulate import Calibration, collect_samples, new_device
@@ -111,25 +110,31 @@ class TestWeights:
 
 
 class TestSelectPositions:
+    """Selection keeps the positions whose weight reaches the threshold."""
+
     def test_direct_filter(self):
-        weights = np.array([0, 1, 5, 3, 0, 4])
-        assert list(select_positions(weights, 4)) == [2, 5]
+        # one window: the mask is its first 128 positions of weight >= 4
+        rng = np.random.default_rng(23)
+        stable = rng.random(1216) < 0.9
+        base = rng.integers(0, 2, 1216, dtype=np.uint8)
+        mask = build_mask([BitVector(base), BitVector(base ^ ~stable)], threshold=4)
+        assert np.array_equal(mask.positions, np.flatnonzero(oracle_weights(stable) >= 4)[:128])
 
     def test_all_stable_window_at_one(self):
         marks = np.ones(1216, dtype=bool)
-        assert select_positions(weight_positions(marks), 1).size == 1216
+        assert np.count_nonzero(weight_positions(marks) >= 1) == 1216
 
     def test_threshold_validation(self):
-        weights = weight_positions(stability("SS"))
-        with pytest.raises(ValueError):
-            select_positions(weights, 0)
+        samples = [BitVector(np.ones(2432, dtype=np.uint8))] * 2
+        with pytest.raises(ValueError, match="^threshold must be >= 1$"):
+            build_mask(samples, threshold=0)
 
     def test_counts_non_increasing_in_threshold(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             stable = rng.random(500) < rng.uniform(0.2, 0.9)
             weights = weight_positions(stable)
-            counts = [select_positions(weights, t).size for t in range(1, 8)]
+            counts = [np.count_nonzero(weights >= t) for t in range(1, 8)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_selection_soundness(self):
@@ -137,7 +142,7 @@ class TestSelectPositions:
         stable = rng.random(2000) < 0.75
         weights = weight_positions(stable)
         for t in (2, 3, 4):
-            for p in select_positions(weights, t):
+            for p in np.flatnonzero(weights >= t):
                 lo, hi = max(0, p - (t - 1)), min(stable.size, p + t)
                 assert stable[lo:hi].all()
 
@@ -157,11 +162,6 @@ class TestBuildMask:
         with pytest.raises(ValueError, match="^no samples provided$"):
             build_mask([], threshold=1)
 
-    def test_target_len_below_one_rejected(self):
-        samples = [BitVector(np.ones(2432, dtype=np.uint8))] * 2
-        with pytest.raises(ValueError, match="^target_len must be >= 1$"):
-            build_mask(samples, threshold=1, target_len=0)
-
     @pytest.mark.parametrize("window_length", [0, -1216])
     def test_window_length_below_one_rejected(self, window_length):
         samples = [BitVector(np.ones(2432, dtype=np.uint8))] * 2
@@ -170,13 +170,13 @@ class TestBuildMask:
 
     def test_single_window_truncates_to_target(self):
         samples = [BitVector(np.ones(1216, dtype=np.uint8))] * 2
-        mask = build_mask(samples, threshold=1, target_len=128)
+        mask = build_mask(samples, threshold=1)
         assert list(mask.positions) == list(range(128))
         assert mask.num_windows == 1
 
     def test_all_stable_window_at_threshold_four(self):
         samples = [BitVector(np.zeros(1216, dtype=np.uint8))] * 3
-        mask = build_mask(samples, threshold=4, target_len=128)
+        mask = build_mask(samples, threshold=4)
         assert list(mask.positions) == list(range(3, 131))
 
     def test_spill_over_between_windows(self):
@@ -191,7 +191,7 @@ class TestBuildMask:
         base = rng.integers(0, 2, 2432, dtype=np.uint8)
         flipped = base.copy()
         flipped[~stable] ^= 1
-        mask = build_mask([BitVector(base), BitVector(flipped)], threshold=1, target_len=128)
+        mask = build_mask([BitVector(base), BitVector(flipped)], threshold=1)
         expected = np.concatenate([first, 1216 + second[:28]])
         assert np.array_equal(mask.positions, expected)
         assert mask.num_windows == 2
@@ -200,7 +200,7 @@ class TestBuildMask:
         samples = [BitVector(np.zeros(2432, dtype=np.uint8)),
                    BitVector(np.arange(2432) % 2)]  # alternating: no stable runs > 1
         with pytest.raises(InsufficientStableBitsError) as exc:
-            build_mask(samples, threshold=2, target_len=128)
+            build_mask(samples, threshold=2)
         err = exc.value
         assert err.needed == 128 and err.collected == 0
         assert err.window_counts == [0, 0]
@@ -213,9 +213,9 @@ class TestBuildMask:
 
     def test_base_offset_respected(self):
         samples = [BitVector(np.zeros(2500, dtype=np.uint8))] * 2
-        mask = build_mask(samples, threshold=4, target_len=16, base_offset=64)
+        mask = build_mask(samples, threshold=4, base_offset=64)
         assert mask.base_offset == 64
-        assert list(mask.positions) == list(range(3, 19))
+        assert list(mask.positions) == list(range(3, 131))
 
     def test_noiseless_reenrollment_is_stable(self):
         cal = Calibration(unstable_fraction=0.0)

@@ -208,8 +208,8 @@ def test_127_position_mask_refused(tmp_path):
     mask = load_mask(mask_path)
     save_mask(mask_path, dataclasses.replace(mask, positions=mask.positions[:127]))
     registry = load_registry(registry_path)
-    registry.update(dataclasses.replace(registry.get("dev-a"),
-                                        mask_sha256=file_sha256(mask_path)))
+    registry.entries["dev-a"] = dataclasses.replace(registry.get("dev-a"),
+                                                    mask_sha256=file_sha256(mask_path))
     save_registry(registry_path, registry)
     assert main(["genkey", "--dump", str(dumps / "sample-00000.hex"),
                  "--registry", str(registry_path), "--device-id", "dev-a",
