@@ -17,6 +17,7 @@ from .bitvec import BitVector
 from .enroll import (
     DEFAULT_WINDOW_LENGTH,
     Mask,
+    check_minimums,
     mark_stability,
     weight_positions,
 )
@@ -116,8 +117,8 @@ def threshold_sweep(enroll_samples: list[BitVector],
     The reference value of every selected position is its (constant) value in
     the enrollment samples; flips are counted per test sample against it.
     """
-    if any(t < 1 for t in thresholds):
-        raise ValueError("threshold must be >= 1")
+    for t in thresholds:
+        check_minimums(threshold=t)
     num_blocks = _full_blocks(enroll_samples, block_size)
     span = num_blocks * block_size
     stable = mark_stability(enroll_samples, range(0, span))

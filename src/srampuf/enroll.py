@@ -1,14 +1,14 @@
 """Stable-bit selection: stability marks, cluster weights, threshold masks.
 
 Enrollment watches a window of cells across many power-up samples, marks each
-position stable (S) when its value never changed, and weights every stable
-position by how deep it sits inside its run of consecutive stable cells: the
-ends of a run weigh 1 and the weight grows by 1 per step toward the middle,
-i.e. ``min(offset + 1, run_length - offset)``. Runs end at window edges, so
-windows are marked and weighted in doubling chunks (1, 2, 4, ... windows)
-until enough positions qualify; the lowest-index positions whose weight
-reaches a threshold form a fixed-size mask of bit positions that later
-filters raw power-up dumps into a response.
+position stable (S) when its value never changed, and weights every position
+by its distance to the nearest unstable cell or window edge: 0 when unstable,
+``min(offset + 1, run_length - offset)`` inside a run of stable cells. The
+simulator's flip decay reads the same :func:`distance_to_unstable`. Runs end
+at window edges, so windows are marked and weighted in doubling chunks (1, 2,
+4, ... windows) until enough positions qualify; the lowest-index positions
+whose weight reaches a threshold form a fixed-size mask of bit positions that
+later filters raw power-up dumps into a response.
 """
 
 from __future__ import annotations
@@ -75,28 +75,30 @@ def mark_stability(samples: list[BitVector], window: range | None = None) -> np.
     return stable
 
 
-def _run_position_counts(stable: np.ndarray) -> np.ndarray:
-    """Per position: how many consecutive True values end here (inclusive),
-    counted along the last axis, so runs restart on every row."""
-    counts = np.cumsum(stable, axis=-1, dtype=np.int64)
-    # last_reset is the running count at the latest unstable position so far.
-    # On an unstable position it equals the count itself, so the result is 0
-    # there. Both steps run in place, holding one temporary at full size.
-    last_reset = np.where(stable, 0, counts)
-    np.maximum.accumulate(last_reset, axis=-1, out=last_reset)
-    counts -= last_reset
-    return counts
+def distance_to_unstable(unstable: np.ndarray) -> np.ndarray:
+    """Per cell of a 1-D bool array, the smaller gap to the last True at or
+    before it and to the next at or after it; a side with no True is 2**62 away."""
+    index = np.arange(unstable.size, dtype=np.int64)
+    # Scans and differences run in place: two arrays besides the index.
+    last = np.where(unstable, index, -2**62)
+    np.maximum.accumulate(last, out=last)
+    following = np.where(unstable, index, 2**62)
+    np.minimum.accumulate(following[::-1], out=following[::-1])
+    np.subtract(index, last, out=last)
+    following -= index
+    return np.minimum(last, following, out=last)
 
 
 def weight_positions(stable: np.ndarray) -> np.ndarray:
-    """Weight each stable position by its depth inside its run of S cells;
-    returns a read-only array shaped like the bool marks.
+    """Weight each position by its distance to the nearest unstable cell or
+    window edge; returns a read-only int64 array shaped like the bool marks.
 
-    For 2-D marks every row is a window and runs end at its edges.
+    For 2-D marks every row is a window. One unstable cell padded on each side
+    of every row ends its runs there, so the rows are scanned as one.
     """
-    forward = _run_position_counts(stable)
-    backward = _run_position_counts(stable[..., ::-1])[..., ::-1]
-    weights = np.minimum(forward, backward, out=forward)
+    unstable = np.ones((*stable.shape[:-1], stable.shape[-1] + 2), dtype=bool)
+    np.logical_not(stable, out=unstable[..., 1:-1])
+    weights = distance_to_unstable(unstable.ravel()).reshape(unstable.shape)[..., 1:-1]
     weights.flags.writeable = False
     return weights
 
@@ -107,6 +109,13 @@ _FIELD_MINIMUMS = {"base_offset": 0, "window_length": 1, "num_windows": 1,
                    "threshold": 1, "sample_count": 2}
 # The mask file's keys, in the order mask_to_text writes them
 MASK_KEYS = ("format", "device_id", *_FIELD_MINIMUMS, "target_len", "positions")
+
+
+def check_minimums(**values: int) -> None:
+    """Refuse the first value below its field's least value in ``_FIELD_MINIMUMS``."""
+    for name, value in values.items():
+        if value < _FIELD_MINIMUMS[name]:
+            raise ValueError(f"{name} must be >= {_FIELD_MINIMUMS[name]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +135,7 @@ class Mask:
     num_windows: int = 1
 
     def __post_init__(self):
-        for name, least in _FIELD_MINIMUMS.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        check_minimums(**{name: getattr(self, name) for name in _FIELD_MINIMUMS})
         if int(self.base_offset) + int(self.num_windows) * int(self.window_length) > 2**63 - 1:
             raise ValueError("base_offset + num_windows * window_length must not pass 2**63 - 1")
         # A copy: a view would let writes to the caller's array change the mask.
@@ -183,10 +190,7 @@ def build_mask(samples: list[BitVector], threshold: int,
     """
     if not samples:
         raise ValueError("no samples provided")
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    if window_length < 1:
-        raise ValueError("window_length must be >= 1")
+    check_minimums(threshold=threshold, window_length=window_length)
     total_bits = len(samples[0])
     available = (total_bits - base_offset) // window_length
     if available < 1:

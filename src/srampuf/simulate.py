@@ -4,9 +4,9 @@ Each cell has a preferred power-up value and a per-sample flip probability.
 Preferences come from thresholding a spatially smoothed latent field, so
 stable cells cluster the way real arrays do: a run of stable cells is
 quietest in its middle. Flip probabilities decay geometrically with the
-distance to the nearest unstable cell, which is exactly the structure the
-stable-bit selection stage exploits. A calibration with no unstable cells
-yields a perfectly noiseless device.
+distance to the nearest unstable cell (``enroll.distance_to_unstable``): the
+same function and structure the stable-bit selection stage weights by. A
+calibration with no unstable cells yields a perfectly noiseless device.
 
 Default calibration targets, measured over a 300-sample enrollment at normal
 temperature: about 24.9% of positions flip at least once, and per-1216-bit
@@ -29,6 +29,7 @@ import numpy as np
 
 from ._kv import TextFormatError, format_kv_block, parse_kv_block, read_text
 from .bitvec import BitVector
+from .enroll import distance_to_unstable
 
 DEFAULT_NUM_BITS = 120_000
 
@@ -189,15 +190,6 @@ def _smooth(latent: np.ndarray, radius: int, mix: float) -> np.ndarray:
     return (1.0 - mix) * latent + mix * window_mean
 
 
-def _distance_to_unstable(unstable: np.ndarray) -> np.ndarray:
-    """Per cell, the smaller gap to the last True of ``unstable`` at or before
-    it and to the next at or after it; a side with no True is 2**62 away."""
-    index = np.arange(unstable.size, dtype=np.int64)
-    last = np.maximum.accumulate(np.where(unstable, index, -2**62))
-    following = np.minimum.accumulate(np.where(unstable, index, 2**62)[::-1])[::-1]
-    return np.minimum(index - last, following - index)
-
-
 def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
                calibration: Calibration | None = None,
                device_id: str | None = None) -> DeviceModel:
@@ -218,7 +210,7 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
 
     flip = np.zeros(num_bits)
     if unstable.any():
-        dist = _distance_to_unstable(unstable)
+        dist = distance_to_unstable(unstable)
         exponent = np.minimum(dist - 1, 512).astype(np.float64)
         flip = cal.flip_prob_edge * np.power(cal.flip_decay, exponent)
         flip[unstable] = cal.flip_prob_unstable

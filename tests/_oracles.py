@@ -1,8 +1,8 @@
 """Independent reference implementations the tests check the library against.
 
 These stay deliberately different from the library's algorithms: the weight
-oracle looks up the nearest unstable boundary per position instead of
-counting run prefixes, the syndrome oracle walks the bits instead of
+oracle looks up the nearest unstable boundary per position by binary search
+instead of scanning for it, the syndrome oracle walks the bits instead of
 looking up bytes, the dump formatter writes one word at a time, and the
 helpers for packed 16-byte words and 0/1 strings work byte by byte or
 character by character in plain Python. Readings are stored packed; the

@@ -101,6 +101,19 @@ class TestWeights:
                 assert np.array_equal(row, oracle_weights(marks))
             assert not np.array_equal(got.ravel(), oracle_weights(stable.ravel()))
 
+    @pytest.mark.parametrize("rows", [
+        [], ["S"], ["U"], ["S", "U", "S"], ["SSSS", "SSSS"], ["UUUU", "UUUU"],
+        ["SSSS", "UUUU", "SUSS"], ["", "", ""],
+    ])
+    def test_edge_shapes_match_oracle_row_by_row(self, rows):
+        width = len(rows[0]) if rows else 5
+        stable = np.array([stability(r) for r in rows], dtype=bool).reshape(len(rows), width)
+        got = weight_positions(stable)
+        assert got.shape == stable.shape and got.dtype == np.int64
+        assert not got.flags.writeable
+        for row, marks in zip(got, stable, strict=True):
+            assert np.array_equal(row, oracle_weights(marks))
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.booleans(), min_size=0, max_size=200))
     def test_matches_boundary_distance_oracle(self, marks):

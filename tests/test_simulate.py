@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from srampuf.enroll import mark_stability
+from srampuf.enroll import distance_to_unstable, mark_stability
 from srampuf.simulate import (
     Calibration,
     Condition,
@@ -15,7 +15,6 @@ from srampuf.simulate import (
     new_device,
     parse_calibration,
     power_up_sample,
-    _distance_to_unstable,
     _smooth,
 )
 from srampuf._kv import TextFormatError
@@ -61,6 +60,29 @@ class TestDeviceConstruction:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
             new_device(-3, num_bits=64)
+
+    @pytest.mark.parametrize("seed, calibration", [
+        (8, Calibration(flip_decay=0.5)),
+        (9, Calibration(flip_decay=0.5, flip_prob_edge=1e-3, flip_prob_unstable=0.2,
+                        unstable_fraction=0.1, cluster_radius=3)),
+    ])
+    def test_flip_model_decays_with_brute_force_distance(self, seed, calibration):
+        # Every stable cell flips with at most flip_prob_edge, so the cells
+        # above it are the unstable ones, about unstable_fraction of them.
+        cal = calibration
+        bias = new_device(seed, num_bits=4864, calibration=cal).cell_bias
+        unstable = np.minimum(bias, 1.0 - bias) > (cal.flip_prob_edge + cal.flip_prob_unstable) / 2
+        assert abs(np.count_nonzero(unstable) - cal.unstable_fraction * 4864) <= 2
+        index = np.arange(4864)
+        distance = np.full(4864, 4864)
+        for cell in np.flatnonzero(unstable):
+            np.minimum(distance, np.abs(index - cell), out=distance)
+        flip = np.where(unstable, cal.flip_prob_unstable,
+                        cal.flip_prob_edge * cal.flip_decay ** (distance - 1.0))
+        # min(bias, 1 - bias) is the flip chance up to one rounding of 1 - flip;
+        # stated on the bias itself, the model's figures hold exactly.
+        assert np.array_equal(bias, np.where(bias >= 0.5, 1.0 - flip, flip))
+        assert distance.max() > 8
 
     def test_no_smoothing_at_zero_radius_or_zero_mix(self):
         latent = np.random.default_rng(4).random(64)
@@ -291,4 +313,4 @@ def test_distance_to_unstable_matches_brute_force(seed):
         for mask in (unstable, unstable & (np.arange(n) < cut), unstable & (np.arange(n) >= cut)):
             if mask.any():
                 brute = np.abs(np.arange(n)[:, None] - np.flatnonzero(mask)).min(axis=1)
-                assert np.array_equal(_distance_to_unstable(mask), brute)
+                assert np.array_equal(distance_to_unstable(mask), brute)
