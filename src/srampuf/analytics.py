@@ -2,18 +2,20 @@
 
 All reports are plain immutable rows (``NamedTuple``) with CSV emitters;
 plotting stays out of tree. Row order is deterministic (condition, then
-threshold, then block) so reports diff cleanly. Each report marks stability
-once over all of its blocks and reads per-block figures off that one map.
+threshold, then block) so reports diff cleanly. Stability is marked once per
+sample set: a :class:`~srampuf.bitvec.SampleSet` caches its map, which every
+report and ``build_mask`` reads; a list is stacked once, over the bytes read.
 """
 
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .bitvec import BitVector
+from .bitvec import BitVector, packed_rows, sample_lengths
 from .enroll import (
     DEFAULT_WINDOW_LENGTH,
     Mask,
@@ -37,7 +39,7 @@ class BlockReport(NamedTuple):
         return self.stable_count / (self.stable_count + self.unstable_count)
 
 
-def _full_blocks(samples: list[BitVector], block_size: int) -> int:
+def _full_blocks(samples: Sequence[BitVector], block_size: int) -> int:
     """Number of whole ``block_size``-bit blocks in the first of 2+ samples; at least 1."""
     if len(samples) < 2:
         raise ValueError("stability reports need at least 2 samples")
@@ -49,7 +51,7 @@ def _full_blocks(samples: list[BitVector], block_size: int) -> int:
     return num_blocks
 
 
-def block_stability(samples: list[BitVector],
+def block_stability(samples: Sequence[BitVector],
                     block_size: int = DEFAULT_WINDOW_LENGTH) -> list[BlockReport]:
     """Stability statistics per full block; a trailing partial block is skipped."""
     num_blocks = _full_blocks(samples, block_size)
@@ -78,19 +80,17 @@ class SweepRow(NamedTuple):
 _FLIP_ROWS = 64
 
 
-def _flipped_bits(samples: list[BitVector], reference: np.ndarray,
-                  keep: np.ndarray) -> np.ndarray:
+def _flipped_bits(rows: np.ndarray, reference: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Flat indices ``i * 8 * keep.size + position``, in no set order, of the
-    bits set in ``(samples[i].packed ^ reference) & keep``. ``keep`` is zero
-    padded to whole 64-bit words, so the rows are scanned a word at a time."""
+    bits set in ``(rows[i] ^ reference) & keep``. ``keep`` is zero padded to
+    whole 64-bit words, so the rows are scanned a word at a time."""
     used = reference.size
-    buffer = np.empty((min(len(samples), _FLIP_ROWS), keep.size), dtype=np.uint8)
+    buffer = np.empty((min(len(rows), _FLIP_ROWS), keep.size), dtype=np.uint8)
     found = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(samples), _FLIP_ROWS):
-        chunk = samples[lo:lo + _FLIP_ROWS]
+    for lo in range(0, len(rows), _FLIP_ROWS):
+        chunk = rows[lo:lo + _FLIP_ROWS]
         flipped = buffer[:len(chunk)]
-        for row, sample in zip(flipped, chunk):
-            np.bitwise_xor(sample.packed[:used], reference, out=row[:used])
+        np.bitwise_xor(chunk, reference, out=flipped[:, :used])
         flipped &= keep                     # also clears the pad bytes left unset
         words = np.flatnonzero(flipped.view(np.uint64) != 0)
         # Little-endian words, so bit k of a word is bit k % 8 of its byte k // 8.
@@ -107,8 +107,8 @@ def _flipped_bits(samples: list[BitVector], reference: np.ndarray,
     return np.concatenate(found)
 
 
-def threshold_sweep(enroll_samples: list[BitVector],
-                    test_samples: dict[str, list[BitVector]],
+def threshold_sweep(enroll_samples: Sequence[BitVector],
+                    test_samples: dict[str, Sequence[BitVector]],
                     thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS,
                     block_size: int = DEFAULT_WINDOW_LENGTH) -> list[SweepRow]:
     """Per block and threshold: how many positions qualify, and how the
@@ -119,6 +119,8 @@ def threshold_sweep(enroll_samples: list[BitVector],
     """
     for t in thresholds:
         check_minimums(threshold=t)
+        if thresholds.count(t) > 1:
+            raise ValueError(f"threshold {t} is given more than once")
     num_blocks = _full_blocks(enroll_samples, block_size)
     span = num_blocks * block_size
     stable = mark_stability(enroll_samples, range(0, span))
@@ -139,10 +141,11 @@ def threshold_sweep(enroll_samples: list[BitVector],
         samples = test_samples[condition]
         if not samples:
             raise ValueError(f"condition {condition!r} has no test samples")
-        if any(len(s) < span for s in samples):
+        if min(sample_lengths(samples)) < span:
             raise ValueError(f"condition {condition!r} has samples shorter than the "
                              f"enrolled {num_blocks} block(s)")
-        hit, position = np.divmod(_flipped_bits(samples, reference, keep), 8 * keep.size)
+        flips = _flipped_bits(packed_rows(samples, slice(0, used)), reference, keep)
+        hit, position = np.divmod(flips, 8 * keep.size)
         depth, cell = weights[position], hit * num_blocks + position // block_size
         for j, t in enumerate(thresholds):
             # cells[k]: a (sample, block) cell in which counts[k] of the bits
@@ -171,7 +174,7 @@ class FlipRateSummary(NamedTuple):
 
 
 def flip_rate_summary(mask: Mask, reference_response: bytes,
-                      test_samples: dict[str, list[BitVector]]) -> dict[str, FlipRateSummary]:
+                      test_samples: dict[str, Sequence[BitVector]]) -> dict[str, FlipRateSummary]:
     """Per condition: share of raw test samples whose masked response differs
     from the 16-byte reference at all, plus the worst-case differing bit count."""
     require_size("reference response", reference_response, N // 8)
@@ -183,12 +186,12 @@ def flip_rate_summary(mask: Mask, reference_response: bytes,
             raise ValueError(f"condition {condition!r} has no test samples")
         # apply_mask refuses a mask without N positions, or too long for the
         # shortest sample, before the gather below reads past it.
-        apply_mask(min(samples, key=len), mask)
+        apply_mask(samples[int(np.argmin(sample_lengths(samples)))], mask)
         # expected[k]: the k-th masked bit's one-bit byte mask where the reference
         # holds a 1, else 0; responses pack bit 0 into the MSB, as apply_mask does.
         expected = np.unpackbits(np.frombuffer(reference_response, dtype=np.uint8)) * bit
         # distances[i]: the masked bits of sample i that differ from the reference
-        gathered = np.stack([s.packed[byte] for s in samples]) & bit
+        gathered = packed_rows(samples, byte) & bit
         distances = np.count_nonzero(gathered != expected, axis=1)
         summaries[condition] = FlipRateSummary(
             condition=condition,
@@ -199,7 +202,7 @@ def flip_rate_summary(mask: Mask, reference_response: bytes,
     return summaries
 
 
-def window_flip_rate(samples: list[BitVector]) -> float:
+def window_flip_rate(samples: Sequence[BitVector]) -> float:
     """Fraction of positions where some sample differs from the first one:
     the share of positions an enrollment pass over the set would refuse to
     trust."""

@@ -15,13 +15,17 @@ bytes. ``bits`` unpacks a fresh read-only 0/1 array on every call; the
 library's own passes (stability marks, sweeps, masking, dumps) work on the
 packed bytes. ``BitVector`` defines no ``__eq__``, so ``==`` is identity; two
 readings hold the same bits when their lengths are equal and so are their
-``packed`` bytes.
+``packed`` bytes. A run of readings from the sampler is a :class:`SampleSet`,
+one read-only matrix of those bytes with a row per reading.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +91,54 @@ class BitVector:
         # ufunc.at applies each flip, also when two fall in one byte.
         np.bitwise_xor.at(packed, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
         return BitVector.from_packed(packed, self._length)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSet(Sequence):
+    """Readings of ``length`` bits as one read-only packed matrix, a row per
+    reading. An int index gives a reading that owns a copy of its row, so it
+    does not keep the matrix alive; a slice gives a SampleSet, ``+`` a list."""
+
+    packed: np.ndarray
+    length: int
+
+    def __post_init__(self):
+        self.packed.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.packed.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampleSet(self.packed[index], self.length)
+        return BitVector.from_packed(self.packed[operator.index(index)].copy(), self.length)
+
+    def __add__(self, other) -> list[BitVector]:
+        return [*self, *other]
+
+    @cached_property
+    def unstable(self) -> np.ndarray:
+        """Read-only packed map of the bits that differ between readings (the
+        OR of the rows without their AND), computed once per set."""
+        differs = np.bitwise_or.reduce(self.packed, 0) ^ np.bitwise_and.reduce(self.packed, 0)
+        differs.flags.writeable = False
+        return differs
+
+
+def packed_rows(samples: Sequence[BitVector], columns) -> np.ndarray:
+    """The ``columns`` (a slice or an index array) of every reading's packed
+    bytes as one matrix: read off a SampleSet's matrix, a view for a slice,
+    or stacked once from any other sequence of readings."""
+    if isinstance(samples, SampleSet):
+        return samples.packed[:, columns]
+    return np.stack([s.packed[columns] for s in samples])
+
+
+def sample_lengths(samples: Sequence[BitVector]) -> list[int]:
+    """The length of each reading, read off a SampleSet without copying rows."""
+    if isinstance(samples, SampleSet):
+        return [samples.length] * len(samples)
+    return [len(s) for s in samples]
 
 
 def parse_hex_dump(text: str, *, what: str = "dump") -> BitVector:

@@ -187,8 +187,13 @@ def cmd_sweep(args) -> int:
         condition, sep, directory = item.partition("=")
         if not sep:
             raise ValueError(f"--test-dumps expects CONDITION=DIR, got {item!r}")
+        if condition in test_samples:
+            raise ValueError(f"--test-dumps gives condition {condition!r} more than once")
         test_samples[condition] = _load_dumps(directory, minimum=1)
     thresholds = tuple(_int_list("--thresholds", args.thresholds))
+    repeated = [t for t in thresholds if thresholds.count(t) > 1]
+    if repeated:
+        raise ValueError(f"--thresholds gives {repeated[0]} more than once")
     rows = analytics.threshold_sweep(enroll_samples, test_samples,
                                      thresholds=thresholds, block_size=args.block_size)
     _write_csv(analytics.sweep_to_csv(rows), args.out)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
                   read_text)
-from .bitvec import BitVector
+from .bitvec import BitVector, SampleSet, packed_rows, sample_lengths
 from .fuzzy import N
 
 DEFAULT_WINDOW_LENGTH = 1216
@@ -43,17 +44,17 @@ class InsufficientStableBitsError(Exception):
         )
 
 
-def mark_stability(samples: list[BitVector], window: range | None = None) -> np.ndarray:
+def mark_stability(samples: Sequence[BitVector], window: range | None = None) -> np.ndarray:
     """Read-only bool marks over the window: True (S) where all samples agree,
     False (U) elsewhere. Needs at least 2 samples.
 
-    The samples are compared byte by byte over the packed bytes that cover
-    the window; only the result is unpacked and cut to the window.
+    The marks are read off a SampleSet's cached map of differing bits, or off
+    that map for a list's bytes over the window, stacked once as a set.
     """
     if len(samples) < 2:
         raise ValueError("stability needs at least 2 samples")
     length = len(samples[0])
-    if any(len(s) != length for s in samples):
+    if sample_lengths(samples).count(length) != len(samples):
         raise ValueError("samples must all have the same length")
     if window is None:
         window = range(0, length)
@@ -62,12 +63,10 @@ def mark_stability(samples: list[BitVector], window: range | None = None) -> np.
     if window.start < 0 or window.stop > length:
         raise ValueError(f"window {window} does not fit samples of length {length}")
     lo, hi = window.start // 8, -(-window.stop // 8)
-    reference = samples[0].packed[lo:hi]
-    differs = np.zeros(hi - lo, dtype=np.uint8)
-    scratch = np.empty_like(differs)
-    for s in samples[1:]:
-        np.bitwise_xor(s.packed[lo:hi], reference, out=scratch)
-        differs |= scratch
+    if isinstance(samples, SampleSet):
+        differs = samples.unstable[lo:hi]
+    else:
+        differs = SampleSet(packed_rows(samples, slice(lo, hi)), 8 * (hi - lo)).unstable
     unstable = np.unpackbits(differs, bitorder="little")
     start = window.start - 8 * lo
     stable = unstable[start:start + len(window)] == 0
@@ -77,16 +76,19 @@ def mark_stability(samples: list[BitVector], window: range | None = None) -> np.
 
 def distance_to_unstable(unstable: np.ndarray) -> np.ndarray:
     """Per cell of a 1-D bool array, the smaller gap to the last True at or
-    before it and to the next at or after it; a side with no True is 2**62 away."""
-    index = np.arange(unstable.size, dtype=np.int64)
+    before it and to the next at or after it, as int64. A side with no True
+    counts as a True at index -F or F: F = 2**30 below 2**30 cells, where the
+    scans run in int32 and cannot overflow, else 2**62."""
+    index = np.arange(unstable.size, dtype=np.int32 if unstable.size < 2**30 else np.int64)
+    far = np.iinfo(index.dtype).max // 2 + 1
     # Scans and differences run in place: two arrays besides the index.
-    last = np.where(unstable, index, -2**62)
+    last = np.where(unstable, index, -far)
     np.maximum.accumulate(last, out=last)
-    following = np.where(unstable, index, 2**62)
+    following = np.where(unstable, index, far)
     np.minimum.accumulate(following[::-1], out=following[::-1])
     np.subtract(index, last, out=last)
     following -= index
-    return np.minimum(last, following, out=last)
+    return np.minimum(last, following, out=last).astype(np.int64, copy=False)
 
 
 def weight_positions(stable: np.ndarray) -> np.ndarray:
@@ -175,7 +177,7 @@ class Mask:
         return byte, bit
 
 
-def build_mask(samples: list[BitVector], threshold: int,
+def build_mask(samples: Sequence[BitVector], threshold: int,
                window_length: int = DEFAULT_WINDOW_LENGTH,
                base_offset: int = 0,
                device_id: str = "") -> Mask:

@@ -13,9 +13,9 @@ temperature: about 24.9% of positions flip at least once, and per-1216-bit
 blocks keep their stable share inside 72-78%.
 
 Every reading is a pure function of (device, condition, sample seed): it
-comes from its own RNG stream. So a run of readings is drawn on up to one
-thread per usable CPU, and its bytes do not depend on how many threads drew
-it. There is no option to set that number.
+comes from its own RNG stream. So a run of readings goes into one packed
+matrix (a ``SampleSet``) from up to one thread per usable CPU, and its bytes
+do not depend on how many threads drew it. There is no option to set that number.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._kv import TextFormatError, format_kv_block, parse_kv_block, read_text
-from .bitvec import BitVector
+from .bitvec import BitVector, SampleSet
 from .enroll import distance_to_unstable
 
 DEFAULT_NUM_BITS = 120_000
@@ -233,7 +233,7 @@ def _usable_cpus() -> int:
 
 
 def _draw_packed(prob_one: np.ndarray, key: list[int], sample_seeds,
-                 draws: np.ndarray, ones: np.ndarray, rows: list[np.ndarray]) -> None:
+                 draws: np.ndarray, ones: np.ndarray, rows: np.ndarray) -> None:
     """Write the packed bytes of the reading for ``sample_seeds[k]`` into
     ``rows[k]``, drawing through the scratch buffers ``draws`` and ``ones``.
     It calls only numpy, so it is safe on a worker thread."""
@@ -243,21 +243,21 @@ def _draw_packed(prob_one: np.ndarray, key: list[int], sample_seeds,
         row[:] = np.packbits(ones, bitorder="little")
 
 
-def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> list[BitVector]:
-    """One packed reading per sample seed, each from its own RNG stream.
+def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> np.ndarray:
+    """One packed matrix row per sample seed, each from its own RNG stream.
 
     The seeds are split into contiguous chunks, one per usable CPU, and each
-    chunk is drawn on a thread of its own; a single chunk is drawn inline and
-    starts no thread. Each reading is still a pure function of (device,
-    condition, sample seed), so the bytes do not depend on the worker count.
-    Every row and scratch buffer is allocated here, on the calling thread, so
-    none of them lands in a worker thread's own malloc arena.
+    chunk's rows are drawn on a thread of its own; a single chunk is drawn
+    inline and starts no thread. Each reading is still a pure function of
+    (device, condition, sample seed), so the bytes do not depend on the worker
+    count. The matrix and every scratch buffer are allocated here, on the
+    calling thread, so none of them lands in a worker thread's malloc arena.
     """
     prob_one = device.prob_one(condition)
     key = [device.seed & 0xFFFFFFFF, _CONDITION_STREAM[condition.kind]]
     n = len(sample_seeds)
     workers = min(_usable_cpus(), n)
-    rows = [np.empty(-(-prob_one.size // 8), dtype=np.uint8) for _ in range(n)]
+    rows = np.empty((n, -(-prob_one.size // 8)), dtype=np.uint8)
     bounds = [n * w // workers for w in range(workers + 1)]
     jobs = [(prob_one, key, sample_seeds[lo:hi], np.empty(prob_one.size),
              np.empty(prob_one.size, dtype=bool), rows[lo:hi])
@@ -268,19 +268,19 @@ def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> list[B
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for done in [pool.submit(_draw_packed, *job) for job in jobs]:
                 done.result()
-    return [BitVector.from_packed(row, prob_one.size) for row in rows]
+    return rows
 
 
 def power_up_sample(device: DeviceModel, condition: Condition, sample_seed: int) -> BitVector:
     """One power-up reading: a pure function of device, condition, and seed."""
-    return _readings(device, condition, [sample_seed])[0]
+    return BitVector.from_packed(_readings(device, condition, [sample_seed])[0], device.num_bits)
 
 
 def collect_samples(device: DeviceModel, condition: Condition, n: int,
-                    seed0: int = 0) -> list[BitVector]:
+                    seed0: int = 0) -> SampleSet:
     """n consecutive power-up readings with sample seeds seed0, seed0+1, ..."""
     if n < 1:
         raise ValueError("need at least one sample")
     if seed0 < 0:
         raise ValueError("seed0 must be >= 0")
-    return _readings(device, condition, range(seed0, seed0 + n))
+    return SampleSet(_readings(device, condition, range(seed0, seed0 + n)), device.num_bits)

@@ -174,6 +174,8 @@ REPORT_REFUSALS = {
     "flip-rate-one-sample": (lambda: window_flip_rate([READING]), "at least 2"),
     "sweep-threshold-0": (lambda: threshold_sweep([READING] * 2, {}, thresholds=(0,)),
                           "^threshold must be >= 1$"),
+    "sweep-repeated-threshold": (lambda: threshold_sweep([READING] * 2, {}, thresholds=(2, 3, 2)),
+                                 "^threshold 2 is given more than once$"),
     "sweep-empty-condition": (lambda: threshold_sweep([READING] * 2, {"HTNA": []}),
                               "^condition 'HTNA' has no test samples$"),
     "sweep-short-samples": (lambda: threshold_sweep([READING] * 2, {"NTWA": [READING, ONE_BLOCK]}),

@@ -703,6 +703,12 @@ USAGE_REFUSALS = {
                          "device id 'a b' must match ^[A-Za-z0-9._-]+$"),
     "sweep-test-dumps": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps", "NTNA"],
                          "--test-dumps expects CONDITION=DIR, got 'NTNA'"),
+    "sweep-repeated-condition": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps",
+                                  "NTNA={dumps}", "--test-dumps", "NTNA={tmp}/b"],
+                                 "--test-dumps gives condition 'NTNA' more than once"),
+    "sweep-repeated-threshold": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps",
+                                  "NTNA={dumps}", "--thresholds", "1,2,3,2"],
+                                 "--thresholds gives 2 more than once"),
     "flip-count-seed": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out", "{tmp}/x.hex",
                          "--count", "2"],
                         "--count needs --seed for a reproducible choice"),
