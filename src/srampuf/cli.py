@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analytics, enroll, fuzzy, keygen, registry as reg, simulate
 from ._kv import atomic_write_text, format_kv_block, parse_kv_block
-from .bitvec import WORD_BITS, BitVector, load_dump, save_dump
+from .bitvec import WORD_BITS, SampleSet, load_dump, save_dump
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,13 +46,24 @@ def _load_calibration(args) -> simulate.Calibration:
     return simulate.parse_calibration(format_kv_block(merged.items()))
 
 
-def _load_dumps(directory: str, minimum: int = 1) -> list[BitVector]:
+def _load_dumps(directory: str, minimum: int = 1) -> SampleSet:
+    """The ``*.hex`` dumps in ``directory``, in name order, as one SampleSet
+    filled row by row; dumps of differing lengths are refused."""
     if not os.path.isdir(directory):
         raise ValueError(f"not a directory: {directory}")
     names = sorted(n for n in os.listdir(directory) if n.endswith(".hex"))
     if len(names) < minimum:
         raise ValueError(f"{directory} holds {len(names)} dump(s); need at least {minimum}")
-    return [load_dump(os.path.join(directory, n)) for n in names]
+    first = load_dump(os.path.join(directory, names[0]))
+    packed = np.empty((len(names), first.packed.size), dtype=np.uint8)
+    packed[0] = first.packed
+    for row, name in enumerate(names[1:], start=1):
+        dump = load_dump(os.path.join(directory, name))
+        if len(dump) != len(first):
+            raise ValueError(f"{directory}: {name} holds {len(dump)} bits, but {names[0]} "
+                             f"holds {len(first)}")
+        packed[row] = dump.packed
+    return SampleSet(packed, len(first))
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -172,7 +183,7 @@ def cmd_reproduce(args) -> int:
 def cmd_stats(args) -> int:
     samples = _load_dumps(args.dumps, minimum=2)
     reports = analytics.block_stability(samples, block_size=args.block_size)
-    skipped = len(samples[0]) % args.block_size
+    skipped = samples.length % args.block_size
     _write_csv(analytics.block_reports_to_csv(reports), args.out)
     if skipped:
         print(f"note: {skipped} trailing bits did not fill a block and were skipped",

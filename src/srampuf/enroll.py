@@ -192,7 +192,7 @@ def build_mask(samples: Sequence[BitVector], threshold: int,
     """
     if not samples:
         raise ValueError("no samples provided")
-    check_minimums(threshold=threshold, window_length=window_length)
+    check_minimums(threshold=threshold, window_length=window_length, base_offset=base_offset)
     total_bits = len(samples[0])
     available = (total_bits - base_offset) // window_length
     if available < 1:

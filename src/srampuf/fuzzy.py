@@ -15,25 +15,22 @@ Code layout
 Every codeword bit ``i`` carries an 8-bit column code, and the syndrome of a
 word is the XOR of the column codes of its set bits. Parity bit ``b`` sits at
 index ``120 + b``, in byte 15, with column code ``2**b``; bits 0..119 (bytes
-0..14) hold the message. In ``hsiao-128-120``, the code every new helper
-uses, the message columns are the 8-bit values of odd weight 3 or more, in
-ascending order (Hsiao, IBM J. R&D 14(4), 1970). Every column then has odd
-weight, so a single flip yields its own column code, while a double flip
-yields an even-weight nonzero syndrome that is no column code, and is
-refused. Minimum distance is 4. A triple flip can still land on a column
-code and be corrected to a different codeword; the key check downstream is
-the only guard left there.
+0..14) hold the message. The code is ``hsiao-128-120``: the message columns
+are the 8-bit values of odd weight 3 or more, in ascending order (Hsiao, IBM
+J. R&D 14(4), 1970). Every column then has odd weight, so a single flip
+yields its own column code, while a double flip yields an even-weight
+nonzero syndrome that is no column code, and is refused. Minimum distance is
+4. A triple flip can still land on a column code and be corrected to a
+different codeword; the key check downstream is the only guard left there.
 
-Helpers written as ``srampuf-helper-v1`` use ``hamming-128-120``, whose
-message columns are the non-powers-of-two in 1..128: a shortened Hamming
-code of distance 3. They are still read and reproduced, but 8,001 of their
-8,128 double flips are corrected to a different codeword.
+Only ``srampuf-helper-v2`` files are read; v1 files, written with a
+distance-3 Hamming code, are refused as an unsupported format.
 
-``COLUMNS`` is the one definition of both codes; ``correct`` refuses any
-syndrome that is not a column code of the helper's code. Two read-only
-tables are derived per code at import: per byte position, the XOR of the
-column codes for each of the 256 byte values, so a syndrome is 16 lookups;
-and the bit index of each column code, so a correction is one lookup.
+``COLUMN_CODES`` is the one definition of the code; ``correct`` refuses any
+syndrome that is not a column code. Two read-only tables are derived from it
+at import: per byte position, the XOR of the column codes for each of the 256
+byte values, so a syndrome is 16 lookups; and the bit index of each column
+code, so a correction is one lookup.
 """
 
 from __future__ import annotations
@@ -55,21 +52,10 @@ class ReproduceFailure(Exception):
     """The noisy response is too far from the enrolled one; re-sample the SRAM."""
 
 
-def _column_codes(message) -> np.ndarray:
-    codes = np.array(list(message) + [1 << b for b in range(R)], dtype=np.int64)
-    codes.flags.writeable = False
-    return codes
-
-
-# code name -> column codes: message columns, then parity columns 2**b
-COLUMNS = {
-    "hamming-128-120": _column_codes(p for p in range(1, N + 1) if p & (p - 1)),
-    CODE_NAME: _column_codes(v for v in range(256) if bin(v).count("1") % 2 and v & (v - 1)),
-}
-COLUMN_CODES = COLUMNS[CODE_NAME]
-# helper format -> the one code it is written with
-_CODE_OF_FORMAT = {"srampuf-helper-v1": "hamming-128-120", HELPER_FORMAT: CODE_NAME}
-_FORMAT_OF_CODE = {code: fmt for fmt, code in _CODE_OF_FORMAT.items()}
+# column codes: the message columns, then parity columns 2**b
+COLUMN_CODES = np.array([v for v in range(256) if bin(v).count("1") % 2 and v & (v - 1)]
+                        + [1 << b for b in range(R)], dtype=np.int64)
+COLUMN_CODES.flags.writeable = False
 # The code parameters every helper states; the helper keys in helper_to_text's order
 _PARAMETERS = {"n": N, "k": K, "r": R}
 HELPER_KEYS = ("format", "device_id", "code", *_PARAMETERS, "mask_sha256", "code_offset")
@@ -88,9 +74,8 @@ def _byte_syndromes(codes: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-_BYTE_SYNDROMES = {name: _byte_syndromes(codes.tolist()) for name, codes in COLUMNS.items()}
-_BIT_OF_CODE = {name: {code: i for i, code in enumerate(codes.tolist())}
-                for name, codes in COLUMNS.items()}
+_BYTE_SYNDROMES = _byte_syndromes(COLUMN_CODES.tolist())
+_BIT_OF_CODE = {code: i for i, code in enumerate(COLUMN_CODES.tolist())}
 
 
 def require_size(what: str, value: bytes, size: int) -> None:
@@ -102,11 +87,11 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def syndrome(word: bytes, code: str = CODE_NAME) -> int:
+def syndrome(word: bytes) -> int:
     """XOR of the column codes of the word's set bits; 0 for a codeword."""
     require_size("word", word, N // 8)
     s = 0
-    for table, value in zip(_BYTE_SYNDROMES[code], word):
+    for table, value in zip(_BYTE_SYNDROMES, word):
         s ^= table[value]
     return s
 
@@ -118,18 +103,17 @@ def encode(message: bytes) -> bytes:
     return message + bytes([sum(((acc >> b) & 1) << (7 - b) for b in range(R))])
 
 
-def correct(word: bytes, code: str = CODE_NAME) -> bytes:
-    """Return the nearest codeword of ``code``, fixing at most one flipped bit.
+def correct(word: bytes) -> bytes:
+    """Return the nearest codeword, fixing at most one flipped bit.
 
     Raises :class:`ReproduceFailure` when the syndrome is no column code,
-    which proves two or more flips: under ``hsiao-128-120`` every double flip
-    does. A flip pattern whose syndrome lands on a column code (three flips,
-    or two under ``hamming-128-120``) is corrected to a different codeword.
+    which proves two or more flips: every double flip does. A triple flip
+    lands on a column code and is corrected to a different codeword.
     """
-    s = syndrome(word, code)
+    s = syndrome(word)
     if s == 0:
         return word
-    i = _BIT_OF_CODE[code].get(s)
+    i = _BIT_OF_CODE.get(s)
     if i is None:
         raise ReproduceFailure(f"correction failed (syndrome {s}); re-sample the device")
     fixed = bytearray(word)
@@ -141,19 +125,16 @@ def correct(word: bytes, code: str = CODE_NAME) -> bytes:
 class HelperData:
     """Public error-correction data for one enrolled response.
 
-    ``code_offset`` is response XOR random-codeword of ``code``, 16 bytes;
+    ``code_offset`` is response XOR random-codeword, 16 bytes;
     publishing it leaks at most ``R`` bits about the response.
     """
 
     code_offset: bytes
     device_id: str = ""
     mask_sha256: str = ""
-    code: str = CODE_NAME
 
     def __post_init__(self):
         require_size("code offset", self.code_offset, N // 8)
-        if self.code not in COLUMNS:
-            raise ValueError(f"unknown code {self.code!r}")
 
 
 def generate(response: bytes, seed: int | None = None, *, device_id: str = "",
@@ -183,23 +164,23 @@ def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
     """
     require_size("noisy response", noisy_response, N // 8)
     return _xor(helper.code_offset,
-                correct(_xor(noisy_response, helper.code_offset), helper.code))
+                correct(_xor(noisy_response, helper.code_offset)))
 
 
 def helper_to_text(helper: HelperData) -> str:
-    values = [_FORMAT_OF_CODE[helper.code], helper.device_id, helper.code,
+    values = [HELPER_FORMAT, helper.device_id, CODE_NAME,
               *map(str, _PARAMETERS.values()), helper.mask_sha256, helper.code_offset.hex().upper()]
     return format_kv_block(zip(HELPER_KEYS, values, strict=True))
 
 
 def helper_from_text(text: str) -> HelperData:
-    fields = read_record(text, HELPER_KEYS, _CODE_OF_FORMAT, what="helper data")
-    code = _CODE_OF_FORMAT[fields["format"]]
-    if fields["code"] != code:
-        raise TextFormatError(f"helper data: key 'code' must be {code!r}, got {fields['code']!r}")
+    fields = read_record(text, HELPER_KEYS, (HELPER_FORMAT,), what="helper data")
+    if fields["code"] != CODE_NAME:
+        raise TextFormatError(
+            f"helper data: key 'code' must be {CODE_NAME!r}, got {fields['code']!r}")
     for key, value in _PARAMETERS.items():
         if parse_int(fields, key, what="helper data") != value:
-            raise TextFormatError(f"helper data: key {key!r} must be {value} for {code}")
+            raise TextFormatError(f"helper data: key {key!r} must be {value} for {CODE_NAME}")
     offset_hex = fields["code_offset"]
     try:
         offset = bytes.fromhex(offset_hex)
@@ -209,7 +190,7 @@ def helper_from_text(text: str) -> HelperData:
     if len(offset_hex) != N // 4 or len(offset) != N // 8:
         raise TextFormatError(f"helper data: code_offset must be {N // 4} hex digits")
     return HelperData(code_offset=offset, device_id=fields["device_id"],
-                      mask_sha256=fields["mask_sha256"], code=code)
+                      mask_sha256=fields["mask_sha256"])
 
 
 def save_helper(path, helper: HelperData) -> None:

@@ -10,7 +10,7 @@ and only the files a command reads are checked. Commands that change the
 registry do their load -> change -> save under :func:`locked`, so concurrent
 writers do not drop each other's entries. Keys themselves are never
 persisted; at most an opt-in debug key hash is recorded for cross-checking
-reproduction.
+reproduction. Only ``srampuf-registry-v2`` files are read; v1 is refused.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_b
                   parse_kv_block, read_text, require_keys)
 
 REGISTRY_FORMAT = "srampuf-registry-v2"
-# Readable format -> the keys its entries hold besides RegistryEntry's fields: v1
-# entries repeated five of the mask's parameters, read past as the mask file holds them.
-_READABLE_FORMATS = {REGISTRY_FORMAT: (), "srampuf-registry-v1": (
-    "threshold", "sample_count", "base_offset", "window_length", "num_windows")}
 
 
 def file_sha256(path) -> str:
@@ -159,15 +155,13 @@ def _parse_registry(text: str) -> Registry:
         raise TextFormatError("registry: empty file")
     header = parse_kv_block("\n".join(lines), what="registry header", first_line=first_line,
                             keys=("format",))
-    legacy_keys = _READABLE_FORMATS.get(header.get("format"))
-    if legacy_keys is None:
+    if header.get("format") != REGISTRY_FORMAT:
         raise TextFormatError(f"registry: unsupported format {header.get('format')!r}")
-    entry_keys = (*_ENTRY_KEYS, *legacy_keys)
     entries: dict[str, RegistryEntry] = {}
     first_lines: dict[str, int] = {}
     for first_line, lines in blocks:
         values = parse_kv_block("\n".join(lines), what="registry entry", first_line=first_line,
-                                keys=entry_keys)
+                                keys=_ENTRY_KEYS)
         what = f"registry entry at line {first_line}"
         require_keys(values, _REQUIRED_ENTRY_KEYS, what=what)
         _check_file_names(values, what)
@@ -176,9 +170,7 @@ def _parse_registry(text: str) -> Registry:
             raise TextFormatError(f"{what}: device_id {device_id!r} is also listed at line "
                                   f"{first_lines[device_id]}")
         first_lines[device_id] = first_line
-        # "" fills only optional keys, as the required ones are present; a v1
-        # entry's legacy keys are no field, so they are read past
-        entries[device_id] = RegistryEntry(*[values.get(key, "") for key in _ENTRY_KEYS])
+        entries[device_id] = RegistryEntry(**values)
     return Registry(entries)
 
 

@@ -224,6 +224,13 @@ class TestBuildMask:
         with pytest.raises(ValueError, match="no full"):
             build_mask(samples, threshold=1)
 
+    @pytest.mark.parametrize("base_offset", [-1, -1216])
+    def test_negative_base_offset_names_key(self, base_offset):
+        # it used to pass on to mark_stability, whose refusal names a window
+        samples = [BitVector(np.zeros(2432, dtype=np.uint8))] * 2
+        with pytest.raises(ValueError, match="^base_offset must be >= 0$"):
+            build_mask(samples, threshold=1, base_offset=base_offset)
+
     def test_base_offset_respected(self):
         samples = [BitVector(np.zeros(2500, dtype=np.uint8))] * 2
         mask = build_mask(samples, threshold=4, base_offset=64)

@@ -1,10 +1,9 @@
 """Outputs of the key path that must not move when its internals change.
 
 The digests were recorded once and are frozen here: helper files and keys
-for seeded enrollments, a v1 helper that must still reproduce its key, which
-double flips each code refuses, how many triple flips each code decodes to a
-wrong codeword, and the characterization report of the shared 300-sample
-device.
+for seeded enrollments, that every double flip is refused, how many triple
+flips decode to a wrong codeword, and the characterization report of the
+shared 300-sample device.
 """
 
 import dataclasses
@@ -24,7 +23,8 @@ from srampuf.analytics import (
 from srampuf.bitvec import BitVector
 from srampuf.cli import EXIT_OK, EXIT_USAGE, main
 from srampuf.enroll import Mask, build_mask, load_mask, save_mask
-from srampuf.fuzzy import COLUMNS, ReproduceFailure, correct, helper_from_text, helper_to_text
+from srampuf.fuzzy import (COLUMN_CODES, ReproduceFailure, correct, helper_from_text,
+                           helper_to_text)
 from srampuf.keygen import apply_mask, generate_key, reproduce_key
 from srampuf.registry import file_sha256, load_registry, save_registry
 from srampuf.simulate import Calibration, collect_samples, new_device
@@ -41,22 +41,6 @@ PINNED_HELPERS = {
         "4d13ce4608376e9c5cf011975b3437fab451e970dac1922c04f59a4201d954b8"),
 }
 
-# The v1 helper written for device 7 above, before helpers moved to v2
-V1_HELPER_DEVICE_7 = (
-    "format = srampuf-helper-v1\n"
-    "device_id = device-7\n"
-    "code = hamming-128-120\n"
-    "n = 128\n"
-    "k = 120\n"
-    "r = 8\n"
-    "mask_sha256 = b32e68ec2cfeb78a35d543651f6e0e6f14f130465fdcc0fb19b1ddf9d002a1db\n"
-    "code_offset = 785E5E6BFE5B0759502E690390098355\n"
-)
-
-# SHA-256 of the pairs "j,k\n", in ascending order with j < k, that the v1
-# code refuses
-REFUSED_PAIRS_SHA256 = "3e74365dc4f35904114b3393a5c1d3c8da5185c76f11b7323a011e3d5d424321"
-
 # SHA-256 of each characterization output for the shared enrolled device
 # (device 7; 300 NTNA enrollment samples and 300 test samples per condition)
 PINNED_REPORT = {
@@ -67,18 +51,16 @@ PINNED_REPORT = {
     "flip_rate": "99aa8d28ced5af83fdac0a58152b2a47a403a04d85e00973d1e72349820c38fd",
 }
 
-ZERO_HELPER = (
-    "format = srampuf-helper-v1\n"
+ZERO_HELPER_V2 = (
+    "format = srampuf-helper-v2\n"
     "device_id = \n"
-    "code = hamming-128-120\n"
+    "code = hsiao-128-120\n"
     "n = 128\n"
     "k = 120\n"
     "r = 8\n"
     "mask_sha256 = \n"
     "code_offset = 00000000000000000000000000000000\n"
 )
-ZERO_HELPER_V2 = (ZERO_HELPER.replace("srampuf-helper-v1", "srampuf-helper-v2")
-                  .replace("hamming-128-120", "hsiao-128-120"))
 
 
 def identity_mask(length=128):
@@ -100,18 +82,6 @@ def test_seeded_helper_and_key_pinned(device_seed):
     assert (text_sha, key.hex()) == PINNED_HELPERS[device_seed]
 
 
-def test_seeded_v1_helper_reproduces_pinned_key():
-    samples, mask = seeded_enrollment(7)
-    helper = helper_from_text(V1_HELPER_DEVICE_7)
-    assert helper_to_text(helper) == V1_HELPER_DEVICE_7
-    key = PINNED_HELPERS[7][1]
-    assert reproduce_key(samples[0], mask, helper).hex() == key
-    # every single flip of the masked response is still corrected
-    positions = mask.base_offset + mask.positions
-    assert all(reproduce_key(samples[0].with_flips([p]), mask, helper).hex() == key
-               for p in positions.tolist())
-
-
 def test_characterization_report_pinned(enrolled_device, default_sweep):
     samples, test = enrolled_device["enroll"], enrolled_device["test"]
     mask = build_mask(samples, 4, device_id=enrolled_device["device"].device_id)
@@ -129,27 +99,10 @@ def test_characterization_report_pinned(enrolled_device, default_sweep):
     assert digests == PINNED_REPORT
 
 
-def test_refused_double_flips_pinned():
-    # All-zero response and all-zero offset: the committed codeword is zero,
-    # so a reading's error pattern is the reading itself.
-    helper = helper_from_text(ZERO_HELPER)
-    mask = identity_mask()
-    zero = BitVector(np.zeros(128, dtype=np.uint8))
-    enrolled = reproduce_key(zero, mask, helper).digest
-    refused, other = [], 0
-    for j, k in itertools.combinations(range(128), 2):
-        try:
-            other += reproduce_key(zero.with_flips([j, k]), mask, helper).digest != enrolled
-        except ReproduceFailure:
-            refused.append(f"{j},{k}\n")
-    assert len(refused) == 127
-    assert other == 8128 - 127
-    assert hashlib.sha256("".join(refused).encode("ascii")).hexdigest() == REFUSED_PAIRS_SHA256
-
-
 def test_every_double_flip_refused_v2():
-    # The v2 twin of the pin above: the same all-zero helper under the code
-    # every new helper uses refuses all 8,128 double flips.
+    # All-zero response and all-zero offset: the committed codeword is zero,
+    # so a reading's error pattern is the reading itself. All 8,128 double
+    # flips are refused.
     helper = helper_from_text(ZERO_HELPER_V2)
     mask = identity_mask()
     zero = BitVector(np.zeros(128, dtype=np.uint8))
@@ -163,29 +116,25 @@ def test_every_double_flip_refused_v2():
     assert (refused, wrong) == (8128, 0)
 
 
-# code -> (decoded to a wrong codeword, refused) of all 341,376 triple flips.
-# Under hsiao-128-120 every odd-weight byte is a column code, so every triple
-# is miscorrected. Under hamming-128-120, 2,667 triples are themselves
-# codewords and 330,708 land on a column code: 333,375 wrong keys in all.
-PINNED_TRIPLES = {"hsiao-128-120": (341_376, 0), "hamming-128-120": (333_375, 8_001)}
+# (decoded to a wrong codeword, refused) of all 341,376 triple flips: every
+# odd-weight byte is a column code, so every triple is miscorrected.
+PINNED_TRIPLES = (341_376, 0)
 
 
-@pytest.mark.parametrize("code", sorted(PINNED_TRIPLES))
-def test_triple_flips_pinned(code):
+def test_triple_flips_pinned():
     # The error pattern of a triple flip against the zero codeword is the
     # word itself. correct() keeps a zero syndrome, flips the bit of a column
     # code (never one of the three, as no two columns are equal) and refuses
     # any other, so no triple is decoded back to the zero codeword.
-    columns = COLUMNS[code]
     triples = np.array(list(itertools.combinations(range(128), 3)))
-    syndromes = np.bitwise_xor.reduce(columns[triples], axis=1)
-    refused = ~np.isin(syndromes, np.append(columns, 0))
-    assert (int((~refused).sum()), int(refused.sum())) == PINNED_TRIPLES[code]
+    syndromes = np.bitwise_xor.reduce(COLUMN_CODES[triples], axis=1)
+    refused = ~np.isin(syndromes, np.append(COLUMN_CODES, 0))
+    assert (int((~refused).sum()), int(refused.sum())) == PINNED_TRIPLES
     # the decoder itself agrees on every 41st triple
     for triple, expect_refused in zip(triples[::41], refused[::41]):
         word = np.packbits(np.isin(np.arange(128), triple)).tobytes()
         try:
-            assert correct(word, code) != bytes(16) and not expect_refused
+            assert correct(word) != bytes(16) and not expect_refused
         except ReproduceFailure:
             assert expect_refused
 
@@ -196,7 +145,7 @@ def test_127_position_mask_refused(tmp_path):
     with pytest.raises(ValueError, match="128"):
         generate_key(raw, short, 1)
     with pytest.raises(ValueError, match="128"):
-        reproduce_key(raw, short, helper_from_text(ZERO_HELPER))
+        reproduce_key(raw, short, helper_from_text(ZERO_HELPER_V2))
 
     dumps = tmp_path / "dumps"
     registry_path = tmp_path / "registry.txt"

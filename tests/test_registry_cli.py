@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from srampuf.keygen import reproduce_key
 from srampuf.registry import (
     Registry,
     RegistryEntry,
+    file_sha256,
     load_registry,
     read_verified,
     registry_from_text,
@@ -36,6 +38,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 NUM_BITS = 4864        # four 1216-bit windows
 DEVICE_SEED = 77
 N_SAMPLES = 40
+# The legacy keys every v1 registry entry held besides the v2 ones
+V1_ENTRY_KEYS = ("threshold = 4\nsample_count = 40\nbase_offset = 0\nwindow_length = 1216\n"
+                 "num_windows = 1\n")
 
 
 def entry(device_id="dev-a", **overrides):
@@ -67,18 +72,13 @@ class TestRegistryData:
         with pytest.raises(TextFormatError, match=f"'{key}'"):
             mask_from_text(bad)
 
-    def test_v1_text_loads_and_saves_as_v2(self):
-        legacy = ("threshold", "sample_count", "base_offset", "window_length", "num_windows")
+    def test_v1_text_refused(self):
         v1 = ("format = srampuf-registry-v1\n\n"
               "device_id = dev-a\nmask_file = dev-a.mask\nmask_sha256 = " + "0" * 64 + "\n"
-              "threshold = 4\nsample_count = 40\nbase_offset = 0\nwindow_length = 1216\n"
-              "num_windows = 1\ncreated = 2026-08-10T00:00:00Z\n")
-        registry = registry_from_text(v1)
-        assert registry.get("dev-a") == entry()
-        text = registry_to_text(registry)
-        assert text.startswith("format = srampuf-registry-v2\n")
-        assert not any(line.startswith(legacy) for line in text.splitlines())
-        assert registry_from_text(text) == registry
+              + V1_ENTRY_KEYS + "created = 2026-08-10T00:00:00Z\n")
+        with pytest.raises(TextFormatError,
+                           match="^registry: unsupported format 'srampuf-registry-v1'$"):
+            registry_from_text(v1)
 
     @pytest.mark.parametrize("device_id", [
         "dev-a\nkey_sha256 = " + "0" * 64, "dev-a\r", "a\x0bb", " dev-a", "dev-a ", "dev-a\t"])
@@ -173,8 +173,7 @@ class TestRegistryReaders:
         lambda t: "\n".join(line and line + " " for line in t.split("\n")),
         lambda t: t + "\n\n  \n",
         lambda t: t.replace("\n", "\r\n"),
-        lambda t: t.replace("-v2", "-v1").replace("\ncreated = ", "\nthreshold = 4\ncreated = "),
-    ], ids=["comments", "spaced-equals", "trailing-spaces", "trailing-blank-lines", "crlf", "v1"])
+    ], ids=["comments", "spaced-equals", "trailing-spaces", "trailing-blank-lines", "crlf"])
     @pytest.mark.parametrize("optional", [None, DEBUG_KEYS])
     def test_other_forms_read_as_before(self, form, optional):
         registry = registry_of(3, optional)
@@ -562,6 +561,43 @@ class TestCliKeyFlow:
         assert "key reproduced" in capsys.readouterr().out
 
 
+class TestRetiredFormats:
+    """A v1 helper or registry is refused as one error line naming its format."""
+
+    def test_reproduce_refuses_v1_helper(self, enrolled, capsys):
+        helper = enrolled / "dev-a.helper"
+        helper.write_text(helper.read_text().replace("srampuf-helper-v2", "srampuf-helper-v1")
+                          .replace("hsiao-128-120", "hamming-128-120"))
+        path = enrolled / "registry.txt"
+        registry = load_registry(path)
+        registry.entries["dev-a"] = dataclasses.replace(registry.get("dev-a"),
+                                                        helper_sha256=file_sha256(helper))
+        save_registry(path, registry)
+        capsys.readouterr()
+        assert main(reproduce_args(enrolled, enrolled / "dumps" / "sample-00000.hex")) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: helper data: unsupported format 'srampuf-helper-v1'\n"
+        assert key_lines(captured.out) == []
+
+    @pytest.mark.parametrize("command", ["enroll", "genkey", "reproduce"])
+    def test_commands_refuse_v1_registry(self, enrolled, capsys, command):
+        path, helper = enrolled / "registry.txt", enrolled / "dev-a.helper"
+        v1 = (path.read_text().replace("srampuf-registry-v2", "srampuf-registry-v1")
+              .replace("\ncreated = ", "\n" + V1_ENTRY_KEYS + "created = "))
+        path.write_text(v1)
+        helper_text = helper.read_text()
+        dump = str(enrolled / "dumps" / "sample-00000.hex")
+        argv = {"enroll": ["enroll", "--dumps", str(enrolled / "dumps"), "--device-id", "dev-b"],
+                "genkey": ["genkey", "--dump", dump, "--device-id", "dev-a"],
+                "reproduce": ["reproduce", "--dump", dump, "--device-id", "dev-a"]}[command]
+        capsys.readouterr()
+        assert main([*argv, "--registry", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: registry: unsupported format 'srampuf-registry-v1'\n")
+        assert path.read_text() == v1 and helper.read_text() == helper_text
+        assert not (enrolled / "dev-b.mask").exists()
+
+
 def test_no_key_material_without_debug(tmp_path, capsys):
     # No command run without --debug prints or writes a key half or the
     # digest, in either case of hex.
@@ -691,7 +727,7 @@ def two_dumps(tmp_path):
     return dumps
 
 
-# Each usage refusal the commands make before touching the library, with its message
+# Each usage refusal with its message; none writes a file beside the dumps
 USAGE_REFUSALS = {
     "simulate-set": (["simulate", "--out-dir", "{tmp}/out", "--device-seed", "1", "--set", "foo"],
                      "--set expects key=value, got 'foo'"),
@@ -701,6 +737,10 @@ USAGE_REFUSALS = {
     "enroll-device-id": (["enroll", "--dumps", "{dumps}", "--registry", "{tmp}/registry.txt",
                           "--device-id", "a b"],
                          "device id 'a b' must match ^[A-Za-z0-9._-]+$"),
+    # build_mask refuses it under the registry lock, whose file lands beside the dumps
+    "enroll-base-offset": (["enroll", "--dumps", "{dumps}", "--registry", "{dumps}/registry.txt",
+                            "--device-id", "dev-a", "--base-offset", "-1"],
+                           "base_offset must be >= 0"),
     "sweep-test-dumps": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps", "NTNA"],
                          "--test-dumps expects CONDITION=DIR, got 'NTNA'"),
     "sweep-repeated-condition": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps",
@@ -730,6 +770,27 @@ def test_usage_refusal_is_one_error_line(tmp_path, two_dumps, capsys, argv, mess
     assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert sorted(os.listdir(tmp_path)) == ["dumps"]
+
+
+@pytest.mark.parametrize("command", ["stats", "enroll", "sweep-enroll", "sweep-test"])
+def test_dumps_of_differing_lengths_refused(tmp_path, two_dumps, capsys, command):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    save_dump(mixed / "a.hex", load_dump(two_dumps / "sample-00000.hex"))
+    save_dump(mixed / "b.hex", BitVector(np.zeros(96, dtype=np.uint8)))
+    argv = {"stats": ["stats", "--dumps", str(mixed)],
+            "enroll": ["enroll", "--dumps", str(mixed), "--registry", str(tmp_path / "r.txt"),
+                       "--device-id", "dev-a"],
+            "sweep-enroll": ["sweep", "--enroll-dumps", str(mixed),
+                             "--test-dumps", f"NTNA={two_dumps}"],
+            "sweep-test": ["sweep", "--enroll-dumps", str(two_dumps),
+                           "--test-dumps", f"NTNA={mixed}"]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {mixed}: b.hex holds 96 bits, but a.hex holds 64\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["dumps", "mixed"]
 
 
 def test_flip_count_is_bounded_by_the_mask(tmp_path, two_dumps, capsys):
