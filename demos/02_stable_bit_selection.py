@@ -43,18 +43,18 @@ device = new_device(seed=7, calibration=cal)
 print("\nenrolling device from 300 NTNA samples...")
 samples = collect_samples(device, cal.condition("NTNA"), 300, seed0=0)
 
-window = range(0, 1216)
-window_weights = weight_positions(mark_stability(samples, window))
+# mark_stability marks every bit; a slice of the marks picks out one block.
+marks = mark_stability(samples)
+window_weights = weight_positions(marks[:1216])
 print("positions selected in the first 1216-bit block, by threshold:")
 for threshold in range(1, 7):
     chosen = np.count_nonzero(window_weights >= threshold)
     print(f"  T={threshold}: {chosen:4d}")
 
-# Per-block averages over the whole device tell the same story. One pass
-# marks every block; reshaped to one row per block, runs end at block edges.
+# Per-block averages over the whole device tell the same story. The same
+# marks, reshaped to one row per block, end their runs at block edges.
 num_blocks = device.num_bits // 1216
-marks = mark_stability(samples, range(0, num_blocks * 1216))
-block_weights = weight_positions(marks.reshape(num_blocks, 1216))
+block_weights = weight_positions(marks[:num_blocks * 1216].reshape(num_blocks, 1216))
 print(f"\nmean selected positions per block over all {num_blocks} blocks:")
 for threshold in range(1, 7):
     total = np.count_nonzero(block_weights >= threshold)

@@ -3,8 +3,9 @@
 All reports are plain immutable rows (``NamedTuple``) with CSV emitters;
 plotting stays out of tree. Row order is deterministic (condition, then
 threshold, then block) so reports diff cleanly. Stability is marked once per
-sample set: a :class:`~srampuf.bitvec.SampleSet` caches its map, which every
-report and ``build_mask`` reads; a list is stacked once, over the bytes read.
+sample set: a :class:`~srampuf.bitvec.SampleSet` caches its map, and reports
+slice the marks of all its bits; a list of readings of one length is stacked
+into a set once per call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitvec import BitVector, packed_rows, sample_lengths
+from .bitvec import BitVector, SampleSet
 from .enroll import (
     DEFAULT_WINDOW_LENGTH,
     Mask,
@@ -39,23 +40,24 @@ class BlockReport(NamedTuple):
         return self.stable_count / (self.stable_count + self.unstable_count)
 
 
-def _full_blocks(samples: Sequence[BitVector], block_size: int) -> int:
-    """Number of whole ``block_size``-bit blocks in the first of 2+ samples; at least 1."""
+def _full_blocks(samples: Sequence[BitVector], block_size: int) -> tuple[SampleSet, int]:
+    """2+ samples as one SampleSet, and its number of whole ``block_size``-bit blocks (>= 1)."""
     if len(samples) < 2:
         raise ValueError("stability reports need at least 2 samples")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
-    num_blocks = len(samples[0]) // block_size
+    samples = SampleSet.of(samples)
+    num_blocks = samples.length // block_size
     if num_blocks < 1:
-        raise ValueError(f"samples of {len(samples[0])} bits hold no full {block_size}-bit block")
-    return num_blocks
+        raise ValueError(f"samples of {samples.length} bits hold no full {block_size}-bit block")
+    return samples, num_blocks
 
 
 def block_stability(samples: Sequence[BitVector],
                     block_size: int = DEFAULT_WINDOW_LENGTH) -> list[BlockReport]:
     """Stability statistics per full block; a trailing partial block is skipped."""
-    num_blocks = _full_blocks(samples, block_size)
-    stable = mark_stability(samples, range(0, num_blocks * block_size))
+    samples, num_blocks = _full_blocks(samples, block_size)
+    stable = mark_stability(samples)[:num_blocks * block_size]
     counts = np.count_nonzero(stable.reshape(num_blocks, block_size), axis=1)
     return [BlockReport(block_index=b, stable_count=int(c), unstable_count=block_size - int(c))
             for b, c in enumerate(counts)]
@@ -121,9 +123,9 @@ def threshold_sweep(enroll_samples: Sequence[BitVector],
         check_minimums(threshold=t)
         if thresholds.count(t) > 1:
             raise ValueError(f"threshold {t} is given more than once")
-    num_blocks = _full_blocks(enroll_samples, block_size)
+    enroll, num_blocks = _full_blocks(enroll_samples, block_size)
     span = num_blocks * block_size
-    stable = mark_stability(enroll_samples, range(0, span))
+    stable = mark_stability(enroll)[:span]
     weights = weight_positions(stable.reshape(num_blocks, block_size))
     # selected[j, b]: positions of block b whose weight reaches thresholds[j]
     selected = np.count_nonzero(weights >= np.array(thresholds)[:, None, None], axis=2)
@@ -134,17 +136,18 @@ def threshold_sweep(enroll_samples: Sequence[BitVector],
     used = -(-span // 8)
     keep = np.zeros(8 * -(-span // 64), dtype=np.uint8)
     keep[:used] = np.packbits(stable, bitorder="little")
-    reference = enroll_samples[0].packed[:used]
+    reference = enroll.packed[0, :used]
 
     rows = []
     for condition in sorted(test_samples):
         samples = test_samples[condition]
         if not samples:
             raise ValueError(f"condition {condition!r} has no test samples")
-        if min(sample_lengths(samples)) < span:
+        samples = SampleSet.of(samples)
+        if samples.length < span:
             raise ValueError(f"condition {condition!r} has samples shorter than the "
                              f"enrolled {num_blocks} block(s)")
-        flips = _flipped_bits(packed_rows(samples, slice(0, used)), reference, keep)
+        flips = _flipped_bits(samples.packed[:, :used], reference, keep)
         hit, position = np.divmod(flips, 8 * keep.size)
         depth, cell = weights[position], hit * num_blocks + position // block_size
         for j, t in enumerate(thresholds):
@@ -184,14 +187,15 @@ def flip_rate_summary(mask: Mask, reference_response: bytes,
         samples = test_samples[condition]
         if not samples:
             raise ValueError(f"condition {condition!r} has no test samples")
+        samples = SampleSet.of(samples)
         # apply_mask refuses a mask without N positions, or too long for the
-        # shortest sample, before the gather below reads past it.
-        apply_mask(samples[int(np.argmin(sample_lengths(samples)))], mask)
+        # samples, before the gather below reads past them.
+        apply_mask(samples[0], mask)
         # expected[k]: the k-th masked bit's one-bit byte mask where the reference
         # holds a 1, else 0; responses pack bit 0 into the MSB, as apply_mask does.
         expected = np.unpackbits(np.frombuffer(reference_response, dtype=np.uint8)) * bit
         # distances[i]: the masked bits of sample i that differ from the reference
-        gathered = packed_rows(samples, byte) & bit
+        gathered = samples.packed[:, byte] & bit
         distances = np.count_nonzero(gathered != expected, axis=1)
         summaries[condition] = FlipRateSummary(
             condition=condition,
@@ -207,7 +211,7 @@ def window_flip_rate(samples: Sequence[BitVector]) -> float:
     the share of positions an enrollment pass over the set would refuse to
     trust."""
     stable = mark_stability(samples)
-    return float(np.count_nonzero(~stable)) / len(samples[0])
+    return float(np.count_nonzero(~stable)) / stable.size
 
 
 def block_reports_to_csv(reports: list[BlockReport]) -> str:

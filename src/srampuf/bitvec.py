@@ -16,7 +16,8 @@ library's own passes (stability marks, sweeps, masking, dumps) work on the
 packed bytes. ``BitVector`` defines no ``__eq__``, so ``==`` is identity; two
 readings hold the same bits when their lengths are equal and so are their
 ``packed`` bytes. A run of readings from the sampler is a :class:`SampleSet`,
-one read-only matrix of those bytes with a row per reading.
+one read-only matrix of those bytes with a row per reading; the passes that
+take samples stack a list of readings of one length into one once per call.
 """
 
 from __future__ import annotations
@@ -116,6 +117,17 @@ class SampleSet(Sequence):
     def __add__(self, other) -> list[BitVector]:
         return [*self, *other]
 
+    @classmethod
+    def of(cls, samples: Sequence[BitVector]) -> "SampleSet":
+        """``samples`` unchanged if it is a SampleSet, else its readings'
+        packed bytes stacked once; readings of differing lengths are refused."""
+        if isinstance(samples, SampleSet):
+            return samples
+        length = len(samples[0])
+        if any(len(s) != length for s in samples):
+            raise ValueError("samples must all have the same length")
+        return cls(np.stack([s.packed for s in samples]), length)
+
     @cached_property
     def unstable(self) -> np.ndarray:
         """Read-only packed map of the bits that differ between readings (the
@@ -123,22 +135,6 @@ class SampleSet(Sequence):
         differs = np.bitwise_or.reduce(self.packed, 0) ^ np.bitwise_and.reduce(self.packed, 0)
         differs.flags.writeable = False
         return differs
-
-
-def packed_rows(samples: Sequence[BitVector], columns) -> np.ndarray:
-    """The ``columns`` (a slice or an index array) of every reading's packed
-    bytes as one matrix: read off a SampleSet's matrix, a view for a slice,
-    or stacked once from any other sequence of readings."""
-    if isinstance(samples, SampleSet):
-        return samples.packed[:, columns]
-    return np.stack([s.packed[columns] for s in samples])
-
-
-def sample_lengths(samples: Sequence[BitVector]) -> list[int]:
-    """The length of each reading, read off a SampleSet without copying rows."""
-    if isinstance(samples, SampleSet):
-        return [samples.length] * len(samples)
-    return [len(s) for s in samples]
 
 
 def parse_hex_dump(text: str, *, what: str = "dump") -> BitVector:

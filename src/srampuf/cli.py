@@ -48,10 +48,11 @@ def _load_calibration(args) -> simulate.Calibration:
 
 def _load_dumps(directory: str, minimum: int = 1) -> SampleSet:
     """The ``*.hex`` dumps in ``directory``, in name order, as one SampleSet
-    filled row by row; dumps of differing lengths are refused."""
+    filled row by row; dumps of differing lengths are refused, and names that
+    start with ``.`` (a temp file left by an interrupted write) are skipped."""
     if not os.path.isdir(directory):
         raise ValueError(f"not a directory: {directory}")
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".hex"))
+    names = sorted(n for n in os.listdir(directory) if n.endswith(".hex") and n[0] != ".")
     if len(names) < minimum:
         raise ValueError(f"{directory} holds {len(names)} dump(s); need at least {minimum}")
     first = load_dump(os.path.join(directory, names[0]))

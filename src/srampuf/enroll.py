@@ -4,11 +4,13 @@ Enrollment watches a window of cells across many power-up samples, marks each
 position stable (S) when its value never changed, and weights every position
 by its distance to the nearest unstable cell or window edge: 0 when unstable,
 ``min(offset + 1, run_length - offset)`` inside a run of stable cells. The
-simulator's flip decay reads the same :func:`distance_to_unstable`. Runs end
-at window edges, so windows are marked and weighted in doubling chunks (1, 2,
-4, ... windows) until enough positions qualify; the lowest-index positions
-whose weight reaches a threshold form a fixed-size mask of bit positions that
-later filters raw power-up dumps into a response.
+simulator's flip decay reads the same :func:`distance_to_unstable`.
+:func:`mark_stability` takes no window: it marks every bit of a SampleSet (a
+list of readings of one length is stacked into one once per call), and
+callers slice the marks. Runs end at window edges, so windows are weighted in
+doubling chunks (1, 2, 4, ... windows) until enough positions qualify; the
+lowest-index positions whose weight reaches a threshold form a fixed-size
+mask of bit positions that later filters raw power-up dumps into a response.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
                   read_text)
-from .bitvec import BitVector, SampleSet, packed_rows, sample_lengths
+from .bitvec import BitVector, SampleSet
 from .fuzzy import N
 
 DEFAULT_WINDOW_LENGTH = 1216
@@ -44,32 +46,13 @@ class InsufficientStableBitsError(Exception):
         )
 
 
-def mark_stability(samples: Sequence[BitVector], window: range | None = None) -> np.ndarray:
-    """Read-only bool marks over the window: True (S) where all samples agree,
-    False (U) elsewhere. Needs at least 2 samples.
-
-    The marks are read off a SampleSet's cached map of differing bits, or off
-    that map for a list's bytes over the window, stacked once as a set.
-    """
+def mark_stability(samples: Sequence[BitVector]) -> np.ndarray:
+    """Read-only bool marks, one per bit: True (S) where all of 2+ samples
+    agree, False (U) elsewhere, read off the set's cached map of differing bits."""
     if len(samples) < 2:
         raise ValueError("stability needs at least 2 samples")
-    length = len(samples[0])
-    if sample_lengths(samples).count(length) != len(samples):
-        raise ValueError("samples must all have the same length")
-    if window is None:
-        window = range(0, length)
-    if window.step != 1:
-        raise ValueError("window must be a contiguous range")
-    if window.start < 0 or window.stop > length:
-        raise ValueError(f"window {window} does not fit samples of length {length}")
-    lo, hi = window.start // 8, -(-window.stop // 8)
-    if isinstance(samples, SampleSet):
-        differs = samples.unstable[lo:hi]
-    else:
-        differs = SampleSet(packed_rows(samples, slice(lo, hi)), 8 * (hi - lo)).unstable
-    unstable = np.unpackbits(differs, bitorder="little")
-    start = window.start - 8 * lo
-    stable = unstable[start:start + len(window)] == 0
+    samples = SampleSet.of(samples)
+    stable = np.unpackbits(samples.unstable, count=samples.length, bitorder="little") == 0
     stable.flags.writeable = False
     return stable
 
@@ -183,8 +166,8 @@ def build_mask(samples: Sequence[BitVector], threshold: int,
                device_id: str = "") -> Mask:
     """Select one response's ``fuzzy.N`` positions from consecutive windows.
 
-    Windows from ``base_offset`` on are marked and weighted in doubling
-    chunks (1, 2, 4, ... windows), runs ending at window edges, until
+    Every bit is marked once; windows from ``base_offset`` on are weighted in
+    doubling chunks (1, 2, 4, ... windows), runs ending at window edges, until
     ``fuzzy.N`` positions reach ``threshold``; the lowest-index qualifying
     positions win, and ``num_windows`` counts the windows they reach. Raises
     :class:`InsufficientStableBitsError` when all available windows together
@@ -193,23 +176,23 @@ def build_mask(samples: Sequence[BitVector], threshold: int,
     if not samples:
         raise ValueError("no samples provided")
     check_minimums(threshold=threshold, window_length=window_length, base_offset=base_offset)
-    total_bits = len(samples[0])
-    available = (total_bits - base_offset) // window_length
+    samples = SampleSet.of(samples)
+    available = (samples.length - base_offset) // window_length
     if available < 1:
         raise ValueError(
-            f"samples of {total_bits} bits hold no full {window_length}-bit window "
+            f"samples of {samples.length} bits hold no full {window_length}-bit window "
             f"past offset {base_offset}"
         )
 
     # Runs end at window edges, so each chunk stands alone. found[k]: the
     # qualifying positions of chunk k, relative to base_offset.
+    stable = mark_stability(samples)[base_offset:]
     found, scanned = [], 0
     while scanned < available and sum(f.size for f in found) < N:
         chunk = min(scanned + 1, available - scanned)     # 1, 2, 4, ... windows
-        lo = base_offset + scanned * window_length
-        stable = mark_stability(samples, range(lo, lo + chunk * window_length))
-        weights = weight_positions(stable.reshape(chunk, window_length))
-        found.append(np.flatnonzero(weights >= threshold) + scanned * window_length)
+        lo = scanned * window_length
+        marks = stable[lo:lo + chunk * window_length].reshape(chunk, window_length)
+        found.append(np.flatnonzero(weight_positions(marks) >= threshold) + lo)
         scanned += chunk
     chosen = np.concatenate(found)
     if chosen.size < N:

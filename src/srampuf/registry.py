@@ -15,6 +15,7 @@ reproduction. Only ``srampuf-registry-v2`` files are read; v1 is refused.
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import hashlib
 import os
@@ -202,14 +203,19 @@ def sibling_path(registry_path, name: str) -> str:
 
 def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
     """Read ``entry``'s ``"mask"`` or ``"helper"`` file once and return its
-    text, after checking those bytes against the recorded SHA-256."""
+    text, after checking those bytes against the recorded SHA-256. A symbolic
+    link is refused unopened, so no read leaves the registry's directory."""
     name, expected = getattr(entry, f"{what}_file"), getattr(entry, f"{what}_sha256")
     path = sibling_path(registry_path, name)
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise ValueError(f"device {entry.device_id!r}: {what} file {name!r} is missing") from None
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW)
+    except OSError as exc:
+        problem = {errno.ENOENT: "is missing", errno.ELOOP: "is a symbolic link"}.get(exc.errno)
+        if problem is None:
+            raise
+        raise ValueError(f"device {entry.device_id!r}: {what} file {name!r} {problem}") from None
+    with os.fdopen(fd, "rb") as fh:
+        data = fh.read()
     actual = hashlib.sha256(data).hexdigest()
     if actual != expected:
         raise ValueError(

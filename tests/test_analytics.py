@@ -142,7 +142,7 @@ class TestFlipRateSummary:
         reference = apply_mask(raw, mask)
         short = BitVector(raw.bits[:mask.base_offset + int(mask.positions[-1])])
         with pytest.raises(ValueError, match="dump has .* bits but the mask needs"):
-            flip_rate_summary(mask, reference, {"HTNA": [raw], "NTNA": [raw, short]})
+            flip_rate_summary(mask, reference, {"HTNA": [raw], "NTNA": [short, short]})
         narrow = dataclasses.replace(mask, positions=mask.positions[:127])
         with pytest.raises(ValueError, match="mask selects 127 positions"):
             flip_rate_summary(narrow, reference, {"NTNA": [raw]})
@@ -178,7 +178,7 @@ REPORT_REFUSALS = {
                                  "^threshold 2 is given more than once$"),
     "sweep-empty-condition": (lambda: threshold_sweep([READING] * 2, {"HTNA": []}),
                               "^condition 'HTNA' has no test samples$"),
-    "sweep-short-samples": (lambda: threshold_sweep([READING] * 2, {"NTWA": [READING, ONE_BLOCK]}),
+    "sweep-short-samples": (lambda: threshold_sweep([READING] * 2, {"NTWA": [ONE_BLOCK, ONE_BLOCK]}),
                             r"^condition 'NTWA' has samples shorter than the enrolled 2 block\(s\)$"),
     "summary-empty-condition": (summary_of_empty_condition,
                                 "^condition 'HTNA' has no test samples$"),

@@ -53,18 +53,6 @@ class TestMarkStability:
         with pytest.raises(ValueError, match="read-only"):
             marks[0] = False
 
-    def test_window(self):
-        samples = [bv("00110011"), bv("01100110")]
-        marks = mark_stability(samples, range(2, 6))
-        assert list(marks) == [True, False, True, False]
-        with pytest.raises(ValueError, match="does not fit"):
-            mark_stability(samples, range(4, 12))
-
-    @pytest.mark.parametrize("window", [range(0, 8, 2), range(7, -1, -1)])
-    def test_window_must_be_contiguous(self, window):
-        with pytest.raises(ValueError, match="^window must be a contiguous range$"):
-            mark_stability([bv("00110011"), bv("01100110")], window)
-
 
 class TestWeights:
     def test_odd_run_peaks_in_middle(self):

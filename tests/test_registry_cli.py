@@ -348,6 +348,18 @@ class TestCliEnroll:
         assert enroll_device(workspace) == EXIT_OK
         assert enroll_device(workspace) == EXIT_USAGE
 
+    def test_left_over_temp_files_are_not_read_as_dumps(self, workspace, capsys):
+        # An interrupted atomic write leaves ".tmp-<random><name>" behind,
+        # whole or cut short; neither is a reading.
+        dumps = workspace / "dumps"
+        text = (dumps / "sample-00000.hex").read_text()
+        (dumps / f".tmp-k3j9sample-{N_SAMPLES:05d}.hex").write_text(text)
+        (dumps / f".tmp-zzzzsample-{N_SAMPLES + 1:05d}.hex").write_text(text[:5])
+        assert enroll_device(workspace) == EXIT_OK
+        assert load_mask(workspace / "dev-a.mask").sample_count == N_SAMPLES
+        assert main(["stats", "--dumps", str(dumps)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_single_dump_is_usage_error(self, tmp_path):
         dumps = tmp_path / "dumps"
         main(["simulate", "--out-dir", str(dumps), "--device-seed", "1", "-n", "1",
@@ -489,6 +501,19 @@ class TestCliKeyFlow:
         assert main(["reproduce", "--dump", str(dump), "--registry", str(inner / "registry.txt"),
                      "--device-id", "dev-a"]) == EXIT_USAGE
         assert "'mask_file'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["mask", "helper"])
+    def test_symbolic_link_refused(self, enrolled, capsys, what):
+        # the link's target holds the recorded bytes, but it is not the
+        # registry directory's own file
+        outside = enrolled / "outside"
+        outside.mkdir()
+        (enrolled / f"dev-a.{what}").rename(outside / f"dev-a.{what}")
+        (enrolled / f"dev-a.{what}").symlink_to(os.path.join("outside", f"dev-a.{what}"))
+        dump = enrolled / "dumps" / "sample-00000.hex"
+        assert main(reproduce_args(enrolled, dump)) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: device 'dev-a': {what} file 'dev-a.{what}' is a symbolic link\n")
 
     def test_misspelled_key_is_usage_error(self, enrolled, capsys):
         path = enrolled / "registry.txt"
