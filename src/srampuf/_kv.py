@@ -22,8 +22,9 @@ def is_value(value: str) -> bool:
     return value.isascii() and value.isprintable() and value == value.strip()
 
 
-# The rule's non-empty values as a regular expression, for whole-file fast paths
-VALUE_PATTERN = "[!-~](?:[ -~]*[!-~])?"
+# The rule's non-empty values as a regular expression, for whole-file fast
+# paths: runs of visible characters joined by runs of spaces
+VALUE_PATTERN = "[!-~]+(?: +[!-~]+)*"
 
 
 def read_text(path, data: bytes | None = None) -> str:

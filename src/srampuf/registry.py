@@ -6,7 +6,11 @@ file. The mask file is the only record of how a device was enrolled; the
 registry holds no copy of its parameters. A referenced file is read through
 :func:`read_verified`, which hashes the same bytes it returns, so any
 corruption of a mask or helper is caught before a key is derived from it,
-and only the files a command reads are checked. Commands that change the
+and only the files a command reads are checked. A file exactly in the
+writer's form is read by one pattern that also holds the bare-file-name
+rule, with no per-entry checks; a save of such a registry reuses the text of
+every entry still equal to what was read, and formats and checks only the
+entries added or changed since the load. Commands that change the
 registry do their load -> change -> save under :func:`locked`, so concurrent
 writers do not drop each other's entries. Keys themselves are never
 persisted; at most an opt-in debug key hash is recorded for cross-checking
@@ -22,6 +26,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 
 from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
                   parse_kv_block, read_text, require_keys)
@@ -34,12 +39,14 @@ def file_sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass
 class RegistryEntry:
     """One enrolled device and the files that reproduce its key.
 
     The fields are the entry's keys, in file order: those without a default
-    are required, and the rest are written only when non-empty.
+    are required, and the rest are written only when non-empty. An entry is a
+    plain value: callers update it with ``dataclasses.replace`` and store the
+    result in :attr:`Registry.entries`.
     """
 
     device_id: str
@@ -59,6 +66,9 @@ class RegistryEntry:
 # must hold it
 _ENTRY_KEYS = {f.name: f.default is MISSING for f in fields(RegistryEntry)}
 _REQUIRED_ENTRY_KEYS = [key for key, required in _ENTRY_KEYS.items() if required]
+_FILE_KEYS = ("mask_file", "helper_file")
+# An entry's field values in file order, as the fast path's match groups hold them
+_entry_values = attrgetter(*_ENTRY_KEYS)
 
 
 @dataclass
@@ -66,6 +76,10 @@ class Registry:
     """In-memory view of one registry file; device ids are unique."""
 
     entries: dict[str, RegistryEntry] = field(default_factory=dict)
+    # Device id -> its entry's match in the text the fast path read; a save
+    # reuses that text while the entry still holds the values read.
+    _read: dict[str, re.Match] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def add(self, entry: RegistryEntry) -> None:
         if entry.device_id in self.entries:
@@ -80,12 +94,17 @@ class Registry:
 
 
 def registry_to_text(registry: Registry) -> str:
-    blocks = [_HEADER]
+    parts = [_HEADER]
     for device_id in sorted(registry.entries):
-        pairs = registry.entries[device_id].to_pairs()
+        entry = registry.entries[device_id]
+        read = registry._read.get(device_id)
+        if read is not None and _entry_values(entry) == read.groups(""):
+            parts.append(read[0])
+            continue
+        pairs = entry.to_pairs()
         _check_file_names(dict(pairs), f"registry entry {device_id!r}")
-        blocks.append(format_kv_block(pairs))
-    return "\n".join(blocks)
+        parts.append("\n" + format_kv_block(pairs))
+    return "".join(parts)
 
 
 def registry_from_text(text: str) -> Registry:
@@ -94,47 +113,46 @@ def registry_from_text(text: str) -> Registry:
 
 
 _HEADER = f"format = {REGISTRY_FORMAT}\n"
+# A value that is a bare file name: visible characters but '/' and '\', and
+# not '.' or '..' (the lookahead sees the newline that ends every value)
+_BARE_NAME_PATTERN = r"(?!\.\.?\n)[!-.0-\[\]-~]+(?: +[!-.0-\[\]-~]+)*"
 # One entry exactly as registry_to_text writes it: a blank line, then its keys
 # in field order, the optional ones only when set.
 _ENTRY_RE = re.compile("\n" + "".join(
-    f"{key} = ({VALUE_PATTERN})\n" if required else f"(?:{key} = ({VALUE_PATTERN})\n)?"
-    for key, required in _ENTRY_KEYS.items()))
-
-
-def _bare_name(name: str) -> bool:
-    """Whether ``name`` names a file in the registry's own directory."""
-    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+    f"(?:{key} = ({_BARE_NAME_PATTERN if key in _FILE_KEYS else VALUE_PATTERN})\n)"
+    + ("" if required else "?") for key, required in _ENTRY_KEYS.items()))
 
 
 def _check_file_names(values: dict[str, str], what: str) -> None:
-    """Refuse a ``mask_file`` or ``helper_file`` in ``values`` that is no bare name."""
-    for key in ("mask_file", "helper_file"):
+    """Refuse a ``mask_file`` or ``helper_file`` in ``values`` that does not
+    name a file in the registry's own directory."""
+    for key in _FILE_KEYS:
         name = values.get(key)
-        if name is not None and not _bare_name(name):
+        if name is not None and (name in ("", ".", "..") or "/" in name or "\\" in name):
             raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
 
 
 def _writer_form(text: str) -> Registry | None:
-    """The registry ``text`` holds if it is exactly in the writer's form, else None.
+    """The registry ``text`` holds if it is exactly in the writer's form, else
+    None; the registry keeps each entry's match for :func:`registry_to_text`.
 
     Never raises: any other text goes to :func:`_parse_registry`, which reads
     every accepted form and names the line of any fault."""
     if not text.startswith(_HEADER):
         return None
     pos = len(_HEADER)
-    entries = []
+    read = {}
     for match in _ENTRY_RE.finditer(text, pos):
-        if match.start() != pos:
+        if match.start() != pos or match[1] in read:
             return None
         pos = match.end()
-        entry = RegistryEntry(*match.groups(""))
-        if not _bare_name(entry.mask_file) or entry.helper_file and not _bare_name(entry.helper_file):
-            return None
-        entries.append(entry)
-    by_id = {entry.device_id: entry for entry in entries}
-    if pos != len(text) or len(by_id) != len(entries):
+        read[match[1]] = match
+    if pos != len(text):
         return None
-    return Registry(by_id)
+    registry = Registry({device_id: RegistryEntry(*match.groups(""))
+                         for device_id, match in read.items()})
+    registry._read = read
+    return registry
 
 
 def _blocks(text: str):

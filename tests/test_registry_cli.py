@@ -187,10 +187,23 @@ class TestRegistryReaders:
         registry_to_text(registry_of(2)).replace("dev-001.mask", "../dev-001.mask"),
         registry_to_text(registry_of(2, HELPER_KEYS)).replace("dev-000.helper", ".."),
         registry_to_text(registry_of(2)).replace("dev-001", "dev-000"),
+        registry_to_text(registry_of(2)).replace("dev-001.mask", "a\\b"),
+        registry_to_text(registry_of(2, HELPER_KEYS)).replace("dev-000.helper", "."),
     ], ids=["empty", "no-newline", "blank-line", "trailing-blank-line", "path", "dot-dot",
-            "duplicate-id"])
+            "duplicate-id", "backslash", "dot"])
     def test_fast_path_declines_without_raising(self, text):
         assert registry_module._writer_form(text) is None
+
+    # Names the pattern's bare-name rule must not mistake for '.', '..' or a path
+    @pytest.mark.parametrize("name", [".hidden.mask", "..x", "a..b", "...", "a b.mask"])
+    @pytest.mark.parametrize("key", ["mask_file", "helper_file"])
+    def test_fast_path_reads_odd_bare_names(self, key, name):
+        registry = registry_of(2, HELPER_KEYS)
+        registry.entries["dev-000"] = dataclasses.replace(registry.get("dev-000"), **{key: name})
+        text = registry_to_text(registry)
+        fast = registry_module._writer_form(text)
+        assert fast is not None
+        assert fast == registry_module._parse_registry(text) == registry
 
     def test_error_names_the_line_in_the_file(self):
         text = registry_to_text(registry_of(2)).replace("mask_file = dev-001", "mask_file dev-001")
@@ -228,12 +241,95 @@ class TestRegistryReaders:
         assert np.array_equal(load_dump(tmp_path / "reading.hex").packed, reading.packed)
 
 
+def formatted_afresh(registry):
+    """The text of ``registry``'s entries written by the checking writer alone."""
+    return registry_to_text(Registry(dict(registry.entries)))
+
+
+# A save reuses the text of every entry still equal to what the fast path
+# read, and writes the rest through the checking writer.
+class TestRegistryTextReuse:
+    def test_changes_are_written_as_a_fresh_registry_would_be(self):
+        text = registry_to_text(registry_of(256, DEBUG_KEYS))
+        registry = registry_from_text(text)
+        assert registry._read and registry_to_text(registry) == text
+        registry.add(entry("dev-new", helper_file="dev-new.helper", helper_sha256="3" * 64))
+        registry.add(entry("dev-000a"))
+        registry.entries["dev-001"] = dataclasses.replace(
+            registry.get("dev-001"), helper_file="dev-001.helper", helper_sha256="4" * 64)
+        registry.get("dev-002").key_sha256 = "5" * 64
+        registry.get("dev-004").key_sha256 = ""
+        registry.get("dev-006").created = "2026-09-01T00:00:00Z"
+        del registry.entries["dev-003"], registry.entries["dev-255"]
+        written = registry_to_text(registry)
+        assert written == formatted_afresh(registry)
+        assert written != text
+        assert registry_from_text(written) == registry
+
+    def test_entry_deleted_and_added_back_is_written_afresh(self):
+        text = registry_to_text(registry_of(4, HELPER_KEYS))
+        registry = registry_from_text(text)
+        del registry.entries["dev-000"]
+        assert registry_to_text(registry) == formatted_afresh(registry)
+        registry.add(entry("dev-000", mask_sha256="6" * 64))
+        assert registry_to_text(registry) == formatted_afresh(registry)
+        registry.entries["dev-000"] = entry("dev-000", **HELPER_KEYS, helper_file="dev-000.helper")
+        assert registry_to_text(registry) == text
+
+    @pytest.mark.parametrize("change", ["replace", "in-place"])
+    def test_changed_entry_is_still_checked(self, change):
+        registry = registry_from_text(registry_to_text(registry_of(256)))
+        if change == "replace":
+            registry.entries["dev-007"] = dataclasses.replace(registry.get("dev-007"),
+                                                              mask_file="../x")
+        else:
+            registry.get("dev-007").mask_file = "../x"
+        with pytest.raises(TextFormatError, match="^registry entry 'dev-007': key 'mask_file' "
+                                                  "must be a bare file name: '../x'$"):
+            registry_to_text(registry)
+
+    def test_general_parser_output_is_formatted_as_before(self):
+        text = registry_to_text(registry_of(3, DEBUG_KEYS))
+        registry = registry_from_text(text.replace(" = ", "  =  "))
+        assert not registry._read
+        assert registry_to_text(registry) == text
+
+
+@pytest.fixture()
+def format_calls(monkeypatch):
+    """The entries the registry writer formats from here on, as their pairs."""
+    calls = []
+
+    def counted(pairs):
+        calls.append(pairs)
+        return format_kv_block(pairs)
+
+    monkeypatch.setattr(registry_module, "format_kv_block", counted)
+    return calls
+
+
 @pytest.fixture()
 def workspace(tmp_path):
     dumps = tmp_path / "dumps"
     assert main(["simulate", "--out-dir", str(dumps), "--device-seed", str(DEVICE_SEED),
                  "-n", str(N_SAMPLES), "--num-bits", str(NUM_BITS)]) == EXIT_OK
     return tmp_path
+
+
+def run_at_once(commands):
+    """Run each ``srampuf`` command line in a process of its own, all at once;
+    every one must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    procs = [subprocess.Popen([sys.executable, "-m", "srampuf.cli", *command], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for command in commands]
+    try:
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == EXIT_OK, err
+    finally:
+        for proc in procs:
+            proc.kill()
 
 
 def enroll_device(tmp_path, device_id="dev-a", threshold=4, extra=()):
@@ -378,21 +474,41 @@ class TestCliEnroll:
 
     def test_concurrent_enrolls_keep_every_entry(self, workspace):
         device_ids = [f"dev-{i}" for i in range(6)]
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        procs = [subprocess.Popen([sys.executable, "-m", "srampuf.cli", "enroll",
-                                   "--dumps", str(workspace / "dumps"),
-                                   "--registry", str(workspace / "registry.txt"),
-                                   "--device-id", device_id],
-                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-                 for device_id in device_ids]
-        try:
-            for proc in procs:
-                _, err = proc.communicate(timeout=120)
-                assert proc.returncode == EXIT_OK, err
-        finally:
-            for proc in procs:
-                proc.kill()
+        run_at_once([["enroll", "--dumps", str(workspace / "dumps"),
+                      "--registry", str(workspace / "registry.txt"), "--device-id", device_id]
+                     for device_id in device_ids])
         assert sorted(load_registry(workspace / "registry.txt").entries) == device_ids
+
+    def test_concurrent_genkeys_and_enrolls_keep_every_change(self, workspace):
+        registry_path = workspace / "registry.txt"
+        enrolled_first = ["dev-0", "dev-1", "dev-2"]
+        for device_id in enrolled_first:
+            assert enroll_device(workspace, device_id=device_id) == EXIT_OK
+        dump = str(workspace / "dumps" / "sample-00000.hex")
+        commands = [["genkey", "--dump", dump, "--device-id", device_id, "--seed", str(seed)]
+                    for seed, device_id in enumerate(enrolled_first)]
+        commands += [["enroll", "--dumps", str(workspace / "dumps"), "--device-id", device_id]
+                     for device_id in ("dev-3", "dev-4", "dev-5")]
+        run_at_once([[*command, "--registry", str(registry_path)] for command in commands])
+        registry = load_registry(registry_path)
+        assert sorted(registry.entries) == [f"dev-{i}" for i in range(6)]
+        for device_id, entry in registry.entries.items():
+            read_verified(registry_path, entry, "mask")
+            if device_id in enrolled_first:
+                assert entry.helper_file == f"{device_id}.helper"
+                assert entry.helper_sha256 == file_sha256(workspace / entry.helper_file)
+                read_verified(registry_path, entry, "helper")
+            else:
+                assert entry.helper_file == entry.helper_sha256 == ""
+
+    def test_unchanged_save_formats_no_entry(self, tmp_path, format_calls):
+        path = tmp_path / "registry.txt"
+        path.write_text(registry_to_text(registry_of(256, DEBUG_KEYS)))
+        format_calls.clear()
+        original = path.read_bytes()
+        save_registry(path, load_registry(path))
+        assert format_calls == []
+        assert path.read_bytes() == original
 
     def test_registry_save_load_save_stable(self, workspace):
         assert enroll_device(workspace) == EXIT_OK
@@ -432,6 +548,18 @@ class TestCliKeyFlow:
         registry = load_registry(enrolled / "registry.txt")
         assert registry.get("dev-a").helper_file == "dev-a.helper"
         assert registry.get("dev-a").key_sha256
+
+    def test_enroll_and_genkey_format_only_their_entry(self, enrolled, format_calls):
+        path = enrolled / "registry.txt"
+        assert enroll_device(enrolled, device_id="dev-b") == EXIT_OK
+        format_calls.clear()
+        assert enroll_device(enrolled, device_id="dev-c") == EXIT_OK
+        assert [dict(pairs)["device_id"] for pairs in format_calls] == ["dev-c"]
+        format_calls.clear()
+        assert main(["genkey", "--dump", str(enrolled / "dumps" / "sample-00000.hex"),
+                     "--registry", str(path), "--device-id", "dev-b", "--seed", "1"]) == EXIT_OK
+        assert [dict(pairs)["device_id"] for pairs in format_calls] == ["dev-b"]
+        assert path.read_text() == formatted_afresh(load_registry(path))
 
     def test_reproduce_same_dump(self, enrolled, capsys):
         dump = enrolled / "dumps" / "sample-00000.hex"
