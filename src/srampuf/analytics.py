@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 from collections.abc import Sequence
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -127,8 +128,13 @@ def threshold_sweep(enroll_samples: Sequence[BitVector],
     span = num_blocks * block_size
     stable = mark_stability(enroll)[:span]
     weights = weight_positions(stable.reshape(num_blocks, block_size))
+    # at_least[b, w]: positions of block b whose weight reaches w; none reaches top
+    top = int(weights.max()) + 1
+    keys = weights + (top + 1) * np.arange(num_blocks)[:, None]
+    per_block = np.bincount(keys.ravel(), minlength=num_blocks * (top + 1))
+    at_least = per_block.reshape(num_blocks, top + 1)[:, ::-1].cumsum(axis=1)[:, ::-1]
     # selected[j, b]: positions of block b whose weight reaches thresholds[j]
-    selected = np.count_nonzero(weights >= np.array(thresholds)[:, None, None], axis=2)
+    selected = at_least[:, [min(t, top) for t in thresholds]].T
     weights = weights.ravel()
     # keep has a bit set at every stable position, which includes every
     # selected position at any threshold; it is padded with zero bytes to
@@ -137,6 +143,8 @@ def threshold_sweep(enroll_samples: Sequence[BitVector],
     keep = np.zeros(8 * -(-span // 64), dtype=np.uint8)
     keep[:used] = np.packbits(stable, bitorder="little")
     reference = enroll.packed[0, :used]
+    row_thresholds = [t for t in thresholds for _ in range(num_blocks)]
+    row_blocks = list(range(num_blocks)) * len(thresholds)
 
     rows = []
     for condition in sorted(test_samples):
@@ -147,23 +155,27 @@ def threshold_sweep(enroll_samples: Sequence[BitVector],
         if samples.length < span:
             raise ValueError(f"condition {condition!r} has samples shorter than the "
                              f"enrolled {num_blocks} block(s)")
-        flips = _flipped_bits(samples.packed[:, :used], reference, keep)
+        # Sorted flat indices run through samples, and positions within one,
+        # in order, so each (sample, block) cell's flips lie next to each other.
+        flips = np.sort(_flipped_bits(samples.packed[:, :used], reference, keep))
         hit, position = np.divmod(flips, 8 * keep.size)
         depth, cell = weights[position], hit * num_blocks + position // block_size
+        worst, one, multi = np.zeros((3, len(thresholds), num_blocks), dtype=np.int64)
         for j, t in enumerate(thresholds):
-            # cells[k]: a (sample, block) cell in which counts[k] of the bits
-            # selected at threshold t flipped; no other cell had a flip.
-            cells, counts = np.unique(cell[depth >= t], return_counts=True)
-            block = cells % num_blocks
-            worst = np.zeros(num_blocks, dtype=np.int64)
-            np.maximum.at(worst, block, counts)
-            one = np.bincount(block[counts == 1], minlength=num_blocks)
-            multi = np.bincount(block[counts >= 2], minlength=num_blocks)
-            # columns[b]: the figures of block b, as Python ints
-            columns = np.stack([selected[j], worst, one, multi], axis=1).tolist()
-            rows += [SweepRow(condition, t, b, count, most, len(samples),
-                              len(samples) - single - many, single, many)
-                     for b, (count, most, single, many) in enumerate(columns)]
+            # The cells of the flips selected at threshold t, in runs of equal
+            # cells: run k is cells[bounds[k]:bounds[k + 1]]. No other cell had a flip.
+            cells = cell[depth >= t]
+            edges = np.concatenate(([cells.size > 0], cells[1:] != cells[:-1], [True]))
+            bounds = np.flatnonzero(edges)
+            counts = bounds[1:] - bounds[:-1]
+            block = cells[bounds[:-1]] % num_blocks
+            np.maximum.at(worst[j], block, counts)
+            one[j] = np.bincount(block[counts == 1], minlength=num_blocks)
+            multi[j] = np.bincount(block[counts >= 2], minlength=num_blocks)
+        n = len(samples)
+        columns = np.stack([selected, worst, np.full_like(worst, n), n - one - multi, one, multi])
+        rows += map(SweepRow, repeat(condition), row_thresholds, row_blocks,
+                    *columns.reshape(6, -1).tolist())
     return rows
 
 
@@ -223,10 +235,14 @@ def block_reports_to_csv(reports: list[BlockReport]) -> str:
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    out = io.StringIO()
-    out.write("condition,threshold,block_index,selected_count,max_flips,"
-              "pct_samples_0_flips,pct_samples_1_flip,pct_samples_2plus_flips\n")
-    for condition, threshold, block, selected, most, n, zero, one, multi in rows:
-        out.write(f"{condition},{threshold},{block},{selected},{most},{100.0 * zero / n:.4f},"
-                  f"{100.0 * one / n:.4f},{100.0 * multi / n:.4f}\n")
-    return out.getvalue()
+    lines = ["condition,threshold,block_index,selected_count,max_flips,"
+             "pct_samples_0_flips,pct_samples_1_flip,pct_samples_2plus_flips\n"]
+    # tails[(n, zero, one, multi)]: the percentage fields, formatted once each
+    tails: dict[tuple[int, ...], str] = {}
+    for row in rows:
+        tail = tails.get(key := row[5:])
+        if tail is None:
+            n, *counts = key
+            tail = tails[key] = ",".join(f"{100.0 * k / n:.4f}" for k in counts) + "\n"
+        lines.append(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]},{tail}")
+    return "".join(lines)

@@ -61,13 +61,17 @@ def distance_to_unstable(unstable: np.ndarray) -> np.ndarray:
     """Per cell of a 1-D bool array, the smaller gap to the last True at or
     before it and to the next at or after it, as int64. A side with no True
     counts as a True at index -F or F: F = 2**30 below 2**30 cells, where the
-    scans run in int32 and cannot overflow, else 2**62."""
+    scans run in int32 and cannot overflow, else 2**62. The two scans start from
+    ``(index + F) * unstable - F`` and ``(index - F) * unstable + F``, made in place."""
     index = np.arange(unstable.size, dtype=np.int32 if unstable.size < 2**30 else np.int64)
     far = np.iinfo(index.dtype).max // 2 + 1
-    # Scans and differences run in place: two arrays besides the index.
-    last = np.where(unstable, index, -far)
+    last = index + far
+    last *= unstable
+    last -= far
     np.maximum.accumulate(last, out=last)
-    following = np.where(unstable, index, far)
+    following = index - far
+    following *= unstable
+    following += far
     np.minimum.accumulate(following[::-1], out=following[::-1])
     np.subtract(index, last, out=last)
     following -= index

@@ -5,10 +5,13 @@ oracle looks up the nearest unstable boundary per position by binary search
 instead of scanning for it, the syndrome oracle walks the bits instead of
 looking up bytes, the dump formatter writes one word at a time, and the
 helpers for packed 16-byte words and 0/1 strings work byte by byte or
-character by character in plain Python. Readings are stored packed; the
+character by character in plain Python. The sweep CSV oracle formats each
+row's percentages as it writes the row. Readings are stored packed; the
 oracles for stability marks, sweeps, masking and flips work on the unpacked
 ``.bits`` of each reading instead.
 """
+
+import io
 
 import numpy as np
 
@@ -134,3 +137,15 @@ def oracle_threshold_sweep(enroll_samples, test_samples, thresholds, block_size)
                              int(f.max()), int(np.count_nonzero(f == 0)),
                              int(np.count_nonzero(f == 1)), int(np.count_nonzero(f >= 2))))
     return rows
+
+
+def oracle_sweep_to_csv(rows) -> str:
+    """Sweep CSV text written one row at a time, each percentage formatted
+    where it is written."""
+    out = io.StringIO()
+    out.write("condition,threshold,block_index,selected_count,max_flips,"
+              "pct_samples_0_flips,pct_samples_1_flip,pct_samples_2plus_flips\n")
+    for condition, threshold, block, selected, most, n, zero, one, multi in rows:
+        out.write(f"{condition},{threshold},{block},{selected},{most},{100.0 * zero / n:.4f},"
+                  f"{100.0 * one / n:.4f},{100.0 * multi / n:.4f}\n")
+    return out.getvalue()

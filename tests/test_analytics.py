@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from srampuf.analytics import (
+    SweepRow,
     block_reports_to_csv,
     block_stability,
     flip_rate_summary,
@@ -18,7 +20,7 @@ from srampuf.enroll import InsufficientStableBitsError, build_mask
 from srampuf.fuzzy import N
 from srampuf.keygen import apply_mask
 
-from _oracles import oracle_weights, random_bits
+from _oracles import oracle_sweep_to_csv, oracle_weights, random_bits
 
 CONDITIONS = ("NTNA", "HTNA", "NTWA")
 
@@ -117,6 +119,25 @@ class TestThresholdSweep:
         assert lines[0].startswith("condition,threshold,block_index")
         assert len(lines) == 1 + 3 * 5 * 98
 
+    @pytest.mark.parametrize("n", [1, 3, 7, 300])
+    def test_csv_matches_per_row_oracle_for_every_count(self, n):
+        # Every k <= n in each of the three percentage columns
+        rows = [SweepRow("NTNA", 1, k, 0, 0, n, *counts) for k in range(n + 1)
+                for counts in ((k, n - k, 0), (0, k, n - k), (n - k, 0, k))]
+        assert sweep_to_csv(rows) == oracle_sweep_to_csv(rows)
+
+    def test_csv_matches_per_row_oracle_for_mixed_sample_counts(self):
+        rng = np.random.default_rng(9)
+        rows = []
+        for block in range(900):
+            n = int(rng.choice([1, 3, 7, 25, 300]))
+            low, high = sorted(rng.integers(0, n + 1, 2).tolist())
+            rows.append(SweepRow(str(rng.choice(CONDITIONS)), int(rng.integers(1, 6)), block,
+                                 int(rng.integers(0, 600)), int(rng.integers(0, 4)), n,
+                                 low, high - low, n - high))
+        assert sweep_to_csv(rows) == oracle_sweep_to_csv(rows)
+        assert sweep_to_csv([]) == oracle_sweep_to_csv([])
+
 
 class TestFlipRateSummary:
     def test_noiseless_is_zero(self):
@@ -200,7 +221,7 @@ class TestWindowEdgeReset:
     WINDOWS = 7
     OFFSET = 37
 
-    def make_case(self, seed):
+    def make_case(self, seed, tests=12):
         rng = np.random.default_rng(seed)
         n = self.OFFSET + self.WINDOWS * self.WINDOW + 29
         stable = rng.random(n) < rng.uniform(0.6, 0.95)
@@ -213,7 +234,7 @@ class TestWindowEdgeReset:
         enroll = [BitVector(base), BitVector(base ^ ~stable)]
         enroll += [BitVector(base ^ (~stable & (rng.random(n) < 0.5))) for _ in range(2)]
         test = [BitVector(base ^ (rng.random(n) < rng.uniform(0.0, 0.04)))
-                for _ in range(12)]
+                for _ in range(tests)]
         return stable, enroll, test
 
     def brute_weights(self, stable, start, count):
@@ -257,28 +278,59 @@ class TestWindowEdgeReset:
         assert exc.value.window_counts == counts
         assert exc.value.collected == sum(counts)
 
+    def sweep_rows(self, stable, enroll, test, thresholds):
+        """The sweep's rows, in row order, counted block by block and sample
+        by sample over the positions the per-window oracle weights select."""
+        num_blocks = len(stable) // self.WINDOW
+        weights = self.brute_weights(stable, 0, num_blocks)
+        rows = []
+        for condition in sorted(test):
+            for t in thresholds:
+                for b in range(num_blocks):
+                    chosen = np.flatnonzero(weights[b] >= t) + b * self.WINDOW
+                    reference = enroll[0].bits[chosen]
+                    flips = [int(np.count_nonzero(s.bits[chosen] != reference))
+                             for s in test[condition]]
+                    rows.append(SweepRow(condition, t, b, chosen.size, max(flips), len(flips),
+                                         flips.count(0), flips.count(1),
+                                         sum(f >= 2 for f in flips)))
+        return rows
+
     @pytest.mark.parametrize("seed", range(12))
     def test_threshold_sweep_matches_per_block_oracle(self, seed):
         stable, enroll, test = self.make_case(seed)
-        num_blocks = len(stable) // self.WINDOW
-        weights = self.brute_weights(stable, 0, num_blocks)
         thresholds = (1, 2, 3, 4, 5)
         report = threshold_sweep(enroll, {"NTWA": test}, thresholds=thresholds,
                                  block_size=self.WINDOW)
-        assert len(report) == len(thresholds) * num_blocks
-        rows = iter(report)
-        for t in thresholds:
-            for b in range(num_blocks):
-                chosen = np.flatnonzero(weights[b] >= t) + b * self.WINDOW
-                reference = enroll[0].bits[chosen]
-                flips = np.array([np.count_nonzero(s.bits[chosen] != reference) for s in test])
-                row = next(rows)
-                assert (row.threshold, row.block_index) == (t, b)
-                assert row.selected_count == chosen.size
-                assert row.max_flips == flips.max()
-                assert row.samples_zero_flips == np.count_nonzero(flips == 0)
-                assert row.samples_one_flip == np.count_nonzero(flips == 1)
-                assert row.samples_multi_flips == np.count_nonzero(flips >= 2)
+        assert report == self.sweep_rows(stable, enroll, {"NTWA": test}, thresholds)
+        assert len(report) == len(thresholds) * (len(stable) // self.WINDOW)
+
+    @pytest.mark.parametrize("thresholds", [(3, 1), (), (2**40, 2, 2**70)],
+                             ids=["descending", "none", "beyond-any-weight"])
+    def test_threshold_sweep_rows_follow_the_given_thresholds(self, thresholds):
+        stable, enroll, test = self.make_case(1)
+        tracemalloc.start()
+        try:
+            report = threshold_sweep(enroll, {"NTWA": test}, thresholds=thresholds,
+                                     block_size=self.WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == self.sweep_rows(stable, enroll, {"NTWA": test}, thresholds)
+        assert [r.threshold for r in report[::len(stable) // self.WINDOW]] == list(thresholds)
+        # No position weighs 2**40, and nothing is sized by a threshold's value
+        assert all(r.selected_count == 0 and r.samples_zero_flips == len(test)
+                   for r in report if r.threshold >= 2**40)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_sweep_conditions_of_different_sizes(self, seed):
+        stable, enroll, test = self.make_case(seed, tests=32)
+        conditions = {"NTWA": test[:25], "HTNA": test[25:]}
+        report = threshold_sweep(enroll, conditions, thresholds=(1, 2, 3, 4, 5),
+                                 block_size=self.WINDOW)
+        assert report == self.sweep_rows(stable, enroll, conditions, (1, 2, 3, 4, 5))
+        assert [r.sample_count for r in report[::len(report) // 2]] == [7, 25]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_window_flip_rate_is_exact_share(self, seed):

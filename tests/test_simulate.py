@@ -308,9 +308,13 @@ def test_distance_to_unstable_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     for n in range(1, 201):
         unstable = rng.random(n) < rng.random()
-        # Also with every unstable cell on one side of a random cut
+        # Also with every unstable cell on one side of a random cut, and with
+        # unstable cells at index 0, at index n - 1, or at those alone (at
+        # n = 1, one array of one unstable cell)
         cut = rng.integers(0, n + 1)
-        for mask in (unstable, unstable & (np.arange(n) < cut), unstable & (np.arange(n) >= cut)):
+        first, last = np.arange(n) == 0, np.arange(n) == n - 1
+        for mask in (unstable, unstable & (np.arange(n) < cut), unstable & (np.arange(n) >= cut),
+                     unstable | first, unstable | last, first, last, first | last):
             if mask.any():
                 brute = np.abs(np.arange(n)[:, None] - np.flatnonzero(mask)).min(axis=1)
                 assert np.array_equal(distance_to_unstable(mask), brute)
