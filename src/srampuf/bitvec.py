@@ -120,9 +120,11 @@ class SampleSet(Sequence):
     @classmethod
     def of(cls, samples: Sequence[BitVector]) -> "SampleSet":
         """``samples`` unchanged if it is a SampleSet, else its readings'
-        packed bytes stacked once; readings of differing lengths are refused."""
+        packed bytes stacked once; an empty or mixed-length list is refused."""
         if isinstance(samples, SampleSet):
             return samples
+        if not samples:
+            raise ValueError("no samples provided")
         length = len(samples[0])
         if any(len(s) != length for s in samples):
             raise ValueError("samples must all have the same length")

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analytics, enroll, fuzzy, keygen, registry as reg, simulate
-from ._kv import atomic_write_text, format_kv_block, parse_kv_block
+from ._kv import atomic_write_text, format_kv_block
 from .bitvec import WORD_BITS, SampleSet, load_dump, save_dump
 
 EXIT_OK = 0
@@ -35,7 +35,7 @@ _DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 def _load_calibration(args) -> simulate.Calibration:
     cal = simulate.load_calibration(args.config) if args.config else simulate.Calibration()
-    merged = parse_kv_block(simulate.calibration_to_text(cal))
+    merged = {key: str(value) for key, value in dataclasses.asdict(cal).items()}
     for item in args.set or []:
         key, sep, value = (part.strip() for part in item.partition("="))
         if not sep:
@@ -150,11 +150,12 @@ def cmd_genkey(args) -> int:
         registry, entry, mask = _load_enrolled_mask(args.registry, args.device_id)
         raw = load_dump(args.dump)
         helper, key = keygen.generate_key(raw, mask, args.seed)
-        fuzzy.save_helper(helper_path, helper)
+        helper_text = fuzzy.helper_to_text(helper)
+        atomic_write_text(helper_path, helper_text)
+        helper_sha = hashlib.sha256(helper_text.encode("ascii")).hexdigest()
         key_sha = hashlib.sha256(key.digest).hexdigest() if args.debug else ""
         registry.entries[args.device_id] = dataclasses.replace(
-            entry, helper_file=helper_name, helper_sha256=reg.file_sha256(helper_path),
-            key_sha256=key_sha)
+            entry, helper_file=helper_name, helper_sha256=helper_sha, key_sha256=key_sha)
         reg.save_registry(args.registry, registry)
     print(f"helper data written to {helper_path}")
     if args.debug:
@@ -203,9 +204,6 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--test-dumps gives condition {condition!r} more than once")
         test_samples[condition] = _load_dumps(directory, minimum=1)
     thresholds = tuple(_int_list("--thresholds", args.thresholds))
-    repeated = [t for t in thresholds if thresholds.count(t) > 1]
-    if repeated:
-        raise ValueError(f"--thresholds gives {repeated[0]} more than once")
     rows = analytics.threshold_sweep(enroll_samples, test_samples,
                                      thresholds=thresholds, block_size=args.block_size)
     _write_csv(analytics.sweep_to_csv(rows), args.out)

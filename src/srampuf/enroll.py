@@ -177,8 +177,6 @@ def build_mask(samples: Sequence[BitVector], threshold: int,
     :class:`InsufficientStableBitsError` when all available windows together
     fall short.
     """
-    if not samples:
-        raise ValueError("no samples provided")
     check_minimums(threshold=threshold, window_length=window_length, base_offset=base_offset)
     samples = SampleSet.of(samples)
     available = (samples.length - base_offset) // window_length
@@ -222,7 +220,7 @@ def mask_to_text(mask: Mask) -> str:
 
 
 def mask_from_text(text: str) -> Mask:
-    fields = read_record(text, MASK_KEYS, (MASK_FORMAT,), what="mask")
+    fields = read_record(text, MASK_KEYS, MASK_FORMAT, what="mask")
     try:
         positions = np.array([int(p) for p in fields["positions"].split(",") if p != ""],
                              dtype=np.int64)

@@ -174,7 +174,7 @@ def helper_to_text(helper: HelperData) -> str:
 
 
 def helper_from_text(text: str) -> HelperData:
-    fields = read_record(text, HELPER_KEYS, (HELPER_FORMAT,), what="helper data")
+    fields = read_record(text, HELPER_KEYS, HELPER_FORMAT, what="helper data")
     if fields["code"] != CODE_NAME:
         raise TextFormatError(
             f"helper data: key 'code' must be {CODE_NAME!r}, got {fields['code']!r}")

@@ -82,10 +82,10 @@ def generate_key(raw, mask: Mask,
 def reproduce_key(raw, mask: Mask, helper: HelperData) -> KeyMaterial:
     """Re-derive the enrolled keys from a fresh dump of the same device.
 
-    The helper must have been generated for this exact mask. Propagates
-    :class:`~srampuf.fuzzy.ReproduceFailure` when the dump is too noisy.
+    The helper's ``mask_sha256`` must be this mask's fingerprint, never empty.
+    Propagates :class:`~srampuf.fuzzy.ReproduceFailure` when the dump is too noisy.
     """
-    if helper.mask_sha256 and helper.mask_sha256 != mask_fingerprint(mask):
+    if helper.mask_sha256 != mask_fingerprint(mask):
         raise ValueError("helper data was generated for a different mask")
     response = apply_mask(raw, mask)
     recovered = reproduce(response, helper)

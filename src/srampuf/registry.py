@@ -102,8 +102,8 @@ def registry_to_text(registry: Registry) -> str:
             parts.append(read[0])
             continue
         pairs = entry.to_pairs()
-        _check_file_names(dict(pairs), f"registry entry {device_id!r}")
         parts.append("\n" + format_kv_block(pairs))
+        _check_file_names(dict(pairs), f"registry entry {device_id!r}")
     return "".join(parts)
 
 
@@ -114,8 +114,8 @@ def registry_from_text(text: str) -> Registry:
 
 _HEADER = f"format = {REGISTRY_FORMAT}\n"
 # A value that is a bare file name: visible characters but '/' and '\', and
-# not '.' or '..' (the lookahead sees the newline that ends every value)
-_BARE_NAME_PATTERN = r"(?!\.\.?\n)[!-.0-\[\]-~]+(?: +[!-.0-\[\]-~]+)*"
+# not '.' or '..', ended by a newline in a file or by the end of a lone name
+_BARE_NAME_PATTERN = r"(?!\.\.?(?:\n|\Z))[!-.0-\[\]-~]+(?: +[!-.0-\[\]-~]+)*"
 # One entry exactly as registry_to_text writes it: a blank line, then its keys
 # in field order, the optional ones only when set.
 _ENTRY_RE = re.compile("\n" + "".join(
@@ -125,10 +125,10 @@ _ENTRY_RE = re.compile("\n" + "".join(
 
 def _check_file_names(values: dict[str, str], what: str) -> None:
     """Refuse a ``mask_file`` or ``helper_file`` in ``values`` that does not
-    name a file in the registry's own directory."""
+    name a file in the registry's own directory; ``values`` pass the value rule."""
     for key in _FILE_KEYS:
         name = values.get(key)
-        if name is not None and (name in ("", ".", "..") or "/" in name or "\\" in name):
+        if name is not None and not re.fullmatch(_BARE_NAME_PATTERN, name):
             raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
 
 

@@ -205,7 +205,7 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
 
     half = (1.0 - cal.unstable_fraction) / 2.0
     lo, hi = np.quantile(smoothed, [half, 1.0 - half])
-    unstable = (smoothed > lo) & (smoothed < hi) if cal.unstable_fraction > 0 else np.zeros(num_bits, dtype=bool)
+    unstable = (smoothed > lo) & (smoothed < hi)
     preferred = smoothed >= (lo + hi) / 2.0
 
     flip = np.zeros(num_bits)

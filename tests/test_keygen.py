@@ -6,7 +6,7 @@ import pytest
 from srampuf import enroll
 from srampuf.bitvec import BitVector
 from srampuf.enroll import Mask, build_mask, mask_fingerprint
-from srampuf.fuzzy import ReproduceFailure
+from srampuf.fuzzy import ReproduceFailure, generate
 from srampuf.keygen import KeyMaterial, apply_mask, derive_key, generate_key, reproduce_key
 from srampuf.simulate import Calibration, collect_samples, new_device
 
@@ -161,6 +161,26 @@ class TestPipeline:
         other = random_mask(np.random.default_rng(99))
         with pytest.raises(ValueError, match="different mask"):
             reproduce_key(self.raw, other, helper)
+
+    def test_helper_of_another_device_refused_bound_or_unbound(self):
+        # A helper made from another device's response decodes this device's
+        # reading to a wrong key about half the time, so no such helper may
+        # reach the decoder: neither one bound to the other device's mask nor
+        # one bound to no mask at all.
+        cal = Calibration()
+        enrolled = []
+        for seed in (0, 1):
+            device = new_device(seed, num_bits=2432, calibration=cal)
+            samples = collect_samples(device, cal.condition("NTNA"), 30, seed0=0)
+            enrolled.append((samples[0], build_mask(samples, threshold=4)))
+        (raw, mask), (other_raw, other_mask) = enrolled
+        other_response = apply_mask(other_raw, other_mask)
+        for seed in range(20):
+            for mask_sha256 in ("", other_mask.fingerprint):
+                helper = generate(other_response, seed, mask_sha256=mask_sha256)
+                with pytest.raises(ValueError,
+                                   match="^helper data was generated for a different mask$"):
+                    reproduce_key(raw, mask, helper)
 
 
 class TestUniqueness:

@@ -57,7 +57,7 @@ class TestValueRule:
     @given(VALUES)
     def test_writer_writes_exactly_what_the_parser_returns_unchanged(self, value):
         try:
-            unchanged = parse_kv_block(f"key = {value}\n") == {"key": value}
+            unchanged = parse_kv_block(f"key = {value}\n", keys=("key",)) == {"key": value}
         except TextFormatError:
             unchanged = False
         assert writable(value) == unchanged
@@ -258,7 +258,8 @@ HELPER_TEXT = helper_to_text(HelperData(code_offset=bytes(16)))
 REGISTRY_TEXT = registry_to_text(registry_of(entry("dev-a", helper_file="dev-a.helper",
                                                    helper_sha256="1" * 64)))
 REFUSALS = {
-    "empty-key": (parse_kv_block, "a = 1\n = 2\n", "^file: line 2: empty key$"),
+    "empty-key": (lambda text: parse_kv_block(text, keys=("a",)), "a = 1\n = 2\n",
+                  "^file: line 2: empty key$"),
     "unknown-key": (lambda text: parse_kv_block(text, keys=("a",)), "a = 1\nb = 2\n",
                     "^file: line 2: unknown key 'b'$"),
     "mask-extra-key": (mask_from_text, MASK_TEXT + "note = x\n",
@@ -275,7 +276,8 @@ REFUSALS = {
     "registry-v2-legacy-key": (registry_from_text,
                                REGISTRY_TEXT.replace("helper_file", "threshold = 4\nhelper_file"),
                                "^registry entry: line 7: unknown key 'threshold'$"),
-    "duplicate-key": (parse_kv_block, "a = 1\n\na = 2\n", "^file: line 3: duplicate key 'a'$"),
+    "duplicate-key": (lambda text: parse_kv_block(text, keys=("a",)), "a = 1\n\na = 2\n",
+                      "^file: line 3: duplicate key 'a'$"),
     "mask-format": (mask_from_text, MASK_TEXT.replace("srampuf-mask-v1", "srampuf-mask-v9"),
                     "^mask: unsupported format 'srampuf-mask-v9'$"),
     "helper-format": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v2", "x"),

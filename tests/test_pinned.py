@@ -103,8 +103,8 @@ def test_every_double_flip_refused_v2():
     # All-zero response and all-zero offset: the committed codeword is zero,
     # so a reading's error pattern is the reading itself. All 8,128 double
     # flips are refused.
-    helper = helper_from_text(ZERO_HELPER_V2)
     mask = identity_mask()
+    helper = dataclasses.replace(helper_from_text(ZERO_HELPER_V2), mask_sha256=mask.fingerprint)
     zero = BitVector(np.zeros(128, dtype=np.uint8))
     enrolled = reproduce_key(zero, mask, helper).digest
     refused, wrong = 0, 0
@@ -145,7 +145,8 @@ def test_127_position_mask_refused(tmp_path):
     with pytest.raises(ValueError, match="128"):
         generate_key(raw, short, 1)
     with pytest.raises(ValueError, match="128"):
-        reproduce_key(raw, short, helper_from_text(ZERO_HELPER_V2))
+        reproduce_key(raw, short, dataclasses.replace(helper_from_text(ZERO_HELPER_V2),
+                                                      mask_sha256=short.fingerprint))
 
     dumps = tmp_path / "dumps"
     registry_path = tmp_path / "registry.txt"

@@ -901,7 +901,7 @@ USAGE_REFUSALS = {
                                  "--test-dumps gives condition 'NTNA' more than once"),
     "sweep-repeated-threshold": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps",
                                   "NTNA={dumps}", "--thresholds", "1,2,3,2"],
-                                 "--thresholds gives 2 more than once"),
+                                 "threshold 2 is given more than once"),
     "flip-count-seed": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out", "{tmp}/x.hex",
                          "--count", "2"],
                         "--count needs --seed for a reproducible choice"),
