@@ -164,7 +164,8 @@ def cmd_genkey(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    _, entry, mask = _load_enrolled_mask(args.registry, args.device_id)
+    entry = reg.read_entry(args.registry, args.device_id)
+    mask = enroll.mask_from_text(reg.read_verified(args.registry, entry, "mask"))
     if not entry.helper_file:
         raise ValueError(f"device {args.device_id!r} has no helper data yet; run genkey first")
     helper = fuzzy.helper_from_text(reg.read_verified(args.registry, entry, "helper"))

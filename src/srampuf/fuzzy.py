@@ -20,8 +20,8 @@ are the 8-bit values of odd weight 3 or more, in ascending order (Hsiao, IBM
 J. R&D 14(4), 1970). Every column then has odd weight, so a single flip
 yields its own column code, while a double flip yields an even-weight
 nonzero syndrome that is no column code, and is refused. Minimum distance is
-4. A triple flip can still land on a column code and be corrected to a
-different codeword; the key check downstream is the only guard left there.
+4, and every odd-weight byte is a column code, so every triple flip (all
+341,376 of them) is corrected to a wrong codeword; only a key check catches it.
 
 Only ``srampuf-helper-v2`` files are read; v1 files, written with a
 distance-3 Hamming code, are refused as an unsupported format.

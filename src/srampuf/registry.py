@@ -10,11 +10,12 @@ and only the files a command reads are checked. A file exactly in the
 writer's form is read by one pattern that also holds the bare-file-name
 rule, with no per-entry checks; a save of such a registry reuses the text of
 every entry still equal to what was read, and formats and checks only the
-entries added or changed since the load. Commands that change the
-registry do their load -> change -> save under :func:`locked`, so concurrent
-writers do not drop each other's entries. Keys themselves are never
-persisted; at most an opt-in debug key hash is recorded for cross-checking
-reproduction. Only ``srampuf-registry-v2`` files are read; v1 is refused.
+entries added or changed since the load; :func:`read_entry` checks the whole
+file as a load does but builds only the entry it returns. Commands that
+change the registry do their load -> change -> save under :func:`locked`, so
+concurrent writers do not drop each other's entries. Keys are never persisted;
+at most an opt-in debug key hash is recorded for cross-checking reproduction.
+Only ``srampuf-registry-v2`` files are read; v1 is refused.
 """
 
 from __future__ import annotations
@@ -132,12 +133,10 @@ def _check_file_names(values: dict[str, str], what: str) -> None:
             raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
 
 
-def _writer_form(text: str) -> Registry | None:
-    """The registry ``text`` holds if it is exactly in the writer's form, else
-    None; the registry keeps each entry's match for :func:`registry_to_text`.
-
-    Never raises: any other text goes to :func:`_parse_registry`, which reads
-    every accepted form and names the line of any fault."""
+def _writer_matches(text: str) -> dict[str, re.Match] | None:
+    """Each entry's match by device id if ``text`` is exactly in the writer's
+    form, else None. Never raises: any other text goes to :func:`_parse_registry`,
+    which reads every accepted form and names the line of any fault."""
     if not text.startswith(_HEADER):
         return None
     pos = len(_HEADER)
@@ -147,7 +146,13 @@ def _writer_form(text: str) -> Registry | None:
             return None
         pos = match.end()
         read[match[1]] = match
-    if pos != len(text):
+    return read if pos == len(text) else None
+
+
+def _writer_form(text: str) -> Registry | None:
+    """The registry of :func:`_writer_matches`, kept with its matches for a save."""
+    read = _writer_matches(text)
+    if read is None:
         return None
     registry = Registry({device_id: RegistryEntry(*match.groups(""))
                          for device_id, match in read.items()})
@@ -197,13 +202,27 @@ def save_registry(path, registry: Registry) -> None:
     atomic_write_text(path, registry_to_text(registry))
 
 
-def load_registry(path) -> Registry:
-    """Parse a registry file; referenced files are checked when they are read."""
+def _registry_text(path) -> str:
     try:
-        text = read_text(path)
+        return read_text(path)
     except FileNotFoundError:
         raise ValueError(f"registry file not found: {path}") from None
-    return registry_from_text(text)
+
+
+def load_registry(path) -> Registry:
+    """Parse a registry file; referenced files are checked when they are read."""
+    return registry_from_text(_registry_text(path))
+
+
+def read_entry(path, device_id: str) -> RegistryEntry:
+    """``load_registry(path).get(device_id)``, building only the entry asked for."""
+    text = _registry_text(path)
+    read = _writer_matches(text)
+    if read is None:
+        return _parse_registry(text).get(device_id)
+    if device_id not in read:
+        return Registry().get(device_id)       # refused as not enrolled
+    return RegistryEntry(*read[device_id].groups(""))
 
 
 @contextmanager

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srampuf.cli import (
     EXIT_INSUFFICIENT_BITS,
@@ -27,6 +28,7 @@ from srampuf.registry import (
     RegistryEntry,
     file_sha256,
     load_registry,
+    read_entry,
     read_verified,
     registry_from_text,
     registry_to_text,
@@ -239,6 +241,62 @@ class TestRegistryReaders:
         monkeypatch.setattr(bitvec, "_parse_lines", general_path)
         assert load_registry(tmp_path / "registry.txt") == registry
         assert np.array_equal(load_dump(tmp_path / "reading.hex").packed, reading.packed)
+
+
+# The general forms of test_other_forms_read_as_before
+GENERAL_FORMS = [
+    lambda t: t.replace("\ndevice_id = ", "\n# enrolled by hand\ndevice_id = "),
+    lambda t: t.replace(" = ", "  =\t"),
+    lambda t: "\n".join(line and line + " " for line in t.split("\n")),
+    lambda t: t + "\n\n  \n",
+    lambda t: t.replace("\n", "\r\n"),
+]
+# Pieces a mutation swaps for one another: ids, keys, separators and the
+# characters the bare-name and value rules turn on; "" inserts or deletes
+PIECES = ["", "dev-000", "dev-001", "mask_file", "helper_fiel", "created", "format", ".mask",
+          "\n", "\n\n", " = ", "=", " ", "\t", "/", "\\", "..", ".", "#", "\xe9"]
+
+
+@st.composite
+def registry_texts(draw):
+    """Writer output for up to three devices, half the time in one of the
+    general forms, with up to three pieces of it replaced by other pieces."""
+    text = registry_to_text(registry_of(draw(st.integers(0, 3)),
+                                        draw(st.sampled_from([None, HELPER_KEYS, DEBUG_KEYS]))))
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(GENERAL_FORMS))(text)
+    for _ in range(draw(st.integers(0, 3))):
+        old = draw(st.sampled_from([piece for piece in PIECES if piece in text]))
+        at = -1
+        for _ in range(draw(st.integers(1, text.count(old)))):
+            at = text.index(old, at + 1)
+        text = text[:at] + draw(st.sampled_from(PIECES)) + text[at + len(old):]
+    return text
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message of its ValueError."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestReadEntry:
+    """``read_entry(path, id)`` reads as ``load_registry(path).get(id)`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=registry_texts(), device_id=st.sampled_from(["dev-000", "dev-001", "ghost"]))
+    def test_agrees_with_load_and_get(self, tmp_path_factory, text, device_id):
+        path = tmp_path_factory.getbasetemp() / "read-entry-registry.txt"
+        path.write_bytes(text.encode("latin-1"))
+        expected = outcome(lambda: load_registry(path).get(device_id))
+        assert outcome(read_entry, path, device_id) == expected
+
+    def test_missing_file_refused_as_by_load(self, tmp_path):
+        path = tmp_path / "registry.txt"
+        assert outcome(read_entry, path, "dev-a") == outcome(load_registry, path) == (
+            ValueError, f"registry file not found: {path}")
 
 
 def formatted_afresh(registry):
@@ -661,6 +719,29 @@ class TestCliKeyFlow:
         dump = enrolled / "dumps" / "sample-00000.hex"
         assert main(reproduce_args(enrolled, dump)) == EXIT_USAGE
         assert "line 12: device_id 'dev-a' is also listed at line 3" in capsys.readouterr().err
+
+    # reproduce builds only its own entry, but still checks every other one
+    @pytest.mark.parametrize("broken", ["misspelled-key", "listed-twice"])
+    def test_reproduce_refuses_a_broken_other_entry_as_genkey_does(self, enrolled, capsys,
+                                                                   broken):
+        assert enroll_device(enrolled, device_id="dev-b") == EXIT_OK
+        path = enrolled / "registry.txt"
+        text = path.read_text()
+        dev_b = text[text.index("\n\ndevice_id = dev-b\n"):]
+        if broken == "misspelled-key":
+            text = text.replace(dev_b, dev_b.replace("\ncreated = ", "\ncraeted = "))
+        else:
+            text += dev_b
+        path.write_text(text)
+        dump = str(enrolled / "dumps" / "sample-00000.hex")
+        capsys.readouterr()
+        assert main(reproduce_args(enrolled, dump)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert main(["genkey", "--dump", dump, "--registry", str(path),
+                     "--device-id", "dev-a"]) == EXIT_USAGE
+        assert capsys.readouterr().err == err
+        assert err.startswith("error: registry entry") and err.count("\n") == 1
+        assert path.read_text() == text
 
     def test_tampered_mask_detected(self, enrolled, capsys):
         flip_byte(enrolled / "dev-a.mask")
