@@ -23,8 +23,9 @@ def is_value(value: str) -> bool:
 
 
 # The rule's non-empty values as a regular expression, for whole-file fast
-# paths: runs of visible characters joined by runs of spaces
-VALUE_PATTERN = "[!-~]+(?: +[!-~]+)*"
+# paths: printable characters that neither start nor end with a space; one
+# run and a lookbehind, not a repeated group, keep the match fast
+VALUE_PATTERN = "[!-~][ -~]*(?<! )"
 
 
 def read_text(path, data: bytes | None = None) -> str:

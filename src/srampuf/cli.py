@@ -103,14 +103,10 @@ def cmd_enroll(args) -> int:
     mask_name = f"{args.device_id}.mask"
     mask_path = reg.sibling_path(args.registry, mask_name)
     os.makedirs(os.path.dirname(mask_path), exist_ok=True)
-    with reg.locked(args.registry):
-        if os.path.exists(args.registry):
-            registry = reg.load_registry(args.registry)
-        else:
-            registry = reg.Registry()
-        if args.device_id in registry.entries:
-            raise ValueError(f"device {args.device_id!r} is already enrolled")
+    mask = None
 
+    def new_entry(_) -> reg.RegistryEntry:
+        nonlocal mask
         mask = enroll.build_mask(
             samples,
             threshold=args.threshold,
@@ -119,23 +115,17 @@ def cmd_enroll(args) -> int:
             device_id=args.device_id,
         )
         enroll.save_mask(mask_path, mask)
-        registry.add(reg.RegistryEntry(
+        return reg.RegistryEntry(
             device_id=args.device_id,
             mask_file=mask_name,
             mask_sha256=mask.fingerprint,
             created=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        ))
-        reg.save_registry(args.registry, registry)
+        )
+
+    reg.update_entry(args.registry, args.device_id, new_entry, create=True)
     print(f"enrolled {args.device_id}: {mask.target_len} positions from "
           f"{mask.num_windows} window(s) at threshold {mask.threshold}")
     return EXIT_OK
-
-
-def _load_enrolled_mask(registry_path: str, device_id: str):
-    registry = reg.load_registry(registry_path)
-    entry = registry.get(device_id)
-    mask = enroll.mask_from_text(reg.read_verified(registry_path, entry, "mask"))
-    return registry, entry, mask
 
 
 def _print_key(key: keygen.KeyMaterial) -> None:
@@ -146,17 +136,21 @@ def _print_key(key: keygen.KeyMaterial) -> None:
 def cmd_genkey(args) -> int:
     helper_name = f"{args.device_id}.helper"
     helper_path = reg.sibling_path(args.registry, helper_name)
-    with reg.locked(args.registry):
-        registry, entry, mask = _load_enrolled_mask(args.registry, args.device_id)
+    key = None
+
+    def with_helper(entry: reg.RegistryEntry) -> reg.RegistryEntry:
+        nonlocal key
+        mask = enroll.mask_from_text(reg.read_verified(args.registry, entry, "mask"))
         raw = load_dump(args.dump)
         helper, key = keygen.generate_key(raw, mask, args.seed)
         helper_text = fuzzy.helper_to_text(helper)
         atomic_write_text(helper_path, helper_text)
         helper_sha = hashlib.sha256(helper_text.encode("ascii")).hexdigest()
         key_sha = hashlib.sha256(key.digest).hexdigest() if args.debug else ""
-        registry.entries[args.device_id] = dataclasses.replace(
+        return dataclasses.replace(
             entry, helper_file=helper_name, helper_sha256=helper_sha, key_sha256=key_sha)
-        reg.save_registry(args.registry, registry)
+
+    reg.update_entry(args.registry, args.device_id, with_helper)
     print(f"helper data written to {helper_path}")
     if args.debug:
         _print_key(key)

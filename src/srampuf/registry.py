@@ -7,15 +7,16 @@ registry holds no copy of its parameters. A referenced file is read through
 :func:`read_verified`, which hashes the same bytes it returns, so any
 corruption of a mask or helper is caught before a key is derived from it,
 and only the files a command reads are checked. A file exactly in the
-writer's form is read by one pattern that also holds the bare-file-name
-rule, with no per-entry checks; a save of such a registry reuses the text of
-every entry still equal to what was read, and formats and checks only the
-entries added or changed since the load; :func:`read_entry` checks the whole
-file as a load does but builds only the entry it returns. Commands that
-change the registry do their load -> change -> save under :func:`locked`, so
-concurrent writers do not drop each other's entries. Keys are never persisted;
-at most an opt-in debug key hash is recorded for cross-checking reproduction.
-Only ``srampuf-registry-v2`` files are read; v1 is refused.
+writer's form, device ids ascending, is checked in one pass: one match of a
+whole-file pattern that also holds the bare-file-name rule, then one search
+for the ids. :func:`read_entry` then builds only the entry asked for, and
+:func:`update_entry` writes the same text back with only its one entry
+formatted and spliced in; any other text is parsed line by line, and written
+back whole. Commands that change the registry do so through
+:func:`update_entry`, under :func:`locked`, so concurrent writers do not drop
+each other's entries. Keys are never persisted; at most an opt-in debug key
+hash is recorded for cross-checking reproduction. Only
+``srampuf-registry-v2`` files are read; v1 is refused.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ import fcntl
 import hashlib
 import os
 import re
+import stat
+from bisect import bisect_left
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from operator import attrgetter
+from operator import lt
 
 from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
                   parse_kv_block, read_text, require_keys)
@@ -68,8 +72,6 @@ class RegistryEntry:
 _ENTRY_KEYS = {f.name: f.default is MISSING for f in fields(RegistryEntry)}
 _REQUIRED_ENTRY_KEYS = [key for key, required in _ENTRY_KEYS.items() if required]
 _FILE_KEYS = ("mask_file", "helper_file")
-# An entry's field values in file order, as the fast path's match groups hold them
-_entry_values = attrgetter(*_ENTRY_KEYS)
 
 
 @dataclass
@@ -77,10 +79,6 @@ class Registry:
     """In-memory view of one registry file; device ids are unique."""
 
     entries: dict[str, RegistryEntry] = field(default_factory=dict)
-    # Device id -> its entry's match in the text the fast path read; a save
-    # reuses that text while the entry still holds the values read.
-    _read: dict[str, re.Match] = field(default_factory=dict, init=False, repr=False,
-                                       compare=False)
 
     def add(self, entry: RegistryEntry) -> None:
         if entry.device_id in self.entries:
@@ -95,17 +93,17 @@ class Registry:
 
 
 def registry_to_text(registry: Registry) -> str:
-    parts = [_HEADER]
-    for device_id in sorted(registry.entries):
-        entry = registry.entries[device_id]
-        read = registry._read.get(device_id)
-        if read is not None and _entry_values(entry) == read.groups(""):
-            parts.append(read[0])
-            continue
-        pairs = entry.to_pairs()
-        parts.append("\n" + format_kv_block(pairs))
-        _check_file_names(dict(pairs), f"registry entry {device_id!r}")
-    return "".join(parts)
+    return "".join([_HEADER, *(_entry_text(device_id, registry.entries[device_id])
+                               for device_id in sorted(registry.entries))])
+
+
+def _entry_text(device_id: str, entry: RegistryEntry) -> str:
+    """``entry`` as the writer writes it, with the blank line before it; a
+    file name that is not bare is refused, naming ``device_id``."""
+    pairs = entry.to_pairs()
+    text = "\n" + format_kv_block(pairs)
+    _check_file_names(dict(pairs), f"registry entry {device_id!r}")
+    return text
 
 
 def registry_from_text(text: str) -> Registry:
@@ -114,14 +112,21 @@ def registry_from_text(text: str) -> Registry:
 
 
 _HEADER = f"format = {REGISTRY_FORMAT}\n"
-# A value that is a bare file name: visible characters but '/' and '\', and
+# A value that is a bare file name: VALUE_PATTERN without '/' and '\', and
 # not '.' or '..', ended by a newline in a file or by the end of a lone name
-_BARE_NAME_PATTERN = r"(?!\.\.?(?:\n|\Z))[!-.0-\[\]-~]+(?: +[!-.0-\[\]-~]+)*"
+_BARE_NAME_PATTERN = r"(?!\.\.?(?:\n|\Z))[!-.0-\[\]-~][ -.0-\[\]-~]*(?<! )"
 # One entry exactly as registry_to_text writes it: a blank line, then its keys
-# in field order, the optional ones only when set.
+# in field order, the optional ones only when set (an empty alternative
+# matches faster than a '?' on a group).
 _ENTRY_RE = re.compile("\n" + "".join(
-    f"(?:{key} = ({_BARE_NAME_PATTERN if key in _FILE_KEYS else VALUE_PATTERN})\n)"
-    + ("" if required else "?") for key, required in _ENTRY_KEYS.items()))
+    f"(?:{key} = ({_BARE_NAME_PATTERN if key in _FILE_KEYS else VALUE_PATTERN})\n"
+    + (")" if required else "|)") for key, required in _ENTRY_KEYS.items()))
+# A whole file as registry_to_text writes it: the entries of _ENTRY_RE, every
+# group made non-capturing
+_WRITER_RE = re.compile(re.escape(_HEADER) + "(?:"
+                        + re.sub(r"\((?!\?)", "(?:", _ENTRY_RE.pattern) + ")*")
+# Each entry's device id, in a file that _WRITER_RE matches
+_ID_RE = re.compile("\n\ndevice_id = (.+)")
 
 
 def _check_file_names(values: dict[str, str], what: str) -> None:
@@ -133,31 +138,28 @@ def _check_file_names(values: dict[str, str], what: str) -> None:
             raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
 
 
-def _writer_matches(text: str) -> dict[str, re.Match] | None:
-    """Each entry's match by device id if ``text`` is exactly in the writer's
-    form, else None. Never raises: any other text goes to :func:`_parse_registry`,
-    which reads every accepted form and names the line of any fault."""
-    if not text.startswith(_HEADER):
+def _writer_ids(text: str) -> list[str] | None:
+    """The device ids of ``text``, ascending, if it is exactly what
+    :func:`registry_to_text` writes, else None. Never raises: any other text,
+    ids out of order included, goes to :func:`_parse_registry`, which reads
+    every accepted form and names the line of any fault."""
+    if _WRITER_RE.fullmatch(text) is None:
         return None
-    pos = len(_HEADER)
-    read = {}
-    for match in _ENTRY_RE.finditer(text, pos):
-        if match.start() != pos or match[1] in read:
-            return None
-        pos = match.end()
-        read[match[1]] = match
-    return read if pos == len(text) else None
+    ids = _ID_RE.findall(text)
+    return ids if all(map(lt, ids, ids[1:])) else None
 
 
 def _writer_form(text: str) -> Registry | None:
-    """The registry of :func:`_writer_matches`, kept with its matches for a save."""
-    read = _writer_matches(text)
-    if read is None:
+    """The registry of a file that :func:`_writer_ids` accepts, else None."""
+    if _writer_ids(text) is None:
         return None
-    registry = Registry({device_id: RegistryEntry(*match.groups(""))
-                         for device_id, match in read.items()})
-    registry._read = read
-    return registry
+    return Registry({match[1]: RegistryEntry(*match.groups(""))
+                     for match in _ENTRY_RE.finditer(text)})
+
+
+def _entry_start(text: str, device_id: str) -> int:
+    """Where the entry of ``device_id``, one of :func:`_writer_ids`, starts."""
+    return text.index(f"\n\ndevice_id = {device_id}\n") + 1
 
 
 def _blocks(text: str):
@@ -217,12 +219,51 @@ def load_registry(path) -> Registry:
 def read_entry(path, device_id: str) -> RegistryEntry:
     """``load_registry(path).get(device_id)``, building only the entry asked for."""
     text = _registry_text(path)
-    read = _writer_matches(text)
-    if read is None:
+    ids = _writer_ids(text)
+    if ids is None:
         return _parse_registry(text).get(device_id)
-    if device_id not in read:
-        return Registry().get(device_id)       # refused as not enrolled
-    return RegistryEntry(*read[device_id].groups(""))
+    at = bisect_left(ids, device_id)
+    _check_enrolled(device_id, ids[at:at + 1] == [device_id], create=False)
+    return RegistryEntry(*_ENTRY_RE.match(text, _entry_start(text, device_id)).groups(""))
+
+
+def update_entry(path, device_id: str,
+                 change: Callable[[RegistryEntry | None], RegistryEntry], *,
+                 create: bool = False) -> None:
+    """Write ``change(entry)`` as ``device_id``'s entry of the registry at
+    ``path``, ``entry`` being the one it holds. With ``create`` the device
+    must not be enrolled yet, ``entry`` is None and a missing file reads as
+    an empty registry. Under :func:`locked`, the file is read and checked
+    once; text in the writer's form is written back with only this entry
+    formatted, in place or at its sorted position, and any other text is
+    parsed and written through :func:`save_registry`."""
+    with locked(path):
+        text = _HEADER if create and not os.path.exists(path) else _registry_text(path)
+        ids = _writer_ids(text)
+        if ids is None:
+            registry = _parse_registry(text)
+            entry = registry.entries.get(device_id)
+            _check_enrolled(device_id, entry is not None, create)
+            registry.entries[device_id] = change(entry)
+            save_registry(path, registry)
+            return
+        at = bisect_left(ids, device_id)
+        enrolled = ids[at:at + 1] == [device_id]
+        _check_enrolled(device_id, enrolled, create)
+        start = _entry_start(text, ids[at]) if at < len(ids) else len(text)
+        end, entry = start, None
+        if enrolled:
+            match = _ENTRY_RE.match(text, start)
+            end, entry = match.end(), RegistryEntry(*match.groups(""))
+        atomic_write_text(path, text[:start] + _entry_text(device_id, change(entry)) + text[end:])
+
+
+def _check_enrolled(device_id: str, enrolled: bool, create: bool) -> None:
+    """Refuse to create an entry that exists, or to change one that does not."""
+    if enrolled and create:
+        raise ValueError(f"device {device_id!r} is already enrolled")
+    if not enrolled and not create:
+        raise ValueError(f"device {device_id!r} is not enrolled")
 
 
 @contextmanager
@@ -241,22 +282,28 @@ def sibling_path(registry_path, name: str) -> str:
 def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
     """Read ``entry``'s ``"mask"`` or ``"helper"`` file once and return its
     text, after checking those bytes against the recorded SHA-256. A symbolic
-    link is refused unopened, so no read leaves the registry's directory."""
+    link is refused unopened, so no read leaves the registry's directory, and
+    anything else but a regular file, such as a FIFO or a directory, is
+    refused unread; the open does not wait for a FIFO's writer."""
     name, expected = getattr(entry, f"{what}_file"), getattr(entry, f"{what}_sha256")
     path = sibling_path(registry_path, name)
+    where = f"device {entry.device_id!r}: {what} file {name!r}"
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW)
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
     except OSError as exc:
         problem = {errno.ENOENT: "is missing", errno.ELOOP: "is a symbolic link"}.get(exc.errno)
         if problem is None:
             raise
-        raise ValueError(f"device {entry.device_id!r}: {what} file {name!r} {problem}") from None
-    with os.fdopen(fd, "rb") as fh:
-        data = fh.read()
+        raise ValueError(f"{where} {problem}") from None
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ValueError(f"{where} is not a regular file")
+        with os.fdopen(fd, "rb", closefd=False) as fh:
+            data = fh.read()
+    finally:
+        os.close(fd)
     actual = hashlib.sha256(data).hexdigest()
     if actual != expected:
-        raise ValueError(
-            f"device {entry.device_id!r}: {what} file {name!r} does not match its recorded "
-            f"fingerprint (expected {expected[:12]}.., found {actual[:12]}..)"
-        )
+        raise ValueError(f"{where} does not match its recorded fingerprint "
+                         f"(expected {expected[:12]}.., found {actual[:12]}..)")
     return read_text(path, data)

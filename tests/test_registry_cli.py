@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from srampuf.cli import (
     EXIT_INSUFFICIENT_BITS,
@@ -18,7 +18,7 @@ from srampuf.cli import (
     main,
 )
 from srampuf import bitvec, registry as registry_module
-from srampuf._kv import TextFormatError, format_kv_block
+from srampuf._kv import TextFormatError, format_kv_block, is_value
 from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.enroll import Mask, load_mask, mask_from_text, mask_to_text, save_mask
 from srampuf.fuzzy import load_helper
@@ -304,26 +304,9 @@ def formatted_afresh(registry):
     return registry_to_text(Registry(dict(registry.entries)))
 
 
-# A save reuses the text of every entry still equal to what the fast path
-# read, and writes the rest through the checking writer.
+# A save writes every entry through the checking writer, whether it was read,
+# changed, deleted or added.
 class TestRegistryTextReuse:
-    def test_changes_are_written_as_a_fresh_registry_would_be(self):
-        text = registry_to_text(registry_of(256, DEBUG_KEYS))
-        registry = registry_from_text(text)
-        assert registry._read and registry_to_text(registry) == text
-        registry.add(entry("dev-new", helper_file="dev-new.helper", helper_sha256="3" * 64))
-        registry.add(entry("dev-000a"))
-        registry.entries["dev-001"] = dataclasses.replace(
-            registry.get("dev-001"), helper_file="dev-001.helper", helper_sha256="4" * 64)
-        registry.get("dev-002").key_sha256 = "5" * 64
-        registry.get("dev-004").key_sha256 = ""
-        registry.get("dev-006").created = "2026-09-01T00:00:00Z"
-        del registry.entries["dev-003"], registry.entries["dev-255"]
-        written = registry_to_text(registry)
-        assert written == formatted_afresh(registry)
-        assert written != text
-        assert registry_from_text(written) == registry
-
     def test_entry_deleted_and_added_back_is_written_afresh(self):
         text = registry_to_text(registry_of(4, HELPER_KEYS))
         registry = registry_from_text(text)
@@ -345,12 +328,6 @@ class TestRegistryTextReuse:
         with pytest.raises(TextFormatError, match="^registry entry 'dev-007': key 'mask_file' "
                                                   "must be a bare file name: '../x'$"):
             registry_to_text(registry)
-
-    def test_general_parser_output_is_formatted_as_before(self):
-        text = registry_to_text(registry_of(3, DEBUG_KEYS))
-        registry = registry_from_text(text.replace(" = ", "  =  "))
-        assert not registry._read
-        assert registry_to_text(registry) == text
 
 
 @pytest.fixture()
@@ -559,15 +536,6 @@ class TestCliEnroll:
             else:
                 assert entry.helper_file == entry.helper_sha256 == ""
 
-    def test_unchanged_save_formats_no_entry(self, tmp_path, format_calls):
-        path = tmp_path / "registry.txt"
-        path.write_text(registry_to_text(registry_of(256, DEBUG_KEYS)))
-        format_calls.clear()
-        original = path.read_bytes()
-        save_registry(path, load_registry(path))
-        assert format_calls == []
-        assert path.read_bytes() == original
-
     def test_registry_save_load_save_stable(self, workspace):
         assert enroll_device(workspace) == EXIT_OK
         path = workspace / "registry.txt"
@@ -701,6 +669,55 @@ class TestCliKeyFlow:
         assert capsys.readouterr().err == (
             f"error: device 'dev-a': {what} file 'dev-a.{what}' is a symbolic link\n")
 
+    # A FIFO with no writer would block an open for reading, and a directory
+    # fails only at the read; both are refused unread, in a process of its
+    # own so that a blocked open fails the test instead of hanging it.
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize("what", ["mask", "helper"])
+    def test_file_that_is_not_regular_refused(self, enrolled, what, kind):
+        path = enrolled / f"dev-a.{what}"
+        path.unlink()
+        if kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        argv = reproduce_args(enrolled, enrolled / "dumps" / "sample-00000.hex")
+        proc = subprocess.run([sys.executable, "-m", "srampuf.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (
+            f"error: device 'dev-a': {what} file 'dev-a.{what}' is not a regular file\n")
+
+    # An id that prefixes an enrolled one, or that holds the start of its
+    # entry, names no device: the entry is looked up by exact id before any
+    # search of the text.
+    @pytest.mark.parametrize("device_id", ["dev", "dev-a\nmask_file = dev-a.mask"],
+                             ids=["prefix", "newline"])
+    @pytest.mark.parametrize("command", ["reproduce", "genkey"])
+    def test_device_id_matched_exactly(self, enrolled, capsys, monkeypatch, command, device_id):
+        starts, reads = [], []
+        entry_start = registry_module._entry_start
+
+        def spied_start(text, found_id):
+            starts.append(found_id)
+            return entry_start(text, found_id)
+
+        monkeypatch.setattr(registry_module, "_entry_start", spied_start)
+        monkeypatch.setattr(registry_module, "read_verified", lambda *args: reads.append(args))
+        path = enrolled / "registry.txt"
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main([command, "--dump", str(enrolled / "dumps" / "sample-00000.hex"),
+                     "--registry", str(path), "--device-id", device_id]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: device {device_id!r} is not enrolled\n"
+        assert key_lines(captured.out) == []
+        assert starts == reads == []
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(enrolled)) == [
+            "dev-a.helper", "dev-a.mask", "dumps", "registry.txt", "registry.txt.lock"]
+
     def test_misspelled_key_is_usage_error(self, enrolled, capsys):
         path = enrolled / "registry.txt"
         lines = path.read_text().split("\n")
@@ -793,6 +810,87 @@ class TestCliKeyFlow:
         capsys.readouterr()
         assert main(reproduce_args(enrolled, flipped)) == EXIT_OK
         assert "key reproduced" in capsys.readouterr().out
+
+
+# Ids that sort next to, or hold a prefix of, the enrolled "dev-a"; any other
+# id of printable ASCII without a path separator
+NEAR_IDS = ["dev", "dev-", "dev-a0", "dev-a.b", "dev-a-", "dev-A", "dev-b", "dev-a a", "~"]
+OTHER_IDS = (st.sampled_from(NEAR_IDS)
+             | st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                     blacklist_characters="/\\"), min_size=1, max_size=6)
+             .filter(is_value)).filter(lambda device_id: device_id != "dev-a")
+
+
+@st.composite
+def other_entries(draw):
+    """Entries of devices other than dev-a, each optional key set or unset."""
+    entries = []
+    for n, device_id in enumerate(draw(st.sets(OTHER_IDS, max_size=6))):
+        optional = draw(st.sets(st.sampled_from(["helper", "key_sha256"])))
+        helper = dict(helper_file=f"{device_id}.helper", helper_sha256=f"{n:064x}")
+        entries.append(entry(device_id, **(helper if "helper" in optional else {}),
+                             key_sha256="f" * 64 if "key_sha256" in optional else ""))
+    return entries
+
+
+@pytest.fixture(scope="module")
+def enrolled_once(tmp_path_factory):
+    """A directory with dumps and dev-a enrolled, and dev-a's entry."""
+    work = tmp_path_factory.mktemp("splice")
+    assert main(["simulate", "--out-dir", str(work / "dumps"), "--device-seed", str(DEVICE_SEED),
+                 "-n", str(N_SAMPLES), "--num-bits", str(NUM_BITS)]) == EXIT_OK
+    assert enroll_device(work) == EXIT_OK
+    return work, load_registry(work / "registry.txt").get("dev-a")
+
+
+def change_one_entry(work, path, command, new_id="dev-new", debug=False):
+    """Run ``genkey`` for dev-a, or ``enroll`` of ``new_id``, on the registry at
+    ``path``; returns the changed device's id."""
+    if command == "genkey":
+        argv = ["genkey", "--dump", str(work / "dumps" / "sample-00000.hex"),
+                "--device-id", "dev-a", "--seed", "1", *(["--debug"] if debug else [])]
+    else:
+        argv = ["enroll", "--dumps", str(work / "dumps"), f"--device-id={new_id}"]
+    assert main([*argv, "--registry", str(path)]) == EXIT_OK
+    return "dev-a" if command == "genkey" else new_id
+
+
+# genkey and enroll rewrite one entry of the text they read; the bytes must be
+# what the writer gives for the registry loaded and then changed.
+class TestEntrySplice:
+    @settings(max_examples=60, deadline=None)
+    @given(others=other_entries(), command=st.sampled_from(["genkey", "enroll"]),
+           new_id=st.from_regex(r"[A-Za-z0-9._-]{1,8}", fullmatch=True), debug=st.booleans())
+    def test_written_bytes_are_the_writers(self, enrolled_once, others, command, new_id, debug):
+        work, dev_a = enrolled_once
+        assume(new_id not in {"dev-a", *(other.device_id for other in others)})
+        path = work / "spliced.txt"
+        text = registry_to_text(Registry({e.device_id: e for e in [dev_a, *others]}))
+        path.write_text(text)
+        assert registry_module._writer_ids(text) is not None
+        registry = load_registry(path)
+        changed = change_one_entry(work, path, command, new_id, debug)
+        written = path.read_text()
+        registry.entries[changed] = load_registry(path).get(changed)
+        assert written == registry_to_text(registry)
+
+    @pytest.mark.parametrize("command", ["genkey", "enroll"])
+    def test_ids_out_of_order_read_and_rewritten_sorted(self, enrolled_once, command):
+        work, dev_a = enrolled_once
+        path = work / "unsorted.txt"
+        others = [entry("dev-0"), entry("dev-b", helper_file="dev-b.helper", **DEBUG_KEYS)]
+        sorted_text = registry_to_text(Registry({e.device_id: e for e in [dev_a, *others]}))
+        header, *blocks = sorted_text.removesuffix("\n").split("\n\n")
+        text = "\n\n".join([header, *reversed(blocks)]) + "\n"
+        assert registry_module._WRITER_RE.fullmatch(text)
+        path.write_text(text)
+        assert registry_module._writer_ids(text) is None
+        assert read_entry(path, "dev-a") == dev_a
+        registry = load_registry(path)
+        assert registry_to_text(registry) == sorted_text
+        changed = change_one_entry(work, path, command)
+        registry.entries[changed] = load_registry(path).get(changed)
+        assert path.read_text() == registry_to_text(registry)
 
 
 class TestRetiredFormats:
