@@ -97,7 +97,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    if not _DEVICE_ID_RE.match(args.device_id):
+    if not _DEVICE_ID_RE.fullmatch(args.device_id):
         raise ValueError(f"device id {args.device_id!r} must match {_DEVICE_ID_RE.pattern}")
     samples = _load_dumps(args.dumps, minimum=2)
     mask_name = f"{args.device_id}.mask"

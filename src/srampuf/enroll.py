@@ -19,7 +19,7 @@ import hashlib
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -219,7 +219,10 @@ def mask_to_text(mask: Mask) -> str:
     return format_kv_block(zip(MASK_KEYS, values, strict=True))
 
 
+@lru_cache(maxsize=1)
 def mask_from_text(text: str) -> Mask:
+    """The mask ``text`` holds. The mask read last is kept and returned again
+    for an equal text; a mask is immutable, so callers may share it."""
     fields = read_record(text, MASK_KEYS, MASK_FORMAT, what="mask")
     try:
         positions = np.array([int(p) for p in fields["positions"].split(",") if p != ""],

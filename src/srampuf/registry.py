@@ -12,7 +12,11 @@ whole-file pattern that also holds the bare-file-name rule, then one search
 for the ids. :func:`read_entry` then builds only the entry asked for, and
 :func:`update_entry` writes the same text back with only its one entry
 formatted and spliced in; any other text is parsed line by line, and written
-back whole. Commands that change the registry do so through
+back whole. The one-pass check keeps its answer for the last text it read, in
+each process, so a command on a registry equal to that text skips the match;
+every command still reads the file, and :func:`read_verified` still hashes
+each mask and helper, so a changed byte is always seen. A fresh process
+parses as before. Commands that change the registry do so through
 :func:`update_entry`, under :func:`locked`, so concurrent writers do not drop
 each other's entries. Keys are never persisted; at most an opt-in debug key
 hash is recorded for cross-checking reproduction. Only
@@ -31,6 +35,7 @@ from bisect import bisect_left
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from operator import lt
 
 from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
@@ -138,14 +143,16 @@ def _check_file_names(values: dict[str, str], what: str) -> None:
             raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
 
 
-def _writer_ids(text: str) -> list[str] | None:
+@lru_cache(maxsize=1)
+def _writer_ids(text: str) -> tuple[str, ...] | None:
     """The device ids of ``text``, ascending, if it is exactly what
     :func:`registry_to_text` writes, else None. Never raises: any other text,
     ids out of order included, goes to :func:`_parse_registry`, which reads
-    every accepted form and names the line of any fault."""
+    every accepted form and names the line of any fault. The answer for the
+    last text is kept, so a text equal to it is not matched again."""
     if _WRITER_RE.fullmatch(text) is None:
         return None
-    ids = _ID_RE.findall(text)
+    ids = tuple(_ID_RE.findall(text))
     return ids if all(map(lt, ids, ids[1:])) else None
 
 
@@ -223,7 +230,7 @@ def read_entry(path, device_id: str) -> RegistryEntry:
     if ids is None:
         return _parse_registry(text).get(device_id)
     at = bisect_left(ids, device_id)
-    _check_enrolled(device_id, ids[at:at + 1] == [device_id], create=False)
+    _check_enrolled(device_id, ids[at:at + 1] == (device_id,), create=False)
     return RegistryEntry(*_ENTRY_RE.match(text, _entry_start(text, device_id)).groups(""))
 
 
@@ -248,7 +255,7 @@ def update_entry(path, device_id: str,
             save_registry(path, registry)
             return
         at = bisect_left(ids, device_id)
-        enrolled = ids[at:at + 1] == [device_id]
+        enrolled = ids[at:at + 1] == (device_id,)
         _check_enrolled(device_id, enrolled, create)
         start = _entry_start(text, ids[at]) if at < len(ids) else len(text)
         end, entry = start, None

@@ -66,7 +66,7 @@ class TestValueRule:
     def test_registry_fast_path_reads_exactly_the_non_empty_writable_values(self, value):
         text = (f"format = srampuf-registry-v2\n\ndevice_id = dev-a\nmask_file = dev-a.mask\n"
                 f"mask_sha256 = {'0' * 64}\ncreated = {value}\n")
-        read = registry_module._writer_ids(text) == ["dev-a"]
+        read = registry_module._writer_ids(text) == ("dev-a",)
         assert read == (value != "" and writable(value))
         if read:
             assert registry_from_text(text).get("dev-a").created == value
@@ -76,7 +76,7 @@ class TestValueRule:
     def test_registry_fast_path_reads_exactly_the_writable_bare_names(self, name):
         text = (f"format = srampuf-registry-v2\n\ndevice_id = dev-a\nmask_file = {name}\n"
                 f"mask_sha256 = {'0' * 64}\ncreated = 2026-08-10T00:00:00Z\n")
-        read = registry_module._writer_ids(text) == ["dev-a"]
+        read = registry_module._writer_ids(text) == ("dev-a",)
         bare = name not in (".", "..") and "/" not in name and "\\" not in name
         assert read == (name != "" and writable(name) and bare)
         if read:
@@ -278,6 +278,11 @@ REFUSALS = {
                                "^registry entry: line 7: unknown key 'threshold'$"),
     "duplicate-key": (lambda text: parse_kv_block(text, keys=("a",)), "a = 1\n\na = 2\n",
                       "^file: line 3: duplicate key 'a'$"),
+    "mask-positions": (mask_from_text, MASK_TEXT.replace("positions = 0,", "positions = x,"),
+                       "^mask: positions must be comma-separated integers$"),
+    "helper-code-offset": (helper_from_text,
+                           HELPER_TEXT.replace("code_offset = 0", "code_offset = G"),
+                           "^helper data: code_offset is not hexadecimal$"),
     "mask-format": (mask_from_text, MASK_TEXT.replace("srampuf-mask-v1", "srampuf-mask-v9"),
                     "^mask: unsupported format 'srampuf-mask-v9'$"),
     "helper-format": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v2", "x"),
@@ -288,10 +293,19 @@ REFUSALS = {
 }
 
 
+# A valid text for each reader whose parse keeps its last answer
+VALID_TEXTS = {mask_from_text: MASK_TEXT, helper_from_text: HELPER_TEXT,
+               registry_from_text: REGISTRY_TEXT}
+
+
 @pytest.mark.parametrize("read, text, message", REFUSALS.values(), ids=list(REFUSALS))
 def test_reader_refusal_names_what_is_wrong(read, text, message):
-    with pytest.raises(TextFormatError, match=message):
-        read(text)
+    # Twice in a row, then after a valid text: a refusal is never kept
+    for valid in (None, None, VALID_TEXTS.get(read)):
+        if valid is not None:
+            read(valid)
+        with pytest.raises(TextFormatError, match=message):
+            read(text)
 
 
 def test_missing_registry_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,9 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +19,11 @@ from srampuf.cli import (
     build_parser,
     main,
 )
-from srampuf import bitvec, registry as registry_module
+from srampuf import bitvec, cli as cli_module, registry as registry_module
 from srampuf._kv import TextFormatError, format_kv_block, is_value
 from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.enroll import Mask, load_mask, mask_from_text, mask_to_text, save_mask
-from srampuf.fuzzy import load_helper
+from srampuf.fuzzy import helper_from_text, load_helper
 from srampuf.keygen import reproduce_key
 from srampuf.registry import (
     Registry,
@@ -893,6 +895,98 @@ class TestEntrySplice:
         assert path.read_text() == registry_to_text(registry)
 
 
+# The parsers that keep their last answer, so an equal text is not parsed again
+CACHED_PARSERS = (registry_module._writer_ids, mask_from_text, helper_from_text)
+
+
+class FixedClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2026, 8, 10, tzinfo=tz)
+
+
+def key_script(dumps):
+    """The script's commands as (edit, argv). ``edit`` is None or the
+    (file name, change) made before the command; a None change restores the
+    bytes that file's last edit replaced. Paths are relative to the working
+    directory, which holds the registry."""
+    dev = ["--registry", "registry.txt", "--device-id"]
+
+    def reproduce(sample):
+        return ["reproduce", "--dump", f"{dumps}/sample-{sample:05d}.hex", *dev, "dev-a",
+                "--debug"]
+
+    def genkey(device_id, seed, dump=f"{dumps}/sample-00000.hex"):
+        return ["genkey", "--dump", dump, *dev, device_id, "--seed", str(seed), "--debug"]
+
+    misspell = ("registry.txt", lambda text, _: re.sub(
+        r"(device_id = dev-b\n(?:.+\n)*?)created = ", r"\1craeted = ", text))
+    last_digit = ("dev-a.helper",
+                  lambda text, _: text[:-2] + ("1" if text[-2] == "0" else "0") + "\n")
+    other_mask = ("dev-a.mask", lambda _, work: (work / "dev-b.mask").read_text())
+    return [
+        (None, ["enroll", "--dumps", str(dumps), *dev, "dev-a"]),
+        (None, ["enroll", "--dumps", str(dumps), *dev, "dev-b"]),
+        (None, genkey("dev-a", 1)),
+        (None, genkey("dev-b", 2)),
+        (None, reproduce(0)),
+        (None, reproduce(17)),
+        (misspell, reproduce(0)),
+        (("registry.txt", None), reproduce(0)),
+        (last_digit, reproduce(0)),
+        (("dev-a.helper", None), reproduce(17)),
+        (other_mask, reproduce(0)),
+        # A masked bit flipped: the new helper serves another key, which a
+        # reused helper would not reproduce
+        (("dev-a.mask", None), ["flip", "--dump", f"{dumps}/sample-00000.hex", "--out",
+                                "flipped.hex", "--count", "1", "--seed", "1",
+                                "--mask", "dev-a.mask"]),
+        (None, genkey("dev-a", 3, "flipped.hex")),
+        (None, reproduce(17)),
+    ]
+
+
+def run_key_script(work, dumps, capsys, monkeypatch, clear):
+    """Run :func:`key_script` in ``work``, with ``cache_clear`` called on the
+    cached parsers before every command when ``clear``. Per command, the exit
+    code, stdout and stderr, and every file of ``work`` after it."""
+    work.mkdir()
+    monkeypatch.chdir(work)
+    saved, steps = {}, []
+    for parser in CACHED_PARSERS:
+        parser.cache_clear()
+    for edit, argv in key_script(dumps):
+        if edit is not None:
+            name, change = edit
+            path = work / name
+            if change is None:
+                path.write_bytes(saved.pop(name))
+            else:
+                saved[name] = path.read_bytes()
+                path.write_text(change(saved[name].decode(), work))
+        if clear:
+            for parser in CACHED_PARSERS:
+                parser.cache_clear()
+        capsys.readouterr()
+        code = main(argv)
+        out, err = (text.replace(str(work), "WORK") for text in capsys.readouterr())
+        steps.append((code, out, err, {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+    return steps
+
+
+# A command whose text equals the last one a parser read reuses its answer;
+# the outcome must be the one a fresh parse gives, step for step.
+def test_kept_parses_change_no_outcome(workspace, capsys, monkeypatch):
+    monkeypatch.setattr(cli_module, "datetime", FixedClock)
+    dumps = workspace / "dumps"
+    kept = run_key_script(workspace / "as-is", dumps, capsys, monkeypatch, clear=False)
+    assert all(parser.cache_info().hits for parser in CACHED_PARSERS)
+    fresh = run_key_script(workspace / "cleared", dumps, capsys, monkeypatch, clear=True)
+    assert not any(parser.cache_info().hits for parser in CACHED_PARSERS)
+    assert [code for code, *_ in kept] == [0] * 6 + [2, 0, 2, 0, 2, 0, 0, 0]
+    assert kept == fresh
+
+
 class TestRetiredFormats:
     """A v1 helper or registry is refused as one error line naming its format."""
 
@@ -1069,6 +1163,10 @@ USAGE_REFUSALS = {
     "enroll-device-id": (["enroll", "--dumps", "{dumps}", "--registry", "{tmp}/registry.txt",
                           "--device-id", "a b"],
                          "device id 'a b' must match ^[A-Za-z0-9._-]+$"),
+    # '$' also matches before a final newline; the id must match as a whole
+    "enroll-device-id-newline": (["enroll", "--dumps", "{dumps}", "--registry",
+                                  "{tmp}/registry.txt", "--device-id", "dev-a\n"],
+                                 "device id 'dev-a\\n' must match ^[A-Za-z0-9._-]+$"),
     # build_mask refuses it under the registry lock, whose file lands beside the dumps
     "enroll-base-offset": (["enroll", "--dumps", "{dumps}", "--registry", "{dumps}/registry.txt",
                             "--device-id", "dev-a", "--base-offset", "-1"],
