@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
-                  read_text)
+from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block, parse_int,
+                  read_record, read_text)
 from .bitvec import BitVector, SampleSet
 from .fuzzy import N
 
@@ -219,13 +220,28 @@ def mask_to_text(mask: Mask) -> str:
     return format_kv_block(zip(MASK_KEYS, values, strict=True))
 
 
-@lru_cache(maxsize=1)
+# A count or position as str() writes it
+_INT_PATTERN = "0|[1-9][0-9]*"
+# A mask exactly as mask_to_text writes it, with at least one position: the
+# values after the format, in MASK_KEYS order
+_WRITER_RE = re.compile(
+    re.escape(f"format = {MASK_FORMAT}\n") + f"device_id = ({VALUE_PATTERN}|)\n"
+    + "".join(f"{key} = ({_INT_PATTERN})\n" for key in (*_FIELD_MINIMUMS, "target_len"))
+    + f"positions = ((?:{_INT_PATTERN})(?:,(?:{_INT_PATTERN}))*)\n")
+
+
 def mask_from_text(text: str) -> Mask:
-    """The mask ``text`` holds. The mask read last is kept and returned again
-    for an equal text; a mask is immutable, so callers may share it."""
-    fields = read_record(text, MASK_KEYS, MASK_FORMAT, what="mask")
+    """The mask ``text`` holds. Text exactly in the writer's form is read with
+    one match, and is the canonical text, so its hash is the mask's
+    fingerprint; any other text is parsed line by line."""
+    writer = _WRITER_RE.fullmatch(text)
+    if writer is None:
+        fields = read_record(text, MASK_KEYS, MASK_FORMAT, what="mask")
+    else:
+        fields = dict(zip(MASK_KEYS[1:], writer.groups()))
+    items = fields["positions"].split(",")
     try:
-        positions = np.array([int(p) for p in fields["positions"].split(",") if p != ""],
+        positions = np.array(items if writer else [int(p) for p in items if p != ""],
                              dtype=np.int64)
     except (ValueError, OverflowError):
         raise TextFormatError("mask: positions must be comma-separated integers") from None
@@ -234,9 +250,12 @@ def mask_from_text(text: str) -> Mask:
         raise TextFormatError(f"mask: target_len says {target_len} but {positions.size} positions given")
     values = {name: parse_int(fields, name, what="mask") for name in _FIELD_MINIMUMS}
     try:
-        return Mask(device_id=fields["device_id"], positions=positions, **values)
+        mask = Mask(device_id=fields["device_id"], positions=positions, **values)
     except ValueError as exc:
         raise TextFormatError(f"mask: {exc}") from None
+    if writer is not None:
+        object.__setattr__(mask, "fingerprint", hashlib.sha256(text.encode("ascii")).hexdigest())
+    return mask
 
 
 # SHA-256 of the canonical mask file text, read through Mask.fingerprint's cache

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -174,10 +173,7 @@ def helper_to_text(helper: HelperData) -> str:
     return format_kv_block(zip(HELPER_KEYS, values, strict=True))
 
 
-@lru_cache(maxsize=1)
 def helper_from_text(text: str) -> HelperData:
-    """The helper data ``text`` holds. The helper read last is kept and
-    returned again for an equal text; it is immutable, so callers may share it."""
     fields = read_record(text, HELPER_KEYS, HELPER_FORMAT, what="helper data")
     if fields["code"] != CODE_NAME:
         raise TextFormatError(

@@ -7,16 +7,12 @@ registry holds no copy of its parameters. A referenced file is read through
 :func:`read_verified`, which hashes the same bytes it returns, so any
 corruption of a mask or helper is caught before a key is derived from it,
 and only the files a command reads are checked. A file exactly in the
-writer's form, device ids ascending, is checked in one pass: one match of a
-whole-file pattern that also holds the bare-file-name rule, then one search
-for the ids. :func:`read_entry` then builds only the entry asked for, and
+writer's form, device ids ascending, is checked in one pass: one split on an
+entry pattern that also holds the bare-file-name rule must leave only the
+header and ids. :func:`read_entry` then builds only the entry asked for, and
 :func:`update_entry` writes the same text back with only its one entry
 formatted and spliced in; any other text is parsed line by line, and written
-back whole. The one-pass check keeps its answer for the last text it read, in
-each process, so a command on a registry equal to that text skips the match;
-every command still reads the file, and :func:`read_verified` still hashes
-each mask and helper, so a changed byte is always seen. A fresh process
-parses as before. Commands that change the registry do so through
+back whole. Commands that change the registry do so through
 :func:`update_entry`, under :func:`locked`, so concurrent writers do not drop
 each other's entries. Keys are never persisted; at most an opt-in debug key
 hash is recorded for cross-checking reproduction. Only
@@ -35,7 +31,6 @@ from bisect import bisect_left
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from functools import lru_cache
 from operator import lt
 
 from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
@@ -126,12 +121,10 @@ _BARE_NAME_PATTERN = r"(?!\.\.?(?:\n|\Z))[!-.0-\[\]-~][ -.0-\[\]-~]*(?<! )"
 _ENTRY_RE = re.compile("\n" + "".join(
     f"(?:{key} = ({_BARE_NAME_PATTERN if key in _FILE_KEYS else VALUE_PATTERN})\n"
     + (")" if required else "|)") for key, required in _ENTRY_KEYS.items()))
-# A whole file as registry_to_text writes it: the entries of _ENTRY_RE, every
-# group made non-capturing
-_WRITER_RE = re.compile(re.escape(_HEADER) + "(?:"
-                        + re.sub(r"\((?!\?)", "(?:", _ENTRY_RE.pattern) + ")*")
-# Each entry's device id, in a file that _WRITER_RE matches
-_ID_RE = re.compile("\n\ndevice_id = (.+)")
+# The same entry with every group but the device id's made non-capturing:
+# splitting a file on it leaves the text around the entries, and their ids
+_ENTRY_ID_RE = re.compile(re.sub(r"\((?!\?)", "(?:", _ENTRY_RE.pattern)
+                          .replace("device_id = (?:", "device_id = (", 1))
 
 
 def _check_file_names(values: dict[str, str], what: str) -> None:
@@ -143,17 +136,17 @@ def _check_file_names(values: dict[str, str], what: str) -> None:
             raise TextFormatError(f"{what}: key {key!r} must be a bare file name: {name!r}")
 
 
-@lru_cache(maxsize=1)
-def _writer_ids(text: str) -> tuple[str, ...] | None:
+def _writer_ids(text: str) -> list[str] | None:
     """The device ids of ``text``, ascending, if it is exactly what
-    :func:`registry_to_text` writes, else None. Never raises: any other text,
-    ids out of order included, goes to :func:`_parse_registry`, which reads
-    every accepted form and names the line of any fault. The answer for the
-    last text is kept, so a text equal to it is not matched again."""
-    if _WRITER_RE.fullmatch(text) is None:
+    :func:`registry_to_text` writes, else None. One pass: the file splits on
+    the entries into the header and nothing else. Never raises: any other
+    text, ids out of order included, goes to :func:`_parse_registry`, which
+    reads every accepted form and names the line of any fault."""
+    parts = _ENTRY_ID_RE.split(text)
+    ids = parts[1::2]
+    if parts[0] != _HEADER or any(parts[2::2]) or not all(map(lt, ids, ids[1:])):
         return None
-    ids = tuple(_ID_RE.findall(text))
-    return ids if all(map(lt, ids, ids[1:])) else None
+    return ids
 
 
 def _writer_form(text: str) -> Registry | None:
@@ -230,7 +223,7 @@ def read_entry(path, device_id: str) -> RegistryEntry:
     if ids is None:
         return _parse_registry(text).get(device_id)
     at = bisect_left(ids, device_id)
-    _check_enrolled(device_id, ids[at:at + 1] == (device_id,), create=False)
+    _check_enrolled(device_id, ids[at:at + 1] == [device_id], create=False)
     return RegistryEntry(*_ENTRY_RE.match(text, _entry_start(text, device_id)).groups(""))
 
 
@@ -255,7 +248,7 @@ def update_entry(path, device_id: str,
             save_registry(path, registry)
             return
         at = bisect_left(ids, device_id)
-        enrolled = ids[at:at + 1] == (device_id,)
+        enrolled = ids[at:at + 1] == [device_id]
         _check_enrolled(device_id, enrolled, create)
         start = _entry_start(text, ids[at]) if at < len(ids) else len(text)
         end, entry = start, None

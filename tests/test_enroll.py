@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srampuf import enroll as enroll_module
 from srampuf.bitvec import BitVector
 from srampuf.enroll import (
     InsufficientStableBitsError,
@@ -252,6 +254,33 @@ class TestMaskFile:
         save_mask(path, mask)
         save_mask(tmp_path / "b.mask", load_mask(path))
         assert (tmp_path / "b.mask").read_bytes() == path.read_bytes()
+
+    def test_fast_path_agrees_with_parser(self):
+        mask = self.make_mask()
+        text = mask_to_text(mask)
+        assert enroll_module._WRITER_RE.fullmatch(text)
+        fast = mask_from_text(text)
+        assert fast.fingerprint == hashlib.sha256(text.encode()).hexdigest() == mask.fingerprint
+        assert mask_to_text(fast) == text
+
+    # Text the writer does not write is parsed line by line; the fingerprint
+    # is still that of the canonical text, never of the text read.
+    @pytest.mark.parametrize("form", [
+        lambda t: "# kept by hand\n" + t,
+        lambda t: t.replace(" = ", "  =\t"),
+        lambda t: t + "\n",
+        lambda t: t.replace("threshold = 4", "threshold = 04"),
+        lambda t: t.replace("positions = ", "positions = 0"),
+        lambda t: t.replace("sample_count = 300", "sample_count = +300"),
+    ], ids=["comment", "spaced-equals", "trailing-blank-line", "leading-zero", "zero-padded-position",
+            "plus-sign"])
+    def test_other_forms_read_with_the_canonical_fingerprint(self, form):
+        mask = self.make_mask()
+        text = form(mask_to_text(mask))
+        assert enroll_module._WRITER_RE.fullmatch(text) is None
+        read = mask_from_text(text)
+        assert read.fingerprint == mask_fingerprint(mask) != hashlib.sha256(text.encode()).hexdigest()
+        assert read.positions.tolist() == mask.positions.tolist()
 
     def test_fingerprint_tracks_content(self):
         a, b = self.make_mask(1), self.make_mask(2)

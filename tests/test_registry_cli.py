@@ -19,11 +19,11 @@ from srampuf.cli import (
     build_parser,
     main,
 )
-from srampuf import bitvec, cli as cli_module, registry as registry_module
+from srampuf import bitvec, cli as cli_module, enroll as enroll_module, registry as registry_module
 from srampuf._kv import TextFormatError, format_kv_block, is_value
 from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.enroll import Mask, load_mask, mask_from_text, mask_to_text, save_mask
-from srampuf.fuzzy import helper_from_text, load_helper
+from srampuf.fuzzy import load_helper
 from srampuf.keygen import reproduce_key
 from srampuf.registry import (
     Registry,
@@ -884,7 +884,9 @@ class TestEntrySplice:
         sorted_text = registry_to_text(Registry({e.device_id: e for e in [dev_a, *others]}))
         header, *blocks = sorted_text.removesuffix("\n").split("\n\n")
         text = "\n\n".join([header, *reversed(blocks)]) + "\n"
-        assert registry_module._WRITER_RE.fullmatch(text)
+        # Every entry is in the writer's form; only their order is not
+        parts = registry_module._ENTRY_ID_RE.split(text)
+        assert parts[0] == registry_module._HEADER and not any(parts[2::2])
         path.write_text(text)
         assert registry_module._writer_ids(text) is None
         assert read_entry(path, "dev-a") == dev_a
@@ -895,10 +897,6 @@ class TestEntrySplice:
         assert path.read_text() == registry_to_text(registry)
 
 
-# The parsers that keep their last answer, so an equal text is not parsed again
-CACHED_PARSERS = (registry_module._writer_ids, mask_from_text, helper_from_text)
-
-
 class FixedClock(datetime):
     @classmethod
     def now(cls, tz=None):
@@ -906,10 +904,10 @@ class FixedClock(datetime):
 
 
 def key_script(dumps):
-    """The script's commands as (edit, argv). ``edit`` is None or the
-    (file name, change) made before the command; a None change restores the
-    bytes that file's last edit replaced. Paths are relative to the working
-    directory, which holds the registry."""
+    """A key-command script as (edits, argv) steps. Each edit is a file name
+    and a change made before the command: ``change(text, work)`` gives the
+    file's new text, and None restores the bytes its last change replaced.
+    Paths are relative to the working directory, which holds the registry."""
     dev = ["--registry", "registry.txt", "--device-id"]
 
     def reproduce(sample):
@@ -921,52 +919,49 @@ def key_script(dumps):
 
     misspell = ("registry.txt", lambda text, _: re.sub(
         r"(device_id = dev-b\n(?:.+\n)*?)created = ", r"\1craeted = ", text))
-    last_digit = ("dev-a.helper",
-                  lambda text, _: text[:-2] + ("1" if text[-2] == "0" else "0") + "\n")
-    other_mask = ("dev-a.mask", lambda _, work: (work / "dev-b.mask").read_text())
+    # A hand-kept mask whose new hash the registry records: its text is not
+    # the canonical one, so it is parsed line by line and its fingerprint,
+    # which dev-a's helper holds, is still the canonical text's
+    comment = ("dev-a.mask", lambda text, _: "# kept by hand\n" + text)
+    rehash = ("registry.txt", lambda text, work: re.sub(
+        r"(mask_file = dev-a.mask\nmask_sha256 = )\w+",
+        rf"\g<1>{file_sha256(work / 'dev-a.mask')}", text))
+    spaced = ("registry.txt", lambda text, _: text.replace(" = ", "  =  "))
     return [
-        (None, ["enroll", "--dumps", str(dumps), *dev, "dev-a"]),
-        (None, ["enroll", "--dumps", str(dumps), *dev, "dev-b"]),
-        (None, genkey("dev-a", 1)),
-        (None, genkey("dev-b", 2)),
-        (None, reproduce(0)),
-        (None, reproduce(17)),
-        (misspell, reproduce(0)),
-        (("registry.txt", None), reproduce(0)),
-        (last_digit, reproduce(0)),
-        (("dev-a.helper", None), reproduce(17)),
-        (other_mask, reproduce(0)),
-        # A masked bit flipped: the new helper serves another key, which a
-        # reused helper would not reproduce
-        (("dev-a.mask", None), ["flip", "--dump", f"{dumps}/sample-00000.hex", "--out",
-                                "flipped.hex", "--count", "1", "--seed", "1",
-                                "--mask", "dev-a.mask"]),
-        (None, genkey("dev-a", 3, "flipped.hex")),
-        (None, reproduce(17)),
+        ((), ["enroll", "--dumps", str(dumps), *dev, "dev-a"]),
+        ((), ["enroll", "--dumps", str(dumps), *dev, "dev-b"]),
+        ((), genkey("dev-a", 1)),
+        ((), genkey("dev-b", 2)),
+        ((), reproduce(0)),
+        ((), reproduce(17)),
+        ((misspell,), reproduce(0)),
+        ((("registry.txt", None),), reproduce(0)),
+        ((comment, rehash), reproduce(17)),
+        ((), genkey("dev-a", 3)),
+        ((spaced,), reproduce(0)),
+        ((), genkey("dev-b", 4)),
+        # A masked bit flipped: the new helper serves another response
+        ((), ["flip", "--dump", f"{dumps}/sample-00000.hex", "--out", "flipped.hex",
+              "--count", "1", "--seed", "1", "--mask", "dev-a.mask"]),
+        ((), genkey("dev-a", 5, "flipped.hex")),
+        ((), reproduce(17)),
     ]
 
 
-def run_key_script(work, dumps, capsys, monkeypatch, clear):
-    """Run :func:`key_script` in ``work``, with ``cache_clear`` called on the
-    cached parsers before every command when ``clear``. Per command, the exit
-    code, stdout and stderr, and every file of ``work`` after it."""
+def run_key_script(work, dumps, capsys, monkeypatch):
+    """Run :func:`key_script` in ``work``; per command, the exit code, stdout
+    and stderr, and every file of ``work`` after it."""
     work.mkdir()
     monkeypatch.chdir(work)
     saved, steps = {}, []
-    for parser in CACHED_PARSERS:
-        parser.cache_clear()
-    for edit, argv in key_script(dumps):
-        if edit is not None:
-            name, change = edit
+    for edits, argv in key_script(dumps):
+        for name, change in edits:
             path = work / name
             if change is None:
                 path.write_bytes(saved.pop(name))
             else:
                 saved[name] = path.read_bytes()
                 path.write_text(change(saved[name].decode(), work))
-        if clear:
-            for parser in CACHED_PARSERS:
-                parser.cache_clear()
         capsys.readouterr()
         code = main(argv)
         out, err = (text.replace(str(work), "WORK") for text in capsys.readouterr())
@@ -974,17 +969,18 @@ def run_key_script(work, dumps, capsys, monkeypatch, clear):
     return steps
 
 
-# A command whose text equals the last one a parser read reuses its answer;
-# the outcome must be the one a fresh parse gives, step for step.
-def test_kept_parses_change_no_outcome(workspace, capsys, monkeypatch):
+# The registry check and the mask reader read text in the writer's form in
+# one pass; with both passes declining every text, so that all text goes to
+# the line parsers, every command must end the same, byte for byte.
+def test_one_pass_readers_change_no_outcome(workspace, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "datetime", FixedClock)
     dumps = workspace / "dumps"
-    kept = run_key_script(workspace / "as-is", dumps, capsys, monkeypatch, clear=False)
-    assert all(parser.cache_info().hits for parser in CACHED_PARSERS)
-    fresh = run_key_script(workspace / "cleared", dumps, capsys, monkeypatch, clear=True)
-    assert not any(parser.cache_info().hits for parser in CACHED_PARSERS)
-    assert [code for code, *_ in kept] == [0] * 6 + [2, 0, 2, 0, 2, 0, 0, 0]
-    assert kept == fresh
+    one_pass = run_key_script(workspace / "one-pass", dumps, capsys, monkeypatch)
+    monkeypatch.setattr(registry_module, "_writer_ids", lambda text: None)
+    monkeypatch.setattr(enroll_module, "_WRITER_RE", re.compile("(?!)"))
+    by_line = run_key_script(workspace / "by-line", dumps, capsys, monkeypatch)
+    assert [code for code, *_ in one_pass] == [0] * 6 + [2] + [0] * 8
+    assert one_pass == by_line
 
 
 class TestRetiredFormats:
@@ -1163,10 +1159,6 @@ USAGE_REFUSALS = {
     "enroll-device-id": (["enroll", "--dumps", "{dumps}", "--registry", "{tmp}/registry.txt",
                           "--device-id", "a b"],
                          "device id 'a b' must match ^[A-Za-z0-9._-]+$"),
-    # '$' also matches before a final newline; the id must match as a whole
-    "enroll-device-id-newline": (["enroll", "--dumps", "{dumps}", "--registry",
-                                  "{tmp}/registry.txt", "--device-id", "dev-a\n"],
-                                 "device id 'dev-a\\n' must match ^[A-Za-z0-9._-]+$"),
     # build_mask refuses it under the registry lock, whose file lands beside the dumps
     "enroll-base-offset": (["enroll", "--dumps", "{dumps}", "--registry", "{dumps}/registry.txt",
                             "--device-id", "dev-a", "--base-offset", "-1"],
