@@ -6,14 +6,13 @@ file. The mask file is the only record of how a device was enrolled; the
 registry holds no copy of its parameters. A referenced file is read through
 :func:`read_verified`, which hashes the same bytes it returns, so any
 corruption of a mask or helper is caught before a key is derived from it,
-and only the files a command reads are checked. A file exactly in the
-writer's form, device ids ascending, is checked in one pass: one split on an
-entry pattern that also holds the bare-file-name rule must leave only the
-header and ids. :func:`read_entry` then builds only the entry asked for, and
-:func:`update_entry` writes the same text back with only its one entry
-formatted and spliced in; any other text is parsed line by line, and written
-back whole. Commands that change the registry do so through
-:func:`update_entry`, under :func:`locked`, so concurrent writers do not drop
+and only the files a command reads are checked. Every command reads the
+registry through one check, which gives its text in the writer's form: text
+already in that form, device ids ascending, is checked in one split on an
+entry pattern that also holds the bare-file-name rule, and any other is
+parsed line by line and formatted once. :func:`read_entry` builds only the
+entry asked for, and :func:`update_entry` writes the text back with only its
+entry spliced in, under :func:`locked`, so concurrent writers do not drop
 each other's entries. Keys are never persisted; at most an opt-in debug key
 hash is recorded for cross-checking reproduction. Only
 ``srampuf-registry-v2`` files are read; v1 is refused.
@@ -81,15 +80,12 @@ class Registry:
     entries: dict[str, RegistryEntry] = field(default_factory=dict)
 
     def add(self, entry: RegistryEntry) -> None:
-        if entry.device_id in self.entries:
-            raise ValueError(f"device {entry.device_id!r} is already enrolled")
+        _check_enrolled(entry.device_id, entry.device_id in self.entries, create=True)
         self.entries[entry.device_id] = entry
 
     def get(self, device_id: str) -> RegistryEntry:
-        try:
-            return self.entries[device_id]
-        except KeyError:
-            raise ValueError(f"device {device_id!r} is not enrolled") from None
+        _check_enrolled(device_id, device_id in self.entries, create=False)
+        return self.entries[device_id]
 
 
 def registry_to_text(registry: Registry) -> str:
@@ -107,24 +103,30 @@ def _entry_text(device_id: str, entry: RegistryEntry) -> str:
 
 
 def registry_from_text(text: str) -> Registry:
-    registry = _writer_form(text)
-    return _parse_registry(text) if registry is None else registry
+    return Registry({match[1]: RegistryEntry(*match.groups(""))
+                     for match in _ENTRY_RE.finditer(_checked(text)[0])})
 
 
 _HEADER = f"format = {REGISTRY_FORMAT}\n"
 # A value that is a bare file name: VALUE_PATTERN without '/' and '\', and
 # not '.' or '..', ended by a newline in a file or by the end of a lone name
 _BARE_NAME_PATTERN = r"(?!\.\.?(?:\n|\Z))[!-.0-\[\]-~][ -.0-\[\]-~]*(?<! )"
-# One entry exactly as registry_to_text writes it: a blank line, then its keys
-# in field order, the optional ones only when set (an empty alternative
-# matches faster than a '?' on a group).
-_ENTRY_RE = re.compile("\n" + "".join(
-    f"(?:{key} = ({_BARE_NAME_PATTERN if key in _FILE_KEYS else VALUE_PATTERN})\n"
-    + (")" if required else "|)") for key, required in _ENTRY_KEYS.items()))
-# The same entry with every group but the device id's made non-capturing:
-# splitting a file on it leaves the text around the entries, and their ids
-_ENTRY_ID_RE = re.compile(re.sub(r"\((?!\?)", "(?:", _ENTRY_RE.pattern)
-                          .replace("device_id = (?:", "device_id = (", 1))
+
+
+def _entry_re(captured) -> re.Pattern[str]:
+    """One entry as registry_to_text writes it, the values of the keys in
+    ``captured`` as groups: a blank line, then its keys in field order, the
+    optional ones only when set, the required ones maybe empty but mask_file
+    (an empty alternative matches faster than a '?' on a group)."""
+    return re.compile("\n" + "".join(
+        f"(?:{key} = ({'' if key in captured else '?:'}"
+        f"{_BARE_NAME_PATTERN if key in _FILE_KEYS else VALUE_PATTERN + '|' * required})\n"
+        + (")" if required else "|)") for key, required in _ENTRY_KEYS.items()))
+
+
+_ENTRY_RE = _entry_re(_ENTRY_KEYS)
+# Splitting a file on its entries leaves the text around them, and their ids
+_ENTRY_ID_RE = _entry_re(("device_id",))
 
 
 def _check_file_names(values: dict[str, str], what: str) -> None:
@@ -138,28 +140,32 @@ def _check_file_names(values: dict[str, str], what: str) -> None:
 
 def _writer_ids(text: str) -> list[str] | None:
     """The device ids of ``text``, ascending, if it is exactly what
-    :func:`registry_to_text` writes, else None. One pass: the file splits on
-    the entries into the header and nothing else. Never raises: any other
-    text, ids out of order included, goes to :func:`_parse_registry`, which
-    reads every accepted form and names the line of any fault."""
+    :func:`registry_to_text` writes, else None. One pass that never raises:
+    the file splits on the entries into the header and nothing else."""
     parts = _ENTRY_ID_RE.split(text)
     ids = parts[1::2]
-    if parts[0] != _HEADER or any(parts[2::2]) or not all(map(lt, ids, ids[1:])):
-        return None
-    return ids
+    writer = parts[0] == _HEADER and not any(parts[2::2]) and all(map(lt, ids, ids[1:]))
+    return ids if writer else None
 
 
-def _writer_form(text: str) -> Registry | None:
-    """The registry of a file that :func:`_writer_ids` accepts, else None."""
-    if _writer_ids(text) is None:
-        return None
-    return Registry({match[1]: RegistryEntry(*match.groups(""))
-                     for match in _ENTRY_RE.finditer(text)})
+def _checked(text: str) -> tuple[str, list[str]]:
+    """``text`` in the writer's form, checked, and its device ids, ascending.
+    Text already in that form is kept as it is; any other is parsed line by
+    line and formatted once, which :func:`_writer_ids` accepts in turn."""
+    ids = _writer_ids(text)
+    if ids is None:
+        registry = _parse_registry(text)
+        text, ids = registry_to_text(registry), sorted(registry.entries)
+    return text, ids
 
 
-def _entry_start(text: str, device_id: str) -> int:
-    """Where the entry of ``device_id``, one of :func:`_writer_ids`, starts."""
-    return text.index(f"\n\ndevice_id = {device_id}\n") + 1
+def _locate(text: str, ids: list[str], device_id: str) -> tuple[int, re.Match[str] | None]:
+    """Where ``device_id``'s entry starts in ``text``, as :func:`_checked`
+    gives it with ``ids``, or where it would be inserted, and the entry's
+    match when the device is enrolled."""
+    at = bisect_left(ids, device_id)
+    start = text.index(f"\n\ndevice_id = {ids[at]}\n") + 1 if at < len(ids) else len(text)
+    return start, _ENTRY_RE.match(text, start) if ids[at:at + 1] == [device_id] else None
 
 
 def _blocks(text: str):
@@ -205,10 +211,12 @@ def save_registry(path, registry: Registry) -> None:
 
 
 def _registry_text(path) -> str:
+    """The text of the registry file, a regular file or a symbolic link to one."""
     try:
-        return read_text(path)
+        data = _regular_file_bytes(path, f"registry file is not a regular file: {path}")
     except FileNotFoundError:
         raise ValueError(f"registry file not found: {path}") from None
+    return read_text(path, data)
 
 
 def load_registry(path) -> Registry:
@@ -218,13 +226,9 @@ def load_registry(path) -> Registry:
 
 def read_entry(path, device_id: str) -> RegistryEntry:
     """``load_registry(path).get(device_id)``, building only the entry asked for."""
-    text = _registry_text(path)
-    ids = _writer_ids(text)
-    if ids is None:
-        return _parse_registry(text).get(device_id)
-    at = bisect_left(ids, device_id)
-    _check_enrolled(device_id, ids[at:at + 1] == [device_id], create=False)
-    return RegistryEntry(*_ENTRY_RE.match(text, _entry_start(text, device_id)).groups(""))
+    _, match = _locate(*_checked(_registry_text(path)), device_id)
+    _check_enrolled(device_id, match is not None, create=False)
+    return RegistryEntry(*match.groups(""))
 
 
 def update_entry(path, device_id: str,
@@ -233,28 +237,18 @@ def update_entry(path, device_id: str,
     """Write ``change(entry)`` as ``device_id``'s entry of the registry at
     ``path``, ``entry`` being the one it holds. With ``create`` the device
     must not be enrolled yet, ``entry`` is None and a missing file reads as
-    an empty registry. Under :func:`locked`, the file is read and checked
-    once; text in the writer's form is written back with only this entry
-    formatted, in place or at its sorted position, and any other text is
-    parsed and written through :func:`save_registry`."""
+    an empty registry; without it, a missing file is refused before its lock
+    file is made. Under :func:`locked`, the text is read and checked once and
+    written back with this entry spliced in, in place or at its sorted place."""
+    if not (create or os.path.exists(path)):
+        _registry_text(path)  # refuses the missing file
     with locked(path):
         text = _HEADER if create and not os.path.exists(path) else _registry_text(path)
-        ids = _writer_ids(text)
-        if ids is None:
-            registry = _parse_registry(text)
-            entry = registry.entries.get(device_id)
-            _check_enrolled(device_id, entry is not None, create)
-            registry.entries[device_id] = change(entry)
-            save_registry(path, registry)
-            return
-        at = bisect_left(ids, device_id)
-        enrolled = ids[at:at + 1] == [device_id]
-        _check_enrolled(device_id, enrolled, create)
-        start = _entry_start(text, ids[at]) if at < len(ids) else len(text)
-        end, entry = start, None
-        if enrolled:
-            match = _ENTRY_RE.match(text, start)
-            end, entry = match.end(), RegistryEntry(*match.groups(""))
+        text, ids = _checked(text)
+        start, match = _locate(text, ids, device_id)
+        _check_enrolled(device_id, match is not None, create)
+        entry = RegistryEntry(*match.groups("")) if match else None
+        end = match.end() if match else start
         atomic_write_text(path, text[:start] + _entry_text(device_id, change(entry)) + text[end:])
 
 
@@ -279,29 +273,34 @@ def sibling_path(registry_path, name: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(registry_path)), name)
 
 
+def _regular_file_bytes(path, refusal: str, flags: int = 0) -> bytes:
+    """The bytes of the file at ``path``, opened with ``flags`` added; any other
+    file is refused unread with ``refusal``, and a FIFO's writer is not waited on."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | flags)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ValueError(refusal)
+        with os.fdopen(fd, "rb", closefd=False) as fh:
+            return fh.read()
+    finally:
+        os.close(fd)
+
+
 def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
     """Read ``entry``'s ``"mask"`` or ``"helper"`` file once and return its
     text, after checking those bytes against the recorded SHA-256. A symbolic
     link is refused unopened, so no read leaves the registry's directory, and
-    anything else but a regular file, such as a FIFO or a directory, is
-    refused unread; the open does not wait for a FIFO's writer."""
+    anything but a regular file, such as a FIFO or a directory, is refused unread."""
     name, expected = getattr(entry, f"{what}_file"), getattr(entry, f"{what}_sha256")
     path = sibling_path(registry_path, name)
     where = f"device {entry.device_id!r}: {what} file {name!r}"
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+        data = _regular_file_bytes(path, f"{where} is not a regular file", os.O_NOFOLLOW)
     except OSError as exc:
         problem = {errno.ENOENT: "is missing", errno.ELOOP: "is a symbolic link"}.get(exc.errno)
         if problem is None:
             raise
         raise ValueError(f"{where} {problem}") from None
-    try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise ValueError(f"{where} is not a regular file")
-        with os.fdopen(fd, "rb", closefd=False) as fh:
-            data = fh.read()
-    finally:
-        os.close(fd)
     actual = hashlib.sha256(data).hexdigest()
     if actual != expected:
         raise ValueError(f"{where} does not match its recorded fingerprint "

@@ -63,11 +63,11 @@ class TestValueRule:
         assert writable(value) == unchanged
 
     @given(VALUES)
-    def test_registry_fast_path_reads_exactly_the_non_empty_writable_values(self, value):
+    def test_registry_fast_path_reads_exactly_the_writable_values(self, value):
         text = (f"format = srampuf-registry-v2\n\ndevice_id = dev-a\nmask_file = dev-a.mask\n"
                 f"mask_sha256 = {'0' * 64}\ncreated = {value}\n")
         read = registry_module._writer_ids(text) == ["dev-a"]
-        assert read == (value != "" and writable(value))
+        assert read == writable(value)
         if read:
             assert registry_from_text(text).get("dev-a").created == value
 

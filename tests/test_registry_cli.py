@@ -158,18 +158,23 @@ def registry_of(n, optional=None):
     return registry
 
 
-# The writer's own text is read on a fast path; every other accepted form goes
-# to the general parser. The two must agree.
+def checked(registry):
+    """What the registry check gives for any text that reads as ``registry``."""
+    return registry_to_text(registry), sorted(registry.entries)
+
+
+# The writer's own text is checked in one split and kept as it is; every other
+# accepted form goes to the general parser and is formatted once. The two
+# must agree.
 class TestRegistryReaders:
     @pytest.mark.parametrize("n", [0, 1, 256])
     @pytest.mark.parametrize("optional", [None, HELPER_KEYS, DEBUG_KEYS])
     def test_fast_path_agrees_with_parser(self, n, optional):
         registry = registry_of(n, optional)
         text = registry_to_text(registry)
-        fast = registry_module._writer_form(text)
-        assert fast is not None
-        assert fast == registry_module._parse_registry(text) == registry
-        assert registry_to_text(fast) == text
+        assert registry_module._writer_ids(text) == sorted(registry.entries)
+        assert registry_module._checked(text) == checked(registry)
+        assert registry_module._parse_registry(text) == registry_from_text(text) == registry
 
     @pytest.mark.parametrize("form", [
         lambda t: t.replace("\ndevice_id = ", "\n# enrolled by hand\ndevice_id = "),
@@ -182,7 +187,8 @@ class TestRegistryReaders:
     def test_other_forms_read_as_before(self, form, optional):
         registry = registry_of(3, optional)
         text = form(registry_to_text(registry))
-        assert registry_module._writer_form(text) is None
+        assert registry_module._writer_ids(text) is None
+        assert registry_module._checked(text) == checked(registry)
         assert registry_from_text(text) == registry
 
     @pytest.mark.parametrize("text", [
@@ -196,7 +202,7 @@ class TestRegistryReaders:
     ], ids=["empty", "no-newline", "blank-line", "trailing-blank-line", "path", "dot-dot",
             "duplicate-id", "backslash", "dot"])
     def test_fast_path_declines_without_raising(self, text):
-        assert registry_module._writer_form(text) is None
+        assert registry_module._writer_ids(text) is None
 
     # Names the pattern's bare-name rule must not mistake for '.', '..' or a path
     @pytest.mark.parametrize("name", [".hidden.mask", "..x", "a..b", "...", "a b.mask"])
@@ -205,9 +211,9 @@ class TestRegistryReaders:
         registry = registry_of(2, HELPER_KEYS)
         registry.entries["dev-000"] = dataclasses.replace(registry.get("dev-000"), **{key: name})
         text = registry_to_text(registry)
-        fast = registry_module._writer_form(text)
-        assert fast is not None
-        assert fast == registry_module._parse_registry(text) == registry
+        assert registry_module._writer_ids(text) == sorted(registry.entries)
+        assert registry_module._checked(text) == checked(registry)
+        assert registry_module._parse_registry(text) == registry_from_text(text) == registry
 
     def test_error_names_the_line_in_the_file(self):
         text = registry_to_text(registry_of(2)).replace("mask_file = dev-001", "mask_file dev-001")
@@ -299,6 +305,24 @@ class TestReadEntry:
         path = tmp_path / "registry.txt"
         assert outcome(read_entry, path, "dev-a") == outcome(load_registry, path) == (
             ValueError, f"registry file not found: {path}")
+
+
+# Every registry the line parser accepts formats to text that the one-split
+# check accepts, so the check reads any accepted text as the parser does;
+# a required value other than mask_file's may be empty.
+@settings(max_examples=300, deadline=None)
+@given(text=registry_texts(),
+       blank=st.sampled_from([None, "dev-000", "0" * 64, "2026-08-10T00:00:00Z"]))
+def test_every_accepted_registry_is_written_in_the_checked_form(text, blank):
+    if blank is not None:
+        text = text.replace(f" = {blank}\n", " = \n", 1)
+    try:
+        registry = registry_module._parse_registry(text)
+    except TextFormatError:
+        assume(False)
+    assert registry_module._writer_ids(registry_to_text(registry)) == sorted(registry.entries)
+    assert registry_module._checked(text) == checked(registry)
+    assert registry_from_text(text) == registry
 
 
 def formatted_afresh(registry):
@@ -675,9 +699,10 @@ class TestCliKeyFlow:
     # fails only at the read; both are refused unread, in a process of its
     # own so that a blocked open fails the test instead of hanging it.
     @pytest.mark.parametrize("kind", ["fifo", "directory"])
-    @pytest.mark.parametrize("what", ["mask", "helper"])
+    @pytest.mark.parametrize("what", ["mask", "helper", "registry"])
     def test_file_that_is_not_regular_refused(self, enrolled, what, kind):
-        path = enrolled / f"dev-a.{what}"
+        name = "registry.txt" if what == "registry" else f"dev-a.{what}"
+        path = enrolled / name
         path.unlink()
         if kind == "fifo":
             os.mkfifo(path)
@@ -688,24 +713,26 @@ class TestCliKeyFlow:
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_USAGE
-        assert proc.stderr == (
-            f"error: device 'dev-a': {what} file 'dev-a.{what}' is not a regular file\n")
+        assert proc.stderr == ("error: " + (
+            f"registry file is not a regular file: {path}" if what == "registry"
+            else f"device 'dev-a': {what} file '{name}' is not a regular file") + "\n")
 
     # An id that prefixes an enrolled one, or that holds the start of its
-    # entry, names no device: the entry is looked up by exact id before any
-    # search of the text.
+    # entry, names no device: the entry is looked up by exact id among the
+    # checked ids, and no entry of the text is matched for it.
     @pytest.mark.parametrize("device_id", ["dev", "dev-a\nmask_file = dev-a.mask"],
                              ids=["prefix", "newline"])
     @pytest.mark.parametrize("command", ["reproduce", "genkey"])
     def test_device_id_matched_exactly(self, enrolled, capsys, monkeypatch, command, device_id):
-        starts, reads = [], []
-        entry_start = registry_module._entry_start
+        matches, reads = [], []
+        locate = registry_module._locate
 
-        def spied_start(text, found_id):
-            starts.append(found_id)
-            return entry_start(text, found_id)
+        def spied_locate(text, ids, found_id):
+            start, match = locate(text, ids, found_id)
+            matches.append(match)
+            return start, match
 
-        monkeypatch.setattr(registry_module, "_entry_start", spied_start)
+        monkeypatch.setattr(registry_module, "_locate", spied_locate)
         monkeypatch.setattr(registry_module, "read_verified", lambda *args: reads.append(args))
         path = enrolled / "registry.txt"
         before = path.read_bytes()
@@ -715,7 +742,8 @@ class TestCliKeyFlow:
         captured = capsys.readouterr()
         assert captured.err == f"error: device {device_id!r} is not enrolled\n"
         assert key_lines(captured.out) == []
-        assert starts == reads == []
+        assert matches == [None]
+        assert reads == []
         assert path.read_bytes() == before
         assert sorted(os.listdir(enrolled)) == [
             "dev-a.helper", "dev-a.mask", "dumps", "registry.txt", "registry.txt.lock"]
@@ -970,13 +998,15 @@ def run_key_script(work, dumps, capsys, monkeypatch):
 
 
 # The registry check and the mask reader read text in the writer's form in
-# one pass; with both passes declining every text, so that all text goes to
+# one pass; with every registry text parsed line by line and formatted
+# afresh, and the mask pass declining every text, so that all text goes to
 # the line parsers, every command must end the same, byte for byte.
 def test_one_pass_readers_change_no_outcome(workspace, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "datetime", FixedClock)
     dumps = workspace / "dumps"
     one_pass = run_key_script(workspace / "one-pass", dumps, capsys, monkeypatch)
-    monkeypatch.setattr(registry_module, "_writer_ids", lambda text: None)
+    monkeypatch.setattr(registry_module, "_checked", lambda text: checked(
+        registry_module._parse_registry(text)))
     monkeypatch.setattr(enroll_module, "_WRITER_RE", re.compile("(?!)"))
     by_line = run_key_script(workspace / "by-line", dumps, capsys, monkeypatch)
     assert [code for code, *_ in one_pass] == [0] * 6 + [2] + [0] * 8
@@ -1163,6 +1193,14 @@ USAGE_REFUSALS = {
     "enroll-base-offset": (["enroll", "--dumps", "{dumps}", "--registry", "{dumps}/registry.txt",
                             "--device-id", "dev-a", "--base-offset", "-1"],
                            "base_offset must be >= 0"),
+    # genkey refuses a missing registry before it makes the lock file beside it
+    "genkey-registry-missing": (["genkey", "--dump", "{dumps}/sample-00000.hex", "--registry",
+                                 "{tmp}/typo.txt", "--device-id", "dev-a"],
+                                "registry file not found: {tmp}/typo.txt"),
+    "genkey-registry-directory-missing": (["genkey", "--dump", "{dumps}/sample-00000.hex",
+                                           "--registry", "{tmp}/nodir/typo.txt",
+                                           "--device-id", "dev-a"],
+                                          "registry file not found: {tmp}/nodir/typo.txt"),
     "sweep-test-dumps": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps", "NTNA"],
                          "--test-dumps expects CONDITION=DIR, got 'NTNA'"),
     "sweep-repeated-condition": (["sweep", "--enroll-dumps", "{dumps}", "--test-dumps",
