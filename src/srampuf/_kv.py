@@ -3,13 +3,18 @@
 All are line-oriented ASCII read through :func:`read_text`, and all but dumps
 are ``key = value`` blocks that stay diffable without tooling. Writers emit
 keys in a fixed order, so save -> load -> save is byte-identical, and write
-only values that read back unchanged (:func:`is_value`).
+only values that read back unchanged (:func:`is_value`). Files are opened only
+here: to read or lock, by :func:`open_regular`; to write, by :func:`atomic_write_text`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
+import stat
 import tempfile
+from typing import BinaryIO
 
 
 class TextFormatError(ValueError):
@@ -28,12 +33,33 @@ def is_value(value: str) -> bool:
 VALUE_PATTERN = "[!-~][ -~]*(?<! )"
 
 
+def open_regular(path, refusal: str | None = None, flags: int = 0,
+                 refusals: dict[int, str] | None = None) -> BinaryIO:
+    """The file at ``path`` opened to read, with ``flags`` added, never waiting
+    on a FIFO's writer. Anything but a regular file is refused before a byte
+    is read, with ``refusal`` or by default ``<path>: not a regular file``,
+    and an open that fails with an errno of ``refusals`` with its text."""
+    refusal = refusal or f"{path}: not a regular file"
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | flags, 0o666)
+    except OSError as exc:  # a directory (O_CREAT), link (O_NOFOLLOW) or socket fails it
+        text = {errno.EISDIR: refusal, errno.ELOOP: refusal, errno.ENXIO: refusal,
+                **(refusals or {})}.get(exc.errno)
+        if text is None:
+            raise
+        raise ValueError(text) from None
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        return os.fdopen(fd, "rb")
+    os.close(fd)
+    raise ValueError(refusal)
+
+
 def read_text(path, data: bytes | None = None) -> str:
     """The file at ``path`` as ASCII text with universal newlines, decoded
     from ``data`` when its bytes are already read; a byte that is not ASCII
     raises naming the file and its line."""
     if data is None:
-        with open(path, "rb") as fh:
+        with open_regular(path) as fh:
             data = fh.read()
     try:
         text = data.decode("ascii")
@@ -111,17 +137,21 @@ def parse_int(fields: dict[str, str], key: str, *, what: str) -> int:
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
-    """Write a file via temp-file-then-rename so readers never see partial content."""
+    """Write a file via temp-file-then-rename so readers never see partial
+    content; an error that names a file names ``path``, not the temp file."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-",
+                                   suffix=os.path.basename(path))
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None

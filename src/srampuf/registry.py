@@ -13,8 +13,10 @@ entry pattern that also holds the bare-file-name rule, and any other is
 parsed line by line and formatted once. :func:`read_entry` builds only the
 entry asked for, and :func:`update_entry` writes the text back with only its
 entry spliced in, under :func:`locked`, so concurrent writers do not drop
-each other's entries. Keys are never persisted; at most an opt-in debug key
-hash is recorded for cross-checking reproduction. Only
+each other's entries. Every file is opened by ``_kv.open_regular``, so only
+a regular file is read or locked; the registry may be a symbolic link to one,
+a referenced file or the lock file may not. Keys are never persisted; at most
+an opt-in debug key hash is recorded for cross-checking reproduction. Only
 ``srampuf-registry-v2`` files are read; v1 is refused.
 """
 
@@ -25,7 +27,6 @@ import fcntl
 import hashlib
 import os
 import re
-import stat
 from bisect import bisect_left
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -33,13 +34,13 @@ from dataclasses import MISSING, dataclass, field, fields
 from operator import lt
 
 from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
-                  parse_kv_block, read_text, require_keys)
+                  open_regular, parse_kv_block, read_text, require_keys)
 
 REGISTRY_FORMAT = "srampuf-registry-v2"
 
 
 def file_sha256(path) -> str:
-    with open(path, "rb") as fh:
+    with open_regular(path) as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
@@ -210,13 +211,15 @@ def save_registry(path, registry: Registry) -> None:
     atomic_write_text(path, registry_to_text(registry))
 
 
+def _registry_file(path):
+    """The registry file opened, a regular file or a symbolic link to one."""
+    return open_regular(path, f"registry file is not a regular file: {path}",
+                        refusals={errno.ENOENT: f"registry file not found: {path}"})
+
+
 def _registry_text(path) -> str:
-    """The text of the registry file, a regular file or a symbolic link to one."""
-    try:
-        data = _regular_file_bytes(path, f"registry file is not a regular file: {path}")
-    except FileNotFoundError:
-        raise ValueError(f"registry file not found: {path}") from None
-    return read_text(path, data)
+    with _registry_file(path) as fh:
+        return read_text(path, fh.read())
 
 
 def load_registry(path) -> Registry:
@@ -237,11 +240,12 @@ def update_entry(path, device_id: str,
     """Write ``change(entry)`` as ``device_id``'s entry of the registry at
     ``path``, ``entry`` being the one it holds. With ``create`` the device
     must not be enrolled yet, ``entry`` is None and a missing file reads as
-    an empty registry; without it, a missing file is refused before its lock
-    file is made. Under :func:`locked`, the text is read and checked once and
-    written back with this entry spliced in, in place or at its sorted place."""
-    if not (create or os.path.exists(path)):
-        _registry_text(path)  # refuses the missing file
+    an empty registry. A file that is not regular, or missing without
+    ``create``, is refused before the lock file is made. Under :func:`locked`,
+    the text is read and checked once and written back with this entry
+    spliced in, in place or at its sorted place."""
+    if not create or os.path.exists(path):
+        _registry_file(path).close()
     with locked(path):
         text = _HEADER if create and not os.path.exists(path) else _registry_text(path)
         text, ids = _checked(text)
@@ -262,8 +266,10 @@ def _check_enrolled(device_id: str, enrolled: bool, create: bool) -> None:
 
 @contextmanager
 def locked(registry_path):
-    """Hold an exclusive ``flock`` on the sibling ``<registry>.lock`` file."""
-    with open(f"{os.fspath(registry_path)}.lock", "a") as fh:
+    """Hold an exclusive ``flock`` on the sibling ``<registry>.lock`` file, made
+    when missing; one that is not a regular file, a symbolic link too, is refused."""
+    lock = f"{os.fspath(registry_path)}.lock"
+    with open_regular(lock, flags=os.O_CREAT | os.O_NOFOLLOW) as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         yield
 
@@ -271,19 +277,6 @@ def locked(registry_path):
 def sibling_path(registry_path, name: str) -> str:
     """Path of the file ``name`` in the directory of the registry file."""
     return os.path.join(os.path.dirname(os.path.abspath(registry_path)), name)
-
-
-def _regular_file_bytes(path, refusal: str, flags: int = 0) -> bytes:
-    """The bytes of the file at ``path``, opened with ``flags`` added; any other
-    file is refused unread with ``refusal``, and a FIFO's writer is not waited on."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | flags)
-    try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise ValueError(refusal)
-        with os.fdopen(fd, "rb", closefd=False) as fh:
-            return fh.read()
-    finally:
-        os.close(fd)
 
 
 def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
@@ -294,13 +287,10 @@ def read_verified(registry_path, entry: RegistryEntry, what: str) -> str:
     name, expected = getattr(entry, f"{what}_file"), getattr(entry, f"{what}_sha256")
     path = sibling_path(registry_path, name)
     where = f"device {entry.device_id!r}: {what} file {name!r}"
-    try:
-        data = _regular_file_bytes(path, f"{where} is not a regular file", os.O_NOFOLLOW)
-    except OSError as exc:
-        problem = {errno.ENOENT: "is missing", errno.ELOOP: "is a symbolic link"}.get(exc.errno)
-        if problem is None:
-            raise
-        raise ValueError(f"{where} {problem}") from None
+    with open_regular(path, f"{where} is not a regular file", os.O_NOFOLLOW,
+                      {errno.ENOENT: f"{where} is missing",
+                       errno.ELOOP: f"{where} is a symbolic link"}) as fh:
+        data = fh.read()
     actual = hashlib.sha256(data).hexdigest()
     if actual != expected:
         raise ValueError(f"{where} does not match its recorded fingerprint "

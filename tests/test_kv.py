@@ -2,8 +2,10 @@
 and line of a fault, one rule for what a value may hold, and writers that
 write only what their readers read back."""
 
+import ast
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +312,25 @@ REFUSALS = {
 def test_reader_refusal_names_what_is_wrong(read, text, message):
     with pytest.raises(TextFormatError, match=message):
         read(text)
+
+
+# The calls that open a file; a second module calling one would be a second
+# way to open a file, with its own rules for FIFOs, directories and links
+OPENERS = {("open",), ("os", "open"), ("os", "fdopen"), ("tempfile", "mkstemp")}
+
+
+def test_only_kv_opens_files():
+    calls = {}
+    for path in (Path(__file__).resolve().parent.parent / "src" / "srampuf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = ((func.id,) if isinstance(func, ast.Name) else
+                        (func.value.id, func.attr) if isinstance(func, ast.Attribute)
+                        and isinstance(func.value, ast.Name) else None)
+                if name in OPENERS:
+                    calls.setdefault(path.stem, []).append(f"{'.'.join(name)}:{node.lineno}")
+    assert sorted(calls) == ["_kv"], calls
 
 
 def test_missing_registry_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import socket
 import subprocess
 import sys
 from datetime import datetime
@@ -579,6 +580,14 @@ def enrolled(workspace):
     return workspace
 
 
+# Each input read from a file, by the name test_file_that_is_not_regular_refused
+# gives it, with the kinds of file put in its place
+NOT_REGULAR_CASES = [*((what, kind) for what in ("mask", "helper", "registry", "dump",
+                                                 "dumps-entry", "flip-mask", "config", "lock")
+                       for kind in ("fifo", "directory")),
+                     ("lock", "symlink"), ("dump", "socket")]
+
+
 def reproduce_args(tmp_path, dump):
     return ["reproduce", "--dump", str(dump), "--registry", str(tmp_path / "registry.txt"),
             "--device-id", "dev-a", "--debug"]
@@ -695,27 +704,56 @@ class TestCliKeyFlow:
         assert capsys.readouterr().err == (
             f"error: device 'dev-a': {what} file 'dev-a.{what}' is a symbolic link\n")
 
-    # A FIFO with no writer would block an open for reading, and a directory
-    # fails only at the read; both are refused unread, in a process of its
-    # own so that a blocked open fails the test instead of hanging it.
-    @pytest.mark.parametrize("kind", ["fifo", "directory"])
-    @pytest.mark.parametrize("what", ["mask", "helper", "registry"])
+    # A FIFO with no writer would block an open for reading, a directory
+    # fails only at the read and a socket fails the open; each is refused
+    # unread, in a process of its own so that a blocked open fails the test
+    # instead of hanging it. Each input is read by the command named here; a
+    # lock file is refused as a symbolic link too, whose target is not made.
+    # Nothing is written.
+    @pytest.mark.parametrize("what, kind", NOT_REGULAR_CASES,
+                             ids=[f"{what}-{kind}" for what, kind in NOT_REGULAR_CASES])
     def test_file_that_is_not_regular_refused(self, enrolled, what, kind):
-        name = "registry.txt" if what == "registry" else f"dev-a.{what}"
+        registry, dump = enrolled / "registry.txt", enrolled / "dumps" / "sample-00000.hex"
+        name = {"registry": "registry.txt", "lock": "registry.txt.lock", "dump": "reading.hex",
+                "dumps-entry": "dumps/a.hex", "flip-mask": "flip.mask",
+                "config": "calibration.txt"}.get(what, f"dev-a.{what}")
         path = enrolled / name
-        path.unlink()
+        path.unlink(missing_ok=True)
+        (enrolled / "registry.txt.lock").unlink(missing_ok=True)
         if kind == "fifo":
             os.mkfifo(path)
-        else:
+        elif kind == "directory":
             path.mkdir()
-        argv = reproduce_args(enrolled, enrolled / "dumps" / "sample-00000.hex")
-        proc = subprocess.run([sys.executable, "-m", "srampuf.cli", *argv],
-                              env=dict(os.environ, PYTHONPATH=str(SRC)),
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == EXIT_USAGE
-        assert proc.stderr == ("error: " + (
-            f"registry file is not a regular file: {path}" if what == "registry"
-            else f"device 'dev-a': {what} file '{name}' is not a regular file") + "\n")
+        elif kind == "socket":
+            with socket.socket(socket.AF_UNIX) as sock:
+                sock.bind(str(path))  # the socket's file stays when it is closed
+        else:
+            path.symlink_to("outside.lock")
+        genkey = ["genkey", "--dump", str(dump), "--registry", str(registry),
+                  "--device-id", "dev-a", "--seed", "1"]
+        commands = {
+            "dump": [reproduce_args(enrolled, path)],
+            "dumps-entry": [["stats", "--dumps", str(enrolled / "dumps")]],
+            "flip-mask": [["flip", "--dump", str(dump), "--out", str(enrolled / "x.hex"),
+                           "--count", "2", "--seed", "1", "--mask", str(path)]],
+            "config": [["simulate", "--out-dir", str(enrolled / "sim"), "--device-seed", "1",
+                        "-n", "1", "--config", str(path)]],
+            "lock": [genkey],
+            "registry": [reproduce_args(enrolled, dump), genkey,
+                         ["enroll", "--dumps", str(enrolled / "dumps"), "--registry",
+                          str(registry), "--device-id", "dev-b"]],
+        }.get(what, [reproduce_args(enrolled, dump)])
+        message = (f"registry file is not a regular file: {path}" if what == "registry"
+                   else f"device 'dev-a': {what} file '{name}' is not a regular file"
+                   if what in ("mask", "helper") else f"{path}: not a regular file")
+        before = sorted(enrolled.rglob("*"))
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "srampuf.cli", *argv],
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == EXIT_USAGE
+            assert proc.stderr == f"error: {message}\n"
+            assert sorted(enrolled.rglob("*")) == before
 
     # An id that prefixes an enrolled one, or that holds the start of its
     # entry, names no device: the entry is looked up by exact id among the
@@ -1220,6 +1258,10 @@ USAGE_REFUSALS = {
     "flip-count-negative": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out",
                              "{tmp}/x.hex", "--count", "-2", "--seed", "1"],
                             "--count -2 is outside 0..64, the number of bits to choose from"),
+    # the write names the file asked for, not the temp file it would rename
+    "flip-out-directory-missing": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out",
+                                    "{tmp}/nodir/x.hex", "--positions", "0"],
+                                   "[Errno 2] No such file or directory: '{tmp}/nodir/x.hex'"),
 }
 
 
