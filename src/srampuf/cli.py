@@ -102,18 +102,13 @@ def cmd_enroll(args) -> int:
     samples = _load_dumps(args.dumps, minimum=2)
     mask_name = f"{args.device_id}.mask"
     mask_path = reg.sibling_path(args.registry, mask_name)
+    # Built before any file is made, so a refused enrollment leaves none; the
+    # mask is saved only once the device is known not to be enrolled
+    mask = enroll.build_mask(samples, threshold=args.threshold, window_length=args.window_length,
+                             base_offset=args.base_offset, device_id=args.device_id)
     os.makedirs(os.path.dirname(mask_path), exist_ok=True)
-    mask = None
 
     def new_entry(_) -> reg.RegistryEntry:
-        nonlocal mask
-        mask = enroll.build_mask(
-            samples,
-            threshold=args.threshold,
-            window_length=args.window_length,
-            base_offset=args.base_offset,
-            device_id=args.device_id,
-        )
         enroll.save_mask(mask_path, mask)
         return reg.RegistryEntry(
             device_id=args.device_id,

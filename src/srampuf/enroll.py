@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import operator
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block, parse_int,
-                  read_record, read_text)
+from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
+                  read_text)
 from .bitvec import BitVector, SampleSet
 from .fuzzy import N
 
@@ -143,7 +142,7 @@ class Mask:
 
     @cached_property
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical mask file text, computed once per mask."""
+        """SHA-256 of the canonical mask file text, whatever form was read; computed once."""
         return hashlib.sha256(mask_to_text(self).encode("ascii")).hexdigest()
 
     def __eq__(self, other) -> bool:
@@ -220,29 +219,14 @@ def mask_to_text(mask: Mask) -> str:
     return format_kv_block(zip(MASK_KEYS, values, strict=True))
 
 
-# A count or position as str() writes it
-_INT_PATTERN = "0|[1-9][0-9]*"
-# A mask exactly as mask_to_text writes it, with at least one position: the
-# values after the format, in MASK_KEYS order
-_WRITER_RE = re.compile(
-    re.escape(f"format = {MASK_FORMAT}\n") + f"device_id = ({VALUE_PATTERN}|)\n"
-    + "".join(f"{key} = ({_INT_PATTERN})\n" for key in (*_FIELD_MINIMUMS, "target_len"))
-    + f"positions = ((?:{_INT_PATTERN})(?:,(?:{_INT_PATTERN}))*)\n")
-
-
 def mask_from_text(text: str) -> Mask:
-    """The mask ``text`` holds. Text exactly in the writer's form is read with
-    one match, and is the canonical text, so its hash is the mask's
-    fingerprint; any other text is parsed line by line."""
-    writer = _WRITER_RE.fullmatch(text)
-    if writer is None:
-        fields = read_record(text, MASK_KEYS, MASK_FORMAT, what="mask")
-    else:
-        fields = dict(zip(MASK_KEYS[1:], writer.groups()))
-    items = fields["positions"].split(",")
+    """The mask ``text`` holds, read by the line parser in any form it accepts;
+    an empty item in ``positions`` is refused. Its fingerprint is that of the
+    canonical text, whatever form was read."""
+    fields = read_record(text, MASK_KEYS, MASK_FORMAT, what="mask")
+    items = fields["positions"].split(",") if fields["positions"] else []
     try:
-        positions = np.array(items if writer else [int(p) for p in items if p != ""],
-                             dtype=np.int64)
+        positions = np.array(items, dtype=np.int64)
     except (ValueError, OverflowError):
         raise TextFormatError("mask: positions must be comma-separated integers") from None
     target_len = parse_int(fields, "target_len", what="mask")
@@ -250,12 +234,9 @@ def mask_from_text(text: str) -> Mask:
         raise TextFormatError(f"mask: target_len says {target_len} but {positions.size} positions given")
     values = {name: parse_int(fields, name, what="mask") for name in _FIELD_MINIMUMS}
     try:
-        mask = Mask(device_id=fields["device_id"], positions=positions, **values)
+        return Mask(device_id=fields["device_id"], positions=positions, **values)
     except ValueError as exc:
         raise TextFormatError(f"mask: {exc}") from None
-    if writer is not None:
-        object.__setattr__(mask, "fingerprint", hashlib.sha256(text.encode("ascii")).hexdigest())
-    return mask
 
 
 # SHA-256 of the canonical mask file text, read through Mask.fingerprint's cache

@@ -3,6 +3,7 @@ and line of a fault, one rule for what a value may hold, and writers that
 write only what their readers read back."""
 
 import ast
+import hashlib
 import os
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from srampuf import bitvec, enroll as enroll_module, registry as registry_module
+from srampuf import bitvec, registry as registry_module
 from srampuf._kv import TextFormatError, atomic_write_text, format_kv_block, parse_kv_block
 from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.cli import EXIT_OK, EXIT_USAGE, main
@@ -85,13 +86,16 @@ class TestValueRule:
             assert registry_from_text(text).get("dev-a").mask_file == name
 
     @given(VALUES)
-    def test_mask_fast_path_reads_exactly_the_writable_device_ids(self, value):
-        text = MASK_TEXT.replace("device_id = dev-a\n", f"device_id = {value}\n")
-        read = enroll_module._WRITER_RE.fullmatch(text) is not None
-        assert read == writable(value)
-        if read:
-            mask = mask_from_text(text)
-            assert mask.device_id == value and mask_to_text(mask) == text
+    def test_mask_round_trips_exactly_the_writable_device_ids(self, value):
+        mask = Mask(device_id=value, positions=np.arange(8), threshold=4, sample_count=40)
+        if not writable(value):
+            with pytest.raises(TextFormatError, match="'device_id'"):
+                mask_to_text(mask)
+            return
+        text = mask_to_text(mask)
+        read = mask_from_text(text)
+        assert read.device_id == value and mask_to_text(read) == text
+        assert read.fingerprint == hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def test_non_ascii_value_refused_on_write(self):
         with pytest.raises(TextFormatError, match="'device_id'"):
@@ -291,7 +295,7 @@ REFUSALS = {
                       "^file: line 3: duplicate key 'a'$"),
     "mask-positions": (mask_from_text, MASK_TEXT.replace("positions = 0,", "positions = x,"),
                        "^mask: positions must be comma-separated integers$"),
-    # In the writer's form, read in one match, and past 64 bits
+    # A position past 64 bits
     "mask-position-overflow": (mask_from_text,
                                MASK_TEXT.replace("positions = 0,", f"positions = {2**64},"),
                                "^mask: positions must be comma-separated integers$"),

@@ -20,7 +20,7 @@ from srampuf.cli import (
     build_parser,
     main,
 )
-from srampuf import bitvec, cli as cli_module, enroll as enroll_module, registry as registry_module
+from srampuf import bitvec, cli as cli_module, registry as registry_module
 from srampuf._kv import TextFormatError, format_kv_block, is_value
 from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.enroll import Mask, load_mask, mask_from_text, mask_to_text, save_mask
@@ -534,6 +534,23 @@ class TestCliEnroll:
         assert code == EXIT_INSUFFICIENT_BITS
         assert "window 0" in capsys.readouterr().err
 
+    # A refused enrollment makes no file: not the registry's directory, not
+    # its lock file and not the mask.
+    @pytest.mark.parametrize("registry", ["registry.txt", "new/registry.txt"])
+    @pytest.mark.parametrize("threshold, extra, code", [
+        (4, ("--window-length", str(NUM_BITS + 1)), EXIT_USAGE),
+        (0, (), EXIT_USAGE),
+        (7, ("--base-offset", "3648"), EXIT_INSUFFICIENT_BITS),
+    ], ids=["window-past-dumps", "threshold-0", "no-window-fills"])
+    def test_refused_enroll_leaves_no_file(self, workspace, capsys, registry, threshold, extra,
+                                           code):
+        before = sorted(workspace.rglob("*"))
+        assert main(["enroll", "--dumps", str(workspace / "dumps"),
+                     "--registry", str(workspace / registry), "--device-id", "dev-a",
+                     "--threshold", str(threshold), *extra]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert sorted(workspace.rglob("*")) == before
+
     def test_concurrent_enrolls_keep_every_entry(self, workspace):
         device_ids = [f"dev-{i}" for i in range(6)]
         run_at_once([["enroll", "--dumps", str(workspace / "dumps"),
@@ -1035,17 +1052,15 @@ def run_key_script(work, dumps, capsys, monkeypatch):
     return steps
 
 
-# The registry check and the mask reader read text in the writer's form in
-# one pass; with every registry text parsed line by line and formatted
-# afresh, and the mask pass declining every text, so that all text goes to
-# the line parsers, every command must end the same, byte for byte.
+# The registry check reads text in the writer's form in one pass; with every
+# registry text parsed line by line and formatted afresh, so that all text
+# goes to the line parser, every command must end the same, byte for byte.
 def test_one_pass_readers_change_no_outcome(workspace, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "datetime", FixedClock)
     dumps = workspace / "dumps"
     one_pass = run_key_script(workspace / "one-pass", dumps, capsys, monkeypatch)
     monkeypatch.setattr(registry_module, "_checked", lambda text: checked(
         registry_module._parse_registry(text)))
-    monkeypatch.setattr(enroll_module, "_WRITER_RE", re.compile("(?!)"))
     by_line = run_key_script(workspace / "by-line", dumps, capsys, monkeypatch)
     assert [code for code, *_ in one_pass] == [0] * 6 + [2] + [0] * 8
     assert one_pass == by_line
@@ -1193,6 +1208,16 @@ class TestCliFlip:
                      "--out", str(workspace / "x.hex"), "--count", "2", "--seed", "5",
                      "--mask", str(workspace / "bad.mask")]) == EXIT_USAGE
         assert key in capsys.readouterr().err
+        assert not (workspace / "x.hex").exists()
+
+    def test_mask_with_empty_position_item_rejected(self, workspace, capsys):
+        mask = Mask(device_id="dev-a", positions=np.arange(2), threshold=4, sample_count=40)
+        text = mask_to_text(mask).replace("positions = 0,1\n", "positions = 0,,1\n")
+        (workspace / "bad.mask").write_text(text)
+        assert main(["flip", "--dump", str(workspace / "dumps" / "sample-00000.hex"),
+                     "--out", str(workspace / "x.hex"), "--count", "1", "--seed", "5",
+                     "--mask", str(workspace / "bad.mask")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: mask: positions must be comma-separated integers\n"
         assert not (workspace / "x.hex").exists()
 
     def test_repeated_position_rejected(self, workspace, capsys):
