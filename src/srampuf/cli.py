@@ -14,9 +14,7 @@ import dataclasses
 import functools
 import hashlib
 import os
-import re
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -29,8 +27,6 @@ EXIT_USAGE = 2
 EXIT_REPRODUCE_FAILURE = 3
 EXIT_KEY_MISMATCH = 4
 EXIT_INSUFFICIENT_BITS = 5
-
-_DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 def _load_calibration(args) -> simulate.Calibration:
@@ -97,27 +93,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    if not _DEVICE_ID_RE.fullmatch(args.device_id):
-        raise ValueError(f"device id {args.device_id!r} must match {_DEVICE_ID_RE.pattern}")
+    reg.check_device_id(args.device_id)
     samples = _load_dumps(args.dumps, minimum=2)
-    mask_name = f"{args.device_id}.mask"
-    mask_path = reg.sibling_path(args.registry, mask_name)
     # Built before any file is made, so a refused enrollment leaves none; the
-    # mask is saved only once the device is known not to be enrolled
+    # registry writes it only once the device is known not to be enrolled
     mask = enroll.build_mask(samples, threshold=args.threshold, window_length=args.window_length,
                              base_offset=args.base_offset, device_id=args.device_id)
-    os.makedirs(os.path.dirname(mask_path), exist_ok=True)
-
-    def new_entry(_) -> reg.RegistryEntry:
-        enroll.save_mask(mask_path, mask)
-        return reg.RegistryEntry(
-            device_id=args.device_id,
-            mask_file=mask_name,
-            mask_sha256=mask.fingerprint,
-            created=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        )
-
-    reg.update_entry(args.registry, args.device_id, new_entry, create=True)
+    mask_text = enroll.mask_to_text(mask)
+    reg.update_entry(args.registry, args.device_id, lambda _: (mask_text, ""), create=True)
     print(f"enrolled {args.device_id}: {mask.target_len} positions from "
           f"{mask.num_windows} window(s) at threshold {mask.threshold}")
     return EXIT_OK
@@ -129,23 +112,16 @@ def _print_key(key: keygen.KeyMaterial) -> None:
 
 
 def cmd_genkey(args) -> int:
-    helper_name = f"{args.device_id}.helper"
-    helper_path = reg.sibling_path(args.registry, helper_name)
     key = None
 
-    def with_helper(entry: reg.RegistryEntry) -> reg.RegistryEntry:
+    def helper_text(mask_text: str) -> tuple[str, str]:
         nonlocal key
-        mask = enroll.mask_from_text(reg.read_verified(args.registry, entry, "mask"))
-        raw = load_dump(args.dump)
-        helper, key = keygen.generate_key(raw, mask, args.seed)
-        helper_text = fuzzy.helper_to_text(helper)
-        atomic_write_text(helper_path, helper_text)
-        helper_sha = hashlib.sha256(helper_text.encode("ascii")).hexdigest()
-        key_sha = hashlib.sha256(key.digest).hexdigest() if args.debug else ""
-        return dataclasses.replace(
-            entry, helper_file=helper_name, helper_sha256=helper_sha, key_sha256=key_sha)
+        mask = enroll.mask_from_text(mask_text)
+        helper, key = keygen.generate_key(load_dump(args.dump), mask, args.seed)
+        return (fuzzy.helper_to_text(helper),
+                hashlib.sha256(key.digest).hexdigest() if args.debug else "")
 
-    reg.update_entry(args.registry, args.device_id, with_helper)
+    helper_path = reg.update_entry(args.registry, args.device_id, helper_text)
     print(f"helper data written to {helper_path}")
     if args.debug:
         _print_key(key)

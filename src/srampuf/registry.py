@@ -1,23 +1,25 @@
 """Flat-file enrollment registry.
 
 One structured text file lists every enrolled device with references to its
-mask and helper files (stored as siblings) and the SHA-256 of each referenced
-file. The mask file is the only record of how a device was enrolled; the
-registry holds no copy of its parameters. A referenced file is read through
-:func:`read_verified`, which hashes the same bytes it returns, so any
-corruption of a mask or helper is caught before a key is derived from it,
-and only the files a command reads are checked. Every command reads the
-registry through one check, which gives its text in the writer's form: text
-already in that form, device ids ascending, is checked in one split on an
-entry pattern that also holds the bare-file-name rule, and any other is
-parsed line by line and formatted once. :func:`read_entry` builds only the
-entry asked for, and :func:`update_entry` writes the text back with only its
-entry spliced in, under :func:`locked`, so concurrent writers do not drop
-each other's entries. Every file is opened by ``_kv.open_regular``, so only
-a regular file is read or locked; the registry may be a symbolic link to one,
-a referenced file or the lock file may not. Keys are never persisted; at most
-an opt-in debug key hash is recorded for cross-checking reproduction. Only
-``srampuf-registry-v2`` files are read; v1 is refused.
+mask and helper files and the SHA-256 of each. Only this module names, writes
+and hashes those files: :func:`update_entry` writes ``<id>.mask`` or
+``<id>.helper`` beside the registry for an id that passes
+:func:`check_device_id`, so no command writes outside the registry's
+directory. The mask file is the only record of how a device was enrolled. A
+referenced file is read through :func:`read_verified`, which hashes the same
+bytes it returns, so a corrupt mask or helper is caught before a key is
+derived from it, and only the files a command reads are checked. Every
+command reads the registry through one check, which gives its text in the
+writer's form: text already in that form, device ids ascending, is checked in
+one split on an entry pattern that also holds the bare-file-name rule, and
+any other is parsed line by line and formatted once. :func:`read_entry`
+builds only the entry asked for, and :func:`update_entry` writes the text
+back with only its entry spliced in, under :func:`locked`, so concurrent
+writers do not drop each other's entries. Every file is opened by
+``_kv.open_regular``, so only a regular file is read or locked; the registry
+may be a symbolic link to one, a referenced file or the lock file may not.
+Keys are never persisted; at most an opt-in debug key hash is recorded.
+Only ``srampuf-registry-v2`` files are read; v1 is refused.
 """
 
 from __future__ import annotations
@@ -30,13 +32,22 @@ import re
 from bisect import bisect_left
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from datetime import datetime, timezone
 from operator import lt
 
 from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
                   open_regular, parse_kv_block, read_text, require_keys)
 
 REGISTRY_FORMAT = "srampuf-registry-v2"
+# The one device-id rule: an id and its suffix make a bare file name
+_DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+
+
+def check_device_id(device_id: str) -> None:
+    """Refuse an id that :data:`_DEVICE_ID_RE` does not match in full."""
+    if not _DEVICE_ID_RE.fullmatch(device_id):
+        raise ValueError(f"device id {device_id!r} must match {_DEVICE_ID_RE.pattern}")
 
 
 def file_sha256(path) -> str:
@@ -103,11 +114,6 @@ def _entry_text(device_id: str, entry: RegistryEntry) -> str:
     return text
 
 
-def registry_from_text(text: str) -> Registry:
-    return Registry({match[1]: RegistryEntry(*match.groups(""))
-                     for match in _ENTRY_RE.finditer(_checked(text)[0])})
-
-
 _HEADER = f"format = {REGISTRY_FORMAT}\n"
 # A value that is a bare file name: VALUE_PATTERN without '/' and '\', and
 # not '.' or '..', ended by a newline in a file or by the end of a lone name
@@ -155,7 +161,7 @@ def _checked(text: str) -> tuple[str, list[str]]:
     line and formatted once, which :func:`_writer_ids` accepts in turn."""
     ids = _writer_ids(text)
     if ids is None:
-        registry = _parse_registry(text)
+        registry = registry_from_text(text)
         text, ids = registry_to_text(registry), sorted(registry.entries)
     return text, ids
 
@@ -181,7 +187,7 @@ def _blocks(text: str):
             start = i + 1
 
 
-def _parse_registry(text: str) -> Registry:
+def registry_from_text(text: str) -> Registry:
     blocks = _blocks(text)
     first_line, lines = next(blocks, (0, None))
     if lines is None:
@@ -228,32 +234,49 @@ def load_registry(path) -> Registry:
 
 
 def read_entry(path, device_id: str) -> RegistryEntry:
-    """``load_registry(path).get(device_id)``, building only the entry asked for."""
+    """``load_registry(path).get(device_id)`` for an id that passes
+    :func:`check_device_id`, building only the entry asked for."""
+    check_device_id(device_id)
     _, match = _locate(*_checked(_registry_text(path)), device_id)
     _check_enrolled(device_id, match is not None, create=False)
     return RegistryEntry(*match.groups(""))
 
 
-def update_entry(path, device_id: str,
-                 change: Callable[[RegistryEntry | None], RegistryEntry], *,
-                 create: bool = False) -> None:
-    """Write ``change(entry)`` as ``device_id``'s entry of the registry at
-    ``path``, ``entry`` being the one it holds. With ``create`` the device
-    must not be enrolled yet, ``entry`` is None and a missing file reads as
-    an empty registry. A file that is not regular, or missing without
-    ``create``, is refused before the lock file is made. Under :func:`locked`,
-    the text is read and checked once and written back with this entry
-    spliced in, in place or at its sorted place."""
+def update_entry(path, device_id: str, make_file: Callable[[str | None], tuple[str, str]], *,
+                 create: bool = False) -> str:
+    """Write ``device_id``'s file beside the registry at ``path`` and its
+    entry with the file's SHA-256; return the file's path. With ``create``
+    the device must not be enrolled, ``make_file(None)`` gives the text of
+    ``<id>.mask`` and a missing registry reads as empty, its directory made.
+    Otherwise ``make_file`` gets the verified mask text and gives that of
+    ``<id>.helper`` and the key hash to record. The id is checked first, and a
+    registry that is not regular, or missing without ``create``, is refused
+    before the lock file is made. Under :func:`locked`, the text is read and
+    checked once and written back with this entry spliced in."""
+    check_device_id(device_id)
     if not create or os.path.exists(path):
         _registry_file(path).close()
+    else:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    name = f"{device_id}.{'mask' if create else 'helper'}"
+    file_path = sibling_path(path, name)
     with locked(path):
         text = _HEADER if create and not os.path.exists(path) else _registry_text(path)
         text, ids = _checked(text)
         start, match = _locate(text, ids, device_id)
         _check_enrolled(device_id, match is not None, create)
         entry = RegistryEntry(*match.groups("")) if match else None
+        file_text, key_sha256 = make_file(None if create else read_verified(path, entry, "mask"))
+        atomic_write_text(file_path, file_text)
+        digest = hashlib.sha256(file_text.encode("ascii")).hexdigest()
+        if create:
+            created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+            entry = RegistryEntry(device_id, name, digest, created)
+        else:
+            entry = replace(entry, helper_file=name, helper_sha256=digest, key_sha256=key_sha256)
         end = match.end() if match else start
-        atomic_write_text(path, text[:start] + _entry_text(device_id, change(entry)) + text[end:])
+        atomic_write_text(path, text[:start] + _entry_text(device_id, entry) + text[end:])
+    return file_path
 
 
 def _check_enrolled(device_id: str, enrolled: bool, create: bool) -> None:

@@ -164,3 +164,33 @@ def test_127_position_mask_refused(tmp_path):
     assert main(["genkey", "--dump", str(dumps / "sample-00000.hex"),
                  "--registry", str(registry_path), "--device-id", "dev-a",
                  "--seed", "1"]) == EXIT_USAGE
+
+
+# SHA-256 of each file the CLI writes in one session: simulate (device seed
+# 77, 40 dumps of 4864 bits), enroll dev-a and dev-b, genkey dev-a on sample 0
+# with --seed 1 and dev-b on sample 1 with --seed 2 --debug. The registry is
+# hashed without its `created` lines, which hold the clock.
+PINNED_CLI_FILES = {
+    "dev-a.mask": "b15cf8d0a1ff8af3e50ea53504302805969ce81e0ddb2f3a87ebf62c77ab6195",
+    "dev-b.mask": "771f1b003976239d8ec11ba2b1f1a0becfc022068d94f225bd249614853bdfa7",
+    "dev-a.helper": "da58e555c528360aa2aa74f77cfd6beaa1a32b341bb5efab970b70a3babb480f",
+    "dev-b.helper": "0ef2c11f636604477bb4abea69d4b26924956ba158d04d4d98507c6ec592e0ab",
+    "registry.txt": "c062b6ea29833a7111caa3f3f8226968571b9ea8f23772413fd180a7e6599e22",
+}
+
+
+def test_cli_written_bytes_pinned(tmp_path, capsys):
+    dumps, registry = tmp_path / "dumps", tmp_path / "reg" / "registry.txt"
+    assert main(["simulate", "--out-dir", str(dumps), "--device-seed", "77",
+                 "-n", "40", "--num-bits", "4864"]) == EXIT_OK
+    for device_id in ("dev-a", "dev-b"):
+        assert main(["enroll", "--dumps", str(dumps), "--registry", str(registry),
+                     "--device-id", device_id]) == EXIT_OK
+    for device_id, sample, flags in (("dev-a", 0, ["--seed", "1"]),
+                                      ("dev-b", 1, ["--seed", "2", "--debug"])):
+        assert main(["genkey", "--dump", str(dumps / f"sample-{sample:05d}.hex"), "--registry",
+                     str(registry), "--device-id", device_id, *flags]) == EXIT_OK
+    data = {name: (registry.parent / name).read_bytes() for name in PINNED_CLI_FILES}
+    data["registry.txt"] = b"".join(line for line in data["registry.txt"].splitlines(True)
+                                    if not line.startswith(b"created = "))
+    assert {name: hashlib.sha256(d).hexdigest() for name, d in data.items()} == PINNED_CLI_FILES

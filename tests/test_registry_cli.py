@@ -20,7 +20,7 @@ from srampuf.cli import (
     build_parser,
     main,
 )
-from srampuf import bitvec, cli as cli_module, registry as registry_module
+from srampuf import bitvec, registry as registry_module
 from srampuf._kv import TextFormatError, format_kv_block, is_value
 from srampuf.bitvec import BitVector, load_dump, save_dump
 from srampuf.enroll import Mask, load_mask, mask_from_text, mask_to_text, save_mask
@@ -175,7 +175,7 @@ class TestRegistryReaders:
         text = registry_to_text(registry)
         assert registry_module._writer_ids(text) == sorted(registry.entries)
         assert registry_module._checked(text) == checked(registry)
-        assert registry_module._parse_registry(text) == registry_from_text(text) == registry
+        assert registry_from_text(text) == registry
 
     @pytest.mark.parametrize("form", [
         lambda t: t.replace("\ndevice_id = ", "\n# enrolled by hand\ndevice_id = "),
@@ -214,7 +214,7 @@ class TestRegistryReaders:
         text = registry_to_text(registry)
         assert registry_module._writer_ids(text) == sorted(registry.entries)
         assert registry_module._checked(text) == checked(registry)
-        assert registry_module._parse_registry(text) == registry_from_text(text) == registry
+        assert registry_from_text(text) == registry
 
     def test_error_names_the_line_in_the_file(self):
         text = registry_to_text(registry_of(2)).replace("mask_file = dev-001", "mask_file dev-001")
@@ -237,6 +237,7 @@ class TestRegistryReaders:
                                                   "is also listed at line 3$"):
             registry_from_text(text)
 
+    # The commands' reader; load_registry parses every text line by line
     def test_writer_output_takes_the_fast_path(self, tmp_path, monkeypatch):
         registry = registry_of(256, DEBUG_KEYS)
         save_registry(tmp_path / "registry.txt", registry)
@@ -248,7 +249,8 @@ class TestRegistryReaders:
 
         monkeypatch.setattr(registry_module, "parse_kv_block", general_path)
         monkeypatch.setattr(bitvec, "_parse_lines", general_path)
-        assert load_registry(tmp_path / "registry.txt") == registry
+        for device_id in ("dev-000", "dev-128", "dev-255"):
+            assert read_entry(tmp_path / "registry.txt", device_id) == registry.get(device_id)
         assert np.array_equal(load_dump(tmp_path / "reading.hex").packed, reading.packed)
 
 
@@ -318,12 +320,11 @@ def test_every_accepted_registry_is_written_in_the_checked_form(text, blank):
     if blank is not None:
         text = text.replace(f" = {blank}\n", " = \n", 1)
     try:
-        registry = registry_module._parse_registry(text)
+        registry = registry_from_text(text)
     except TextFormatError:
         assume(False)
     assert registry_module._writer_ids(registry_to_text(registry)) == sorted(registry.entries)
     assert registry_module._checked(text) == checked(registry)
-    assert registry_from_text(text) == registry
 
 
 def formatted_afresh(registry):
@@ -708,6 +709,34 @@ class TestCliKeyFlow:
                      "--device-id", "dev-a"]) == EXIT_USAGE
         assert "'mask_file'" in capsys.readouterr().err
 
+    # A device_id edited by hand into a path names no device file: genkey and
+    # reproduce refuse it by the one device-id rule, in enroll's words, before
+    # any file is opened, so no file is made or replaced, the lock file
+    # included, beside the registry or outside its directory.
+    @pytest.mark.parametrize("device_id", ["../evil", "sub/x"])
+    @pytest.mark.parametrize("command", ["genkey", "reproduce"])
+    def test_device_id_that_is_a_path_writes_no_file(self, enrolled, capsys, command, device_id):
+        inner = enrolled / "inner"
+        (inner / "sub").mkdir(parents=True)
+        for name in ("dev-a.mask", "dev-a.helper"):
+            (inner / name).write_bytes((enrolled / name).read_bytes())
+        text = (enrolled / "registry.txt").read_text()
+        (inner / "registry.txt").write_text(
+            text.replace("device_id = dev-a\n", f"device_id = {device_id}\n"))
+
+        def files():
+            return {path: (st.st_ino, st.st_mtime_ns, st.st_size)
+                    for path in enrolled.rglob("*") for st in [path.lstat()]}
+
+        before = files()
+        capsys.readouterr()
+        argv = [command, "--dump", str(enrolled / "dumps" / "sample-00000.hex"),
+                "--registry", str(inner / "registry.txt"), "--device-id", device_id]
+        assert main(argv + ["--seed", "1"] * (command == "genkey")) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: device id {device_id!r} must match ^[A-Za-z0-9._-]+$\n")
+        assert files() == before
+
     @pytest.mark.parametrize("what", ["mask", "helper"])
     def test_symbolic_link_refused(self, enrolled, capsys, what):
         # the link's target holds the recorded bytes, but it is not the
@@ -772,13 +801,18 @@ class TestCliKeyFlow:
             assert proc.stderr == f"error: {message}\n"
             assert sorted(enrolled.rglob("*")) == before
 
-    # An id that prefixes an enrolled one, or that holds the start of its
-    # entry, names no device: the entry is looked up by exact id among the
-    # checked ids, and no entry of the text is matched for it.
-    @pytest.mark.parametrize("device_id", ["dev", "dev-a\nmask_file = dev-a.mask"],
-                             ids=["prefix", "newline"])
+    # An id that prefixes an enrolled one names no device: the entry is looked
+    # up by exact id among the checked ids. An id that holds the start of its
+    # entry breaks the device-id rule, so it is refused before any lookup,
+    # with enroll's message.
+    @pytest.mark.parametrize("device_id, message, lookups", [
+        ("dev", "device 'dev' is not enrolled", [None]),
+        ("dev-a\nmask_file = dev-a.mask",
+         "device id 'dev-a\\nmask_file = dev-a.mask' must match ^[A-Za-z0-9._-]+$", []),
+    ], ids=["prefix", "newline"])
     @pytest.mark.parametrize("command", ["reproduce", "genkey"])
-    def test_device_id_matched_exactly(self, enrolled, capsys, monkeypatch, command, device_id):
+    def test_device_id_matched_exactly(self, enrolled, capsys, monkeypatch, command, device_id,
+                                       message, lookups):
         matches, reads = [], []
         locate = registry_module._locate
 
@@ -795,9 +829,9 @@ class TestCliKeyFlow:
         assert main([command, "--dump", str(enrolled / "dumps" / "sample-00000.hex"),
                      "--registry", str(path), "--device-id", device_id]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == f"error: device {device_id!r} is not enrolled\n"
+        assert captured.err == f"error: {message}\n"
         assert key_lines(captured.out) == []
-        assert matches == [None]
+        assert matches == lookups
         assert reads == []
         assert path.read_bytes() == before
         assert sorted(os.listdir(enrolled)) == [
@@ -1056,11 +1090,11 @@ def run_key_script(work, dumps, capsys, monkeypatch):
 # registry text parsed line by line and formatted afresh, so that all text
 # goes to the line parser, every command must end the same, byte for byte.
 def test_one_pass_readers_change_no_outcome(workspace, capsys, monkeypatch):
-    monkeypatch.setattr(cli_module, "datetime", FixedClock)
+    monkeypatch.setattr(registry_module, "datetime", FixedClock)
     dumps = workspace / "dumps"
     one_pass = run_key_script(workspace / "one-pass", dumps, capsys, monkeypatch)
     monkeypatch.setattr(registry_module, "_checked", lambda text: checked(
-        registry_module._parse_registry(text)))
+        registry_from_text(text)))
     by_line = run_key_script(workspace / "by-line", dumps, capsys, monkeypatch)
     assert [code for code, *_ in one_pass] == [0] * 6 + [2] + [0] * 8
     assert one_pass == by_line
