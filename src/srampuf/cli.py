@@ -203,12 +203,23 @@ def cmd_flip(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--opt=--`` as the value ``--``, as Python 3.13 does; 3.10-3.12 give ``[]``."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared, so callers
     must not modify it; parsing keeps no state between calls, as every parse
     starts from a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="srampuf",
         description="SRAM power-up PUF toolkit: simulate devices, enroll stable-bit "
                     "masks, and generate/reproduce keys via a SEC-DED code-offset "

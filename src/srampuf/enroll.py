@@ -163,6 +163,11 @@ class Mask:
         byte.flags.writeable = bit.flags.writeable = False
         return byte, bit
 
+    @cached_property
+    def _bits_needed(self) -> int:
+        """Bits a dump must hold to reach the last position, computed once per mask."""
+        return self.base_offset + int(self.positions[-1]) + 1
+
 
 def build_mask(samples: Sequence[BitVector], threshold: int,
                window_length: int = DEFAULT_WINDOW_LENGTH,

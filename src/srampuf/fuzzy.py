@@ -30,7 +30,9 @@ distance-3 Hamming code, are refused as an unsupported format.
 syndrome that is not a column code. Two read-only tables are derived from it
 at import: per byte position, the XOR of the column codes for each of the 256
 byte values, so a syndrome is 16 lookups; and the bit index of each column
-code, so a correction is one lookup.
+code, so a correction is one lookup. ``reproduce`` reads the syndrome of
+reading XOR offset from 16 byte-pair lookups and flips the reading's own bit;
+for a linear code the contract and outcomes are those of correcting the codeword.
 """
 
 from __future__ import annotations
@@ -83,10 +85,6 @@ def require_size(what: str, value: bytes, size: int) -> None:
         raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
 def syndrome(word: bytes) -> int:
     """XOR of the column codes of the word's set bits; 0 for a codeword."""
     require_size("word", word, N // 8)
@@ -103,6 +101,13 @@ def encode(message: bytes) -> bytes:
     return message + bytes([sum(((acc >> b) & 1) << (7 - b) for b in range(R))])
 
 
+def _flip_column(word: bytes, s: int) -> bytes:
+    """``word`` with the bit of column code ``s`` flipped; refuses any other nonzero ``s``."""
+    if (i := _BIT_OF_CODE.get(s)) is None:
+        raise ReproduceFailure(f"correction failed (syndrome {s}); re-sample the device")
+    return (int.from_bytes(word, "big") ^ (1 << (N - 1 - i))).to_bytes(N // 8, "big")
+
+
 def correct(word: bytes) -> bytes:
     """Return the nearest codeword, fixing at most one flipped bit.
 
@@ -111,14 +116,7 @@ def correct(word: bytes) -> bytes:
     lands on a column code and is corrected to a different codeword.
     """
     s = syndrome(word)
-    if s == 0:
-        return word
-    i = _BIT_OF_CODE.get(s)
-    if i is None:
-        raise ReproduceFailure(f"correction failed (syndrome {s}); re-sample the device")
-    fixed = bytearray(word)
-    fixed[i // 8] ^= 0x80 >> (i % 8)
-    return bytes(fixed)
+    return _flip_column(word, s) if s else word
 
 
 @dataclass(frozen=True)
@@ -151,20 +149,25 @@ def generate(response: bytes, seed: int | None = None, *, device_id: str = "",
     else:
         rng = np.random.default_rng(seed)
         message = np.packbits(rng.integers(0, 2, size=K, dtype=np.uint8)).tobytes()
-    return HelperData(code_offset=_xor(response, encode(message)), device_id=device_id,
-                      mask_sha256=mask_sha256)
+    return HelperData(code_offset=bytes(a ^ b for a, b in zip(response, encode(message))),
+                      device_id=device_id, mask_sha256=mask_sha256)
 
 
 def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
     """Recover the enrolled response from a reading within distance 1 of it.
+
+    Flips the reading's bit whose column code is the syndrome of reading XOR offset;
+    every outcome, refusal or miscorrection, is ``offset ^ correct(reading ^ offset)``.
 
     Raises :class:`ReproduceFailure` when correction detects that more bits
     flipped than the code can repair; callers should re-sample rather than
     continue with a wrong key.
     """
     require_size("noisy response", noisy_response, N // 8)
-    return _xor(helper.code_offset,
-                correct(_xor(noisy_response, helper.code_offset)))
+    s = 0
+    for table, a, b in zip(_BYTE_SYNDROMES, noisy_response, helper.code_offset):
+        s ^= table[a ^ b]
+    return _flip_column(noisy_response, s) if s else noisy_response
 
 
 def helper_to_text(helper: HelperData) -> str:

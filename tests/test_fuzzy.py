@@ -200,6 +200,42 @@ class TestReproduce:
         assert reproduce(y, generate(y, codeword_seed)) == y
 
 
+def outcome(decode, noisy: bytes, helper: HelperData):
+    """What a decoder gives for a reading: the response, or its refusal's message."""
+    try:
+        return decode(noisy, helper)
+    except ReproduceFailure as exc:
+        return str(exc)
+
+
+def code_offset_definition(noisy: bytes, helper: HelperData) -> bytes:
+    """The code-offset decoder as defined: correct reading XOR offset, then XOR the offset back."""
+    return xor(helper.code_offset, correct(xor(noisy, helper.code_offset)))
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_reproduce_matches_code_offset_definition(seed):
+    """The clean reading, every single and double flip and 2,000 triple flips
+    give the definition's response, or its refusal with the same message."""
+    rng = np.random.default_rng(seed)
+    y = random_bytes(rng, 128)
+    helper = generate(y, seed)
+    triples = [rng.choice(128, 3, replace=False) for _ in range(2000)]
+    flips = [*itertools.chain.from_iterable(itertools.combinations(range(128), k)
+                                            for k in range(3)), *triples]
+    assert len(flips) == 1 + 128 + 8128 + 2000
+    refused = 0
+    for positions in flips:
+        noisy = flip_bits(y, positions)
+        got = outcome(reproduce, noisy, helper)
+        assert got == outcome(code_offset_definition, noisy, helper), list(positions)
+        if isinstance(got, str):
+            refused += 1
+        else:
+            assert type(got) is bytes and weight(xor(got, noisy)) <= 1
+    assert refused == 8128
+
+
 HELPER = HelperData(code_offset=bytes(16))
 # Every entry of the key path that takes bytes of one size, with a wrong-sized
 # value; all of them state the rule in the same words.

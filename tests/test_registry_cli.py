@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from srampuf.cli import (
     EXIT_INSUFFICIENT_BITS,
@@ -980,6 +980,7 @@ class TestEntrySplice:
     @settings(max_examples=60, deadline=None)
     @given(others=other_entries(), command=st.sampled_from(["genkey", "enroll"]),
            new_id=st.from_regex(r"[A-Za-z0-9._-]{1,8}", fullmatch=True), debug=st.booleans())
+    @example(others=[], command="enroll", new_id="--", debug=False)
     def test_written_bytes_are_the_writers(self, enrolled_once, others, command, new_id, debug):
         work, dev_a = enrolled_once
         assume(new_id not in {"dev-a", *(other.device_id for other in others)})
@@ -1331,6 +1332,27 @@ def test_usage_refusal_is_one_error_line(tmp_path, two_dumps, capsys, argv, mess
     assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert sorted(os.listdir(tmp_path)) == ["dumps"]
+
+
+def test_option_given_as_two_dashes_is_that_value(workspace, monkeypatch, capsys):
+    """``--opt=--`` reads as the value ``--`` on every supported Python."""
+    monkeypatch.chdir(workspace)
+    (workspace / "--").write_bytes((workspace / "dumps" / "sample-00000.hex").read_bytes())
+    device = ["--registry", "registry.txt", "--device-id=--"]
+    assert main(["enroll", "--dumps", "dumps", *device]) == EXIT_OK
+    assert load_registry(workspace / "registry.txt").get("--").mask_file == "--.mask"
+    assert main(["genkey", "--dump=--", *device, "--seed", "1", "--debug"]) == EXIT_OK
+    keys = re.findall(r"^key\d = .*$", capsys.readouterr().out, re.M)
+    assert len(keys) == 2
+    helper = (workspace / "--.helper").read_bytes()
+    assert main(["reproduce", "--dump=--", *device, "--debug"]) == EXIT_OK
+    assert re.findall(r"^key\d = .*$", capsys.readouterr().out, re.M) == keys
+    with pytest.raises(SystemExit) as refused:
+        main(["genkey", "--dump=--", *device, "--seed=--"])
+    assert refused.value.code == EXIT_USAGE
+    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
+        "srampuf genkey: error: argument --seed: invalid int value: '--'"]
+    assert (workspace / "--.helper").read_bytes() == helper
 
 
 @pytest.mark.parametrize("command", ["stats", "enroll", "sweep-enroll", "sweep-test"])
