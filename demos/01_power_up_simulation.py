@@ -62,11 +62,12 @@ print(f"\nmean stable-run length: {mean_run_length(stable):.2f} "
 # Heat and aging scale every cell's flip probability. Compare per-sample flip
 # rates against a fixed reference sample.
 reference = samples[0]
+# A condition is its kind; the calibration holds each kind's multiplier.
 print("\nper-sample flip rate vs reference (mean over 100 fresh samples):")
-for kind in ("NTNA", "HTNA", "NTWA"):
-    fresh = collect_samples(device, cal.condition(kind), 100, seed0=50_000)
+for kind, multiplier in cal.conditions().items():
+    fresh = collect_samples(device, kind, 100, seed0=50_000)
     rate = np.mean([np.count_nonzero(s.bits != reference.bits) / len(s) for s in fresh])
-    print(f"  {kind}: {rate:.2%} (noise multiplier {cal.condition(kind).noise_multiplier})")
+    print(f"  {kind}: {rate:.2%} (noise multiplier {multiplier})")
 
 # A calibration with no unstable cells gives a perfectly noiseless device;
 # handy for pinning down pipeline behavior in tests.

@@ -43,7 +43,6 @@ from .keygen import KeyMaterial, apply_mask, derive_key, generate_key, reproduce
 from .registry import Registry, RegistryEntry, load_registry, save_registry
 from .simulate import (
     Calibration,
-    Condition,
     DeviceModel,
     collect_samples,
     load_calibration,

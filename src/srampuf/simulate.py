@@ -12,8 +12,12 @@ Default calibration targets, measured over a 300-sample enrollment at normal
 temperature: about 24.9% of positions flip at least once, and per-1216-bit
 blocks keep their stable share inside 72-78%.
 
-Every reading is a pure function of (device, condition, sample seed): it
-comes from its own RNG stream. So a run of readings goes into one packed
+A sampling condition is its kind: NTNA (normal temperature, no aging, the
+reference), HTNA (heated) or NTWA (aged). Heat and aging scale every cell's
+flip chance by a multiplier that the device's own calibration holds.
+
+Every reading is a pure function of (device, condition kind, sample seed):
+it comes from its own RNG stream. So a run of readings goes into one packed
 matrix (a ``SampleSet``) from up to one thread per usable CPU, and its bytes
 do not depend on how many threads drew it. There is no option to set that number.
 """
@@ -35,28 +39,6 @@ DEFAULT_NUM_BITS = 120_000
 
 # Condition kind -> its RNG stream of the device seed; the one list of kinds.
 _CONDITION_STREAM = {"NTNA": 1, "HTNA": 2, "NTWA": 3}
-
-
-def _check_multiplier(name: str, value: float) -> None:
-    # Written so that NaN fails too: every comparison with NaN is False.
-    if not 1.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 1.0, got {value}")
-
-
-@dataclass(frozen=True)
-class Condition:
-    """Sampling environment: normal, heated, or aged, as a flip-noise scale."""
-
-    kind: str
-    noise_multiplier: float
-
-    def __post_init__(self):
-        if self.kind not in _CONDITION_STREAM:
-            raise ValueError(f"unknown condition kind {self.kind!r}; "
-                             f"expected one of {', '.join(_CONDITION_STREAM)}")
-        if self.kind == "NTNA" and self.noise_multiplier != 1.0:
-            raise ValueError("NTNA is the reference condition; its multiplier must be 1.0")
-        _check_multiplier("noise_multiplier", self.noise_multiplier)
 
 
 @dataclass(frozen=True)
@@ -97,14 +79,23 @@ class Calibration:
         if not 0.0 < self.flip_decay <= 1.0:
             raise ValueError("flip_decay must be in (0, 1]")
         for name in ("htna_multiplier", "ntwa_multiplier"):
-            _check_multiplier(name, getattr(self, name))
+            value = getattr(self, name)
+            # Written so that NaN fails too: every comparison with NaN is False.
+            if not 1.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 1.0, got {value}")
 
-    def condition(self, kind: str) -> Condition:
-        # The reference kind NTNA has no multiplier field; Condition rejects unknown kinds.
-        return Condition(kind, getattr(self, f"{kind.lower()}_multiplier", 1.0))
+    def condition(self, kind: str) -> str:
+        """``kind`` itself, once checked to be the kind of a sampling condition."""
+        if kind not in _CONDITION_STREAM:
+            raise ValueError(f"unknown condition kind {kind!r}; "
+                             f"expected one of {', '.join(_CONDITION_STREAM)}")
+        return kind
 
-    def conditions(self) -> dict[str, Condition]:
-        return {kind: self.condition(kind) for kind in _CONDITION_STREAM}
+    def conditions(self) -> dict[str, float]:
+        """Condition kind -> its flip-noise multiplier; the reference kind NTNA
+        has no multiplier field and is 1.0."""
+        return {kind: getattr(self, f"{kind.lower()}_multiplier", 1.0)
+                for kind in _CONDITION_STREAM}
 
 
 # Calibration field name -> int or float, in field order; the annotations are
@@ -146,7 +137,7 @@ class DeviceModel:
     seed: int
     cell_bias: np.ndarray
     calibration: Calibration
-    # Condition -> its cell probabilities, for the latest condition only, so a
+    # Condition kind -> its cell probabilities, for the latest kind only, so a
     # device holds at most one extra float per cell (about 1 MB at 120,000 bits).
     # The sampler fills it on the calling thread before any worker starts, and
     # the workers only read the array it hands them.
@@ -166,18 +157,21 @@ class DeviceModel:
     def num_bits(self) -> int:
         return int(self.cell_bias.size)
 
-    def prob_one(self, condition: Condition) -> np.ndarray:
-        """Read-only per-cell probability of powering up as 1 under a condition."""
-        cached = self._prob_one.get(condition)
+    def prob_one(self, kind: str) -> np.ndarray:
+        """Read-only per-cell probability of powering up as 1 under the
+        condition ``kind``, whose flip-noise multiplier this device's
+        calibration holds. The sampler's one check of the kind is here."""
+        cached = self._prob_one.get(kind)
         if cached is None:
+            multiplier = self.calibration.conditions()[self.calibration.condition(kind)]
             bias = self.cell_bias
-            flip = np.minimum(bias, 1.0 - bias) * condition.noise_multiplier
+            flip = np.minimum(bias, 1.0 - bias) * multiplier
             np.clip(flip, 0.0, 1.0, out=flip)
             # Not ``bias`` itself under NTNA: 1 - (1 - b) need not equal b in float64.
             cached = np.where(bias >= 0.5, 1.0 - flip, flip)
             cached.flags.writeable = False
             self._prob_one.clear()
-            self._prob_one[condition] = cached
+            self._prob_one[kind] = cached
         return cached
 
 
@@ -199,6 +193,9 @@ def new_device(seed: int, num_bits: int = DEFAULT_NUM_BITS,
     if num_bits <= 0:
         raise ValueError("num_bits must be positive")
     cal = calibration if calibration is not None else Calibration()
+    # The smoothing pads the field by the radius; a wider window means nothing.
+    if cal.cluster_radius >= num_bits:
+        raise ValueError(f"cluster_radius must be below num_bits ({num_bits})")
     rng = np.random.default_rng(seed)
     latent = rng.random(num_bits)
     smoothed = _smooth(latent, cal.cluster_radius, cal.cluster_mix)
@@ -243,18 +240,18 @@ def _draw_packed(prob_one: np.ndarray, key: list[int], sample_seeds,
         row[:] = np.packbits(ones, bitorder="little")
 
 
-def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> np.ndarray:
+def _readings(device: DeviceModel, kind: str, sample_seeds) -> np.ndarray:
     """One packed matrix row per sample seed, each from its own RNG stream.
 
     The seeds are split into contiguous chunks, one per usable CPU, and each
     chunk's rows are drawn on a thread of its own; a single chunk is drawn
     inline and starts no thread. Each reading is still a pure function of
-    (device, condition, sample seed), so the bytes do not depend on the worker
+    (device, condition kind, sample seed), so the bytes do not depend on the worker
     count. The matrix and every scratch buffer are allocated here, on the
     calling thread, so none of them lands in a worker thread's malloc arena.
     """
-    prob_one = device.prob_one(condition)
-    key = [device.seed & 0xFFFFFFFF, _CONDITION_STREAM[condition.kind]]
+    prob_one = device.prob_one(kind)
+    key = [device.seed & 0xFFFFFFFF, _CONDITION_STREAM[kind]]
     n = len(sample_seeds)
     workers = min(_usable_cpus(), n)
     rows = np.empty((n, -(-prob_one.size // 8)), dtype=np.uint8)
@@ -271,16 +268,15 @@ def _readings(device: DeviceModel, condition: Condition, sample_seeds) -> np.nda
     return rows
 
 
-def power_up_sample(device: DeviceModel, condition: Condition, sample_seed: int) -> BitVector:
-    """One power-up reading: a pure function of device, condition, and seed."""
-    return BitVector.from_packed(_readings(device, condition, [sample_seed])[0], device.num_bits)
+def power_up_sample(device: DeviceModel, kind: str, sample_seed: int) -> BitVector:
+    """One power-up reading: a pure function of device, condition kind, and seed."""
+    return BitVector.from_packed(_readings(device, kind, [sample_seed])[0], device.num_bits)
 
 
-def collect_samples(device: DeviceModel, condition: Condition, n: int,
-                    seed0: int = 0) -> SampleSet:
+def collect_samples(device: DeviceModel, kind: str, n: int, seed0: int = 0) -> SampleSet:
     """n consecutive power-up readings with sample seeds seed0, seed0+1, ..."""
     if n < 1:
         raise ValueError("need at least one sample")
     if seed0 < 0:
         raise ValueError("seed0 must be >= 0")
-    return SampleSet(_readings(device, condition, range(seed0, seed0 + n)), device.num_bits)
+    return SampleSet(_readings(device, kind, range(seed0, seed0 + n)), device.num_bits)

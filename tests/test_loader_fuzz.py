@@ -1,21 +1,25 @@
-"""Generated hostile input for the key path's loaders.
+"""Generated hostile input for the loaders.
 
 Hypothesis replaces, inserts and deletes bytes of the mask, helper and dump
 that ``reproduce`` reads, and rewrites the registry's file hashes to match,
-as whoever can write those files can. Whatever the bytes, ``reproduce`` must
-end with a key (0), a usage error (2) or a refused reading (3), never a
-traceback, and a refusal is exactly one ``error:`` line.
+as whoever can write those files can. It writes calibrations for
+``simulate --config`` and ``--set``, and puts one mangled dump among valid
+ones for ``enroll``, ``stats`` and ``sweep``. Whatever the bytes, a command
+ends with its own exit codes, never a traceback or a warning, and a refusal
+is exactly one ``error:`` line.
 """
 
 import hashlib
 import io
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from srampuf.cli import EXIT_OK, EXIT_REPRODUCE_FAILURE, EXIT_USAGE, main
+from srampuf.cli import EXIT_INSUFFICIENT_BITS, EXIT_OK, EXIT_REPRODUCE_FAILURE, EXIT_USAGE, main
+from srampuf.simulate import Calibration, calibration_to_text
 
 TARGETS = {"mask": "dev-a.mask", "helper": "dev-a.helper", "dump": "reading.hex"}
 # Bytes that the loaders turn on, and some that no loader accepts
@@ -87,6 +91,162 @@ def test_reproduce_survives_mutated_files(enrolled, edits):
     if code == EXIT_OK:
         assert (out.getvalue(), err.getvalue()) == ("key reproduced for dev-a\n", "")
     else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        assert err.getvalue().endswith("\n")
+        assert_one_error_line(out.getvalue(), err.getvalue())
+
+
+def assert_one_error_line(out: str, err: str) -> None:
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr; a warning fails the
+    test, since the command line would print it as more lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# The default calibration file's ``key = value`` lines, without its comment
+CALIBRATION_KEYS = calibration_to_text(Calibration()).split("\n")[1:-1]
+# Values that each field's reader turns on: in range, out of range, not a
+# number, past 64 bits, and long enough to pass any digit limit
+VALUES = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "0.5", "0.25", "1.0", "1.5", "1e-300", "1e308",
+                     "-1", "1.0001", "2.5", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                     "1e400", "0x10", "1_000", "", " ", "=", "#", "x", "\t1"]),
+    st.integers(2**63 - 2, 2**80).map(str),
+    st.integers(-2**80, -2**63 + 1).map(str),
+    st.tuples(st.sampled_from("19.x"), st.integers(1000, 10**5)).map(lambda c: c[0] * c[1]),
+    st.text(alphabet=st.characters(codec="ascii"), max_size=6),
+)
+KEYS = st.one_of(st.sampled_from([line.partition(" = ")[0] for line in CALIBRATION_KEYS]),
+                 st.sampled_from(["", "ntna_multiplier", "Cluster_radius", "#cluster_radius",
+                                  "x" * 10**5]))
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def calibration_files(draw):
+    """Some of the default file's lines, in any order, with up to three lines
+    put in among them: a repeat of a line (a repeated key), ``key = value``
+    with any key and value, or a value alone. Each line has its own ending."""
+    lines = draw(st.lists(st.sampled_from(CALIBRATION_KEYS), unique=True))
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(st.one_of(st.sampled_from(CALIBRATION_KEYS),
+                              st.tuples(KEYS, st.sampled_from([" = ", "=", " =  ", ""]), VALUES)
+                              .map("".join),
+                              VALUES))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "".join(line + draw(ENDINGS) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@example(config=None, overrides=["cluster_radius=9223372036854775808"], kind="NTNA")
+@example(config="cluster_radius = 9223372036854775806\r\n", overrides=[], kind="HTNA")
+@example(config="htna_multiplier = 1.5\r\nhtna_multiplier = 1.5\r\n", overrides=[], kind="HTNA")
+@example(config=None, overrides=["htna_multiplier=nan", "ntwa_multiplier = inf"], kind="NTWA")
+@example(config=f"cluster_mix = 0.{'5' * 10**5}\n", overrides=[], kind="NTNA")
+@given(config=st.one_of(st.none(), calibration_files()),
+       overrides=st.lists(st.tuples(KEYS, st.sampled_from(["=", " = ", "==", ""]),
+                                    VALUES, st.sampled_from(["", "\r\n", "\n"]))
+                          .map("".join), max_size=3),
+       kind=st.sampled_from(["NTNA", "HTNA", "NTWA"]))
+def test_simulate_survives_hostile_calibrations(tmp_path_factory, config, overrides, kind):
+    work = tmp_path_factory.mktemp("calibration")
+    argv = ["simulate", "--out-dir", str(work / "dumps"), "--device-seed", "3", "-n", "1",
+            "--num-bits", "64", "--condition", kind]
+    if config is not None:
+        (work / "cal.cfg").write_bytes(config.encode("ascii"))
+        argv += ["--config", str(work / "cal.cfg")]
+    code, out, err = run(argv + [f"--set={item}" for item in overrides])
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_OK:
+        assert (out, err) == (f"wrote 1 {kind} dump(s) of 64 bits to {work / 'dumps'}\n", "")
+        assert len((work / "dumps" / "sample-00000.hex").read_bytes()) == 2 * 9   # two words
+    else:
+        assert_one_error_line(out, err)
+
+
+DUMP_COMMANDS = ("enroll", "stats", "sweep")
+
+
+@pytest.fixture(scope="module")
+def dump_dirs(tmp_path_factory):
+    """A directory of four valid dumps, and each command's exit code, output
+    and written mask when it reads them."""
+    work = tmp_path_factory.mktemp("dumps")
+    with redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--out-dir", str(work / "valid"), "--device-seed", "5",
+                     "-n", "4", "--num-bits", "2432"]) == EXIT_OK
+    files = {path.name: path.read_bytes() for path in sorted((work / "valid").iterdir())}
+    expected = {command: dump_command(work, command, work / "valid") for command in DUMP_COMMANDS}
+    assert all(code == EXIT_OK for code, *_ in expected.values())
+    return work, files, expected
+
+
+def dump_command(work, command: str, dumps) -> tuple[int, str, str, bytes | None]:
+    """``command`` run on the directory ``dumps`` (both roles for ``sweep``),
+    with the mask it wrote, if any; ``enroll`` starts from a fresh registry."""
+    for name in ("registry.txt", "dev-a.mask"):
+        (work / name).unlink(missing_ok=True)
+    argv = {"enroll": ["enroll", "--dumps", str(dumps), "--registry", str(work / "registry.txt"),
+                       "--device-id", "dev-a", "--window-length", "608", "--threshold", "2"],
+            "stats": ["stats", "--dumps", str(dumps), "--block-size", "608"],
+            "sweep": ["sweep", "--enroll-dumps", str(dumps), "--test-dumps", f"NTNA={dumps}",
+                      "--block-size", "608", "--thresholds", "1,2"]}[command]
+    code, out, err = run(argv)
+    mask = work / "dev-a.mask"
+    return code, out, err, mask.read_bytes() if mask.exists() else None
+
+
+def crlf(lines, at):
+    return [line.replace(b"\n", b"\r\n") for line in lines[:at]] + lines[at:]
+
+
+def lowercase(lines, at):
+    return lines[:at] + [line.lower() for line in lines[at:]]
+
+
+def wrong_length(lines, at, size):
+    return lines[:at] + [(lines[at][:8] * 2)[:size] + b"\n"] + lines[at + 1:]
+
+
+def long_line(lines, at, char):
+    return lines[:at] + [char * 10**5 + b"\n"] + lines[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@example(command="enroll", victim=0, mutation=(crlf, ()), at=1.0)
+@example(command="stats", victim=1, mutation=(lowercase, ()), at=0.0)
+@example(command="sweep", victim=3, mutation=(wrong_length, (9,)), at=0.5)
+@example(command="enroll", victim=2, mutation=(long_line, (b"A",)), at=0.2)
+@given(command=st.sampled_from(DUMP_COMMANDS), victim=st.integers(0, 3),
+       mutation=st.sampled_from([(crlf, ()), (lowercase, ()),
+                                 *((wrong_length, (size,)) for size in (0, 1, 7, 9, 16)),
+                                 *((long_line, (char,)) for char in (b"A", b"0", b"x", b" A"))]),
+       at=st.floats(0, 1))
+def test_dump_commands_survive_one_mangled_dump(dump_dirs, command, victim, mutation, at):
+    """One dump of the directory mangled at line ``at``, a fraction of its
+    lines (CRLF before it, lowercase from it on): exit 0 only with the bytes the valid directory gives, else 2,
+    or 5 for an enrollment short of stable bits, in one ``error:`` line."""
+    work, files, expected = dump_dirs
+    mangled = work / "mangled"
+    mangled.mkdir(exist_ok=True)
+    for index, (name, data) in enumerate(files.items()):
+        if index == victim:
+            lines = data.splitlines(keepends=True)
+            edit, args = mutation
+            data = b"".join(edit(lines, min(int(at * len(lines)), len(lines) - 1), *args))
+        (mangled / name).write_bytes(data)
+    code, out, err, mask = dump_command(work, command, mangled)
+    event(f"{command} exit {code}")
+    assert code in ((EXIT_OK, EXIT_USAGE, EXIT_INSUFFICIENT_BITS) if command == "enroll"
+                    else (EXIT_OK, EXIT_USAGE))
+    if code == EXIT_OK:
+        assert (code, out, err, mask) == expected[command]
+    else:
+        assert_one_error_line(out, err)

@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+import srampuf
+from srampuf import simulate
+from srampuf.cli import EXIT_USAGE, main
 from srampuf.enroll import distance_to_unstable, mark_stability
 from srampuf.simulate import (
     Calibration,
-    Condition,
     calibration_to_text,
     collect_samples,
     load_calibration,
@@ -56,6 +59,13 @@ class TestDeviceConstruction:
         cal = Calibration(unstable_fraction=0.0)
         device = new_device(4, num_bits=3000, calibration=cal)
         assert set(np.unique(device.cell_bias)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("radius", [64, 10**9, 2**63 - 2, 2**63, 10**30])
+    def test_radius_not_below_num_bits_refused(self, radius):
+        # Checked before the smoothing pads the field by the radius
+        with pytest.raises(ValueError, match=r"^cluster_radius must be below num_bits \(64\)$"):
+            new_device(1, num_bits=64, calibration=Calibration(cluster_radius=radius))
+        assert new_device(1, num_bits=64, calibration=Calibration(cluster_radius=63)).num_bits == 64
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
@@ -149,10 +159,10 @@ class TestSampling:
     def test_collect_singleton(self):
         # reading k of a run is the single reading at seed seed0 + k
         device = new_device(7, num_bits=2000)
-        for cond in device.calibration.conditions().values():
+        for kind in device.calibration.conditions():
             for n in (1, 6):
-                assert np.array_equal([s.bits for s in collect_samples(device, cond, n, seed0=4)],
-                                      [power_up_sample(device, cond, 4 + k).bits for k in range(n)])
+                assert np.array_equal([s.bits for s in collect_samples(device, kind, n, seed0=4)],
+                                      [power_up_sample(device, kind, 4 + k).bits for k in range(n)])
 
     # SHA-256 of the packed readings: dumps, masks and keys everywhere depend
     # on these exact bits, so any sampler change must reproduce them.
@@ -210,35 +220,77 @@ class TestEnrollmentStatistics:
         assert 0.72 <= stable.mean() <= 0.78
 
 
+UNKNOWN_KIND = "unknown condition kind {!r}; expected one of NTNA, HTNA, NTWA"
+
+
 class TestConditions:
+    def test_condition_type_is_gone(self):
+        assert not hasattr(srampuf, "Condition") and not hasattr(simulate, "Condition")
+
     def test_reference_condition_fixed(self):
-        with pytest.raises(ValueError, match="reference"):
-            Condition("NTNA", 1.2)
+        # NTNA's multiplier is no setting: always 1.0, and no calibration key
+        assert Calibration(htna_multiplier=2.0, ntwa_multiplier=3.0).conditions()["NTNA"] == 1.0
+        with pytest.raises(TextFormatError, match="unknown key 'ntna_multiplier'"):
+            parse_calibration("ntna_multiplier = 1.2\n")
 
     def test_multiplier_floor(self):
-        with pytest.raises(ValueError):
-            Condition("HTNA", 0.9)
+        for key in ("htna_multiplier", "ntwa_multiplier"):
+            with pytest.raises(ValueError, match=f"^{key} must be finite and >= 1.0, got 0.9$"):
+                Calibration(**{key: 0.9})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_multiplier_refused(self, value):
-        with pytest.raises(ValueError, match="noise_multiplier must be finite"):
-            Condition("HTNA", value)
+        with pytest.raises(ValueError, match="htna_multiplier must be finite"):
+            Calibration(htna_multiplier=value)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown condition"):
-            Condition("HOT", 1.5)
+        # The same ValueError from every entry point, never a KeyError
+        device = new_device(7, num_bits=64)
+        for kind in ("HOT", "ntna", ""):
+            for call in (device.calibration.condition, device.prob_one,
+                         lambda kind: power_up_sample(device, kind, 0),
+                         lambda kind: collect_samples(device, kind, 3)):
+                with pytest.raises(ValueError, match=f"^{re.escape(UNKNOWN_KIND.format(kind))}$"):
+                    call(kind)
+
+    def test_cli_refuses_unknown_kind(self, tmp_path, capsys):
+        out = tmp_path / "dumps"
+        assert main(["simulate", "--out-dir", str(out), "--device-seed", "1", "-n", "1",
+                     "--num-bits", "64", "--condition", "HOT"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {UNKNOWN_KIND.format('HOT')}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["HOT", "ntna", "htna", ""])
     def test_calibration_rejects_unknown_kind(self, kind):
         with pytest.raises(ValueError, match="expected one of NTNA, HTNA, NTWA"):
             Calibration().condition(kind)
 
+    @pytest.mark.parametrize("kind", ["NTNA", "HTNA", "NTWA"])
+    def test_checked_kind_reads_as_the_bare_kind(self, kind):
+        cal = Calibration()
+        device = new_device(7, num_bits=4864, calibration=cal)
+        assert cal.condition(kind) == kind
+        assert (collect_samples(device, cal.condition(kind), 4, seed0=9).packed.tobytes()
+                == collect_samples(device, kind, 4, seed0=9).packed.tobytes())
+        assert (power_up_sample(device, cal.condition(kind), 5).packed.tobytes()
+                == power_up_sample(device, kind, 5).packed.tobytes())
+
+    def test_multiplier_comes_from_the_device_calibration(self):
+        default = new_device(7, num_bits=4864)
+        hotter = new_device(7, num_bits=4864, calibration=Calibration(htna_multiplier=1.5))
+        assert hotter.calibration.conditions()["HTNA"] == 1.5
+        same = collect_samples(default, "NTNA", 8), collect_samples(hotter, "NTNA", 8)
+        assert same[0].packed.tobytes() == same[1].packed.tobytes()
+        assert np.array_equal(default.prob_one("NTWA"), hotter.prob_one("NTWA"))
+        assert not np.array_equal(default.prob_one("HTNA"), hotter.prob_one("HTNA"))
+        hot = collect_samples(default, "HTNA", 8), collect_samples(hotter, "HTNA", 8)
+        assert hot[0].packed.tobytes() != hot[1].packed.tobytes()
+
     def test_calibration_builds_conditions(self):
         cal = Calibration(htna_multiplier=1.4, ntwa_multiplier=1.9)
-        conds = cal.conditions()
-        assert conds["NTNA"].noise_multiplier == 1.0
-        assert conds["HTNA"].noise_multiplier == 1.4
-        assert conds["NTWA"].noise_multiplier == 1.9
+        assert cal.conditions() == {"NTNA": 1.0, "HTNA": 1.4, "NTWA": 1.9}
+        assert list(Calibration().conditions().items()) == [
+            ("NTNA", 1.0), ("HTNA", 1.33), ("NTWA", 1.67)]
 
 
 class TestCalibrationFile:
