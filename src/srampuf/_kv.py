@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import re
 import stat
 import tempfile
 from typing import BinaryIO
@@ -31,6 +32,33 @@ def is_value(value: str) -> bool:
 # paths: printable characters that neither start nor end with a space; one
 # run and a lookbehind, not a repeated group, keep the match fast
 VALUE_PATTERN = "[!-~][ -~]*(?<! )"
+
+# A decimal integer as int() reads it, once stripped: sign, then digits that
+# single underscores may separate
+_DECIMAL = re.compile(r"([+-]?)([0-9]+(?:_[0-9]+)*)")
+
+
+def clip(text: str) -> str:
+    """``text`` as an error line echoes it: its first 40 characters, then
+    ``...`` when it is longer, so no input makes a long line."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def to_int(text: str) -> int:
+    """``int(text)``, except that a decimal integer too long for ``int()`` to
+    read (4,300 digits by default) raises OverflowError saying it is too
+    large (or too small), not ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        match = _DECIMAL.fullmatch(text.strip())
+        if match is None:
+            raise
+    sign, digits = match.groups()
+    try:    # the limit counts leading zeros, which add nothing to the value
+        return int(sign + (digits.replace("_", "").lstrip("0") or "0"))
+    except ValueError:
+        raise OverflowError("too small" if sign == "-" else "too large") from None
 
 
 def open_regular(path, refusal: str | None = None, flags: int = 0,
@@ -81,17 +109,18 @@ def parse_kv_block(text: str, *, keys, what: str = "file",
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise TextFormatError(f"{what}: line {lineno}: expected 'key = value', got {line!r}")
+            raise TextFormatError(
+                f"{what}: line {lineno}: expected 'key = value', got {clip(line)!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key:
             raise TextFormatError(f"{what}: line {lineno}: empty key")
         if key not in keys:
-            raise TextFormatError(f"{what}: line {lineno}: unknown key {key!r}")
+            raise TextFormatError(f"{what}: line {lineno}: unknown key {clip(key)!r}")
         if key in out:
             raise TextFormatError(f"{what}: line {lineno}: duplicate key {key!r}")
         if not is_value(value):
-            raise TextFormatError(f"{what}: line {lineno}: key {key!r}: value {value!r} "
+            raise TextFormatError(f"{what}: line {lineno}: key {key!r}: value {clip(value)!r} "
                                   f"is not printable ASCII")
         out[key] = value
     return out
@@ -127,12 +156,16 @@ def read_record(text: str, keys: tuple[str, ...], fmt: str, *, what: str) -> dic
 
 
 def parse_int(fields: dict[str, str], key: str, *, what: str) -> int:
+    text = fields[key]
     try:
-        value = int(fields[key])
+        value = to_int(text)
+        fits = -2**63 <= value < 2**63
+    except OverflowError:
+        value, fits = text, False
     except ValueError:
-        raise TextFormatError(f"{what}: key {key!r} is not an integer: {fields[key]!r}") from None
-    if not -2**63 <= value < 2**63:
-        raise TextFormatError(f"{what}: key {key!r} does not fit in 64 bits: {value}")
+        raise TextFormatError(f"{what}: key {key!r} is not an integer: {clip(text)!r}") from None
+    if not fits:
+        raise TextFormatError(f"{what}: key {key!r} does not fit in 64 bits: {clip(str(value))}")
     return value
 
 

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kv import clip
 from .bitvec import BitVector, SampleSet
 from .enroll import (
     DEFAULT_WINDOW_LENGTH,
@@ -148,12 +149,17 @@ def threshold_sweep(enroll_samples: Sequence[BitVector],
 
     rows = []
     for condition in sorted(test_samples):
-        samples = test_samples[condition]
+        samples, shown = test_samples[condition], repr(clip(condition))
+        # sweep_to_csv writes the name as one field, unquoted
+        if not (condition and condition.isascii() and condition.isprintable()) or (
+                "," in condition or '"' in condition):
+            raise ValueError(f"condition {shown} cannot be one CSV field: a name must be "
+                             f"non-empty printable ASCII without ',' or '\"'")
         if not samples:
-            raise ValueError(f"condition {condition!r} has no test samples")
+            raise ValueError(f"condition {shown} has no test samples")
         samples = SampleSet.of(samples)
         if samples.length < span:
-            raise ValueError(f"condition {condition!r} has samples shorter than the "
+            raise ValueError(f"condition {shown} has samples shorter than the "
                              f"enrolled {num_blocks} block(s)")
         # Sorted flat indices run through samples, and positions within one,
         # in order, so each (sample, block) cell's flips lie next to each other.

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kv import TextFormatError, atomic_write_text, read_text
+from ._kv import TextFormatError, atomic_write_text, clip, read_text
 
 WORD_BITS = 32
 _WORD_HEX_DIGITS = WORD_BITS // 4
@@ -182,7 +182,7 @@ def _parse_lines(text: str, what: str) -> bytes:
                         if (line := raw.strip()) and not _WORD_RE.fullmatch(line))
     if len(line) != _WORD_HEX_DIGITS:
         raise TextFormatError(
-            f"{what}: line {lineno}: expected {_WORD_HEX_DIGITS} hex digits, got {line!r}")
+            f"{what}: line {lineno}: expected {_WORD_HEX_DIGITS} hex digits, got {clip(line)!r}")
     raise TextFormatError(f"{what}: line {lineno}: not hexadecimal: {line!r}")
 
 

@@ -10,7 +10,6 @@ requested threshold.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import os
@@ -19,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analytics, enroll, fuzzy, keygen, registry as reg, simulate
-from ._kv import atomic_write_text, format_kv_block
+from ._kv import atomic_write_text, clip, format_kv_block, parse_kv_block, read_text
 from .bitvec import WORD_BITS, SampleSet, load_dump, save_dump
 
 EXIT_OK = 0
@@ -30,16 +29,16 @@ EXIT_INSUFFICIENT_BITS = 5
 
 
 def _load_calibration(args) -> simulate.Calibration:
-    cal = simulate.load_calibration(args.config) if args.config else simulate.Calibration()
-    merged = {key: str(value) for key, value in dataclasses.asdict(cal).items()}
-    for item in args.set or []:
-        key, sep, value = (part.strip() for part in item.partition("="))
-        if not sep:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        if key not in merged:
-            raise ValueError(f"unknown calibration key {key!r}")
-        merged[key] = value
-    return simulate.parse_calibration(format_kv_block(merged.items()))
+    """The ``--config`` settings, overridden by ``--set`` items read as lines of that file."""
+    keys = simulate._CALIBRATION_TYPES
+    settings = (parse_kv_block(read_text(args.config), keys=keys, what="calibration")
+                if args.config else {})
+    lines = [item.strip() for item in args.set or []]
+    for item, line in zip(args.set or [], lines):
+        if len(line.splitlines()) != 1 or line.startswith("#"):
+            raise ValueError(f"--set expects key=value, got {clip(item)!r}")
+    settings.update(parse_kv_block("\n".join(lines), keys=keys, what="--set"))
+    return simulate.parse_calibration(format_kv_block(settings.items()))
 
 
 def _load_dumps(directory: str, minimum: int = 1) -> SampleSet:
@@ -165,9 +164,9 @@ def cmd_sweep(args) -> int:
     for item in args.test_dumps:
         condition, sep, directory = item.partition("=")
         if not sep:
-            raise ValueError(f"--test-dumps expects CONDITION=DIR, got {item!r}")
+            raise ValueError(f"--test-dumps expects CONDITION=DIR, got {clip(item)!r}")
         if condition in test_samples:
-            raise ValueError(f"--test-dumps gives condition {condition!r} more than once")
+            raise ValueError(f"--test-dumps gives condition {clip(condition)!r} more than once")
         test_samples[condition] = _load_dumps(directory, minimum=1)
     thresholds = tuple(_int_list("--thresholds", args.thresholds))
     rows = analytics.threshold_sweep(enroll_samples, test_samples,
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed0", type=int, default=0, help="seed of the first sample")
     p.add_argument("--config", help="calibration file (key = value lines)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override one calibration value (repeatable)")
+                   help="one calibration file line; overrides --config (repeatable, once per key)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("enroll", parents=[device],

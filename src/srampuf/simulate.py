@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._kv import TextFormatError, format_kv_block, parse_kv_block, read_text
+from ._kv import TextFormatError, clip, format_kv_block, parse_kv_block, read_text, to_int
 from .bitvec import BitVector, SampleSet
 from .enroll import distance_to_unstable
 
@@ -109,7 +109,9 @@ def parse_calibration(text: str) -> Calibration:
     for key, value in parse_kv_block(text, what="calibration", keys=_CALIBRATION_TYPES).items():
         kind = _CALIBRATION_TYPES[key]
         try:
-            kwargs[key] = kind(value)
+            kwargs[key] = to_int(value) if kind is int else kind(value)
+        except OverflowError as exc:
+            raise TextFormatError(f"calibration: {key} is {exc}: {clip(value)!r}") from None
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise TextFormatError(f"calibration: {key} must be {expected}") from None

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -203,6 +204,10 @@ REPORT_REFUSALS = {
                             r"^condition 'NTWA' has samples shorter than the enrolled 2 block\(s\)$"),
     "summary-empty-condition": (summary_of_empty_condition,
                                 "^condition 'HTNA' has no test samples$"),
+    # sweep_to_csv could not write the name as one field
+    "sweep-condition-name": (lambda: threshold_sweep([READING] * 2, {"A,B\nC": [READING]}),
+                             r"^condition 'A,B\\nC' cannot be one CSV field: a name must be "
+                             r"""non-empty printable ASCII without ',' or '"'$"""),
 }
 
 
@@ -210,6 +215,24 @@ REPORT_REFUSALS = {
 def test_report_refusal_is_a_value_error(report, message):
     with pytest.raises(ValueError, match=message):
         report()
+
+
+@pytest.mark.parametrize("name", ["", "A,B", 'say "hot"', "HT\nNA", "HT\rNA", "HT\tNA",
+                                  "\xe9t\xe9", "," + "x" * 10**5],
+                         ids=["empty", "comma", "quote", "lf", "cr", "tab", "non-ascii", "long"])
+def test_sweep_refuses_names_that_are_not_one_csv_field(name):
+    shown = repr(name if len(name) <= 40 else name[:40] + "...")
+    with pytest.raises(ValueError, match=f"^condition {re.escape(shown)} cannot be one CSV field"):
+        threshold_sweep([READING] * 2, {"NTNA": [READING], name: [READING]})
+
+
+def test_sweep_writes_any_other_printable_name_as_one_field():
+    names = [" hot & aged ", "x" * 100, "'quoted'"]
+    csv = sweep_to_csv(threshold_sweep([READING] * 2, {name: [READING] for name in names},
+                                       thresholds=(1,)))
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert {len(row) for row in rows} == {8}
+    assert [row[0] for row in rows] == [name for name in sorted(names) for _ in range(2)]
 
 
 class TestWindowEdgeReset:

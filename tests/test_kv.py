@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srampuf import bitvec, registry as registry_module
-from srampuf._kv import TextFormatError, atomic_write_text, format_kv_block, parse_kv_block
-from srampuf.bitvec import BitVector, load_dump, save_dump
+from srampuf._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_kv_block,
+                         to_int)
+from srampuf.bitvec import BitVector, load_dump, parse_hex_dump, save_dump
 from srampuf.cli import EXIT_OK, EXIT_USAGE, main
 from srampuf.enroll import MASK_KEYS, Mask, load_mask, mask_from_text, mask_to_text, save_mask
 from srampuf.fuzzy import (HELPER_KEYS, HelperData, helper_from_text, helper_to_text, load_helper,
@@ -316,6 +317,73 @@ REFUSALS = {
 def test_reader_refusal_names_what_is_wrong(read, text, message):
     with pytest.raises(TextFormatError, match=message):
         read(text)
+
+
+# Each reader that echoes its input: how it reads, the text around the
+# echoed input, the message around its echo and a character it refuses there
+ECHOES = {
+    "dump-line": (lambda text: parse_hex_dump(text, what="dump"), "00000000\n{}\n",
+                  "dump: line 2: expected 8 hex digits, got {}", "x"),
+    "kv-line": (lambda text: parse_kv_block(text, keys=("a",)), "{}\n",
+                "file: line 1: expected 'key = value', got {}", "x"),
+    "kv-unknown-key": (lambda text: parse_kv_block(text, keys=("a",)), "{} = 1\n",
+                       "file: line 1: unknown key {}", "x"),
+    "kv-value": (lambda text: parse_kv_block(text, keys=("a",)), "a = {}\n",
+                 "file: line 1: key 'a': value {} is not printable ASCII", "\x01"),
+    "mask-integer": (mask_from_text, MASK_TEXT.replace("threshold = 4", "threshold = {}"),
+                     "mask: key 'threshold' is not an integer: {}", "x"),
+}
+
+
+@pytest.mark.parametrize("size", [40, 41, 10**5])
+@pytest.mark.parametrize("read, text, message, char", ECHOES.values(), ids=list(ECHOES))
+def test_error_echoes_at_most_40_characters_of_input(read, text, message, char, size):
+    """Input of up to 40 characters is echoed whole, as it always was; longer
+    input is cut after 40, then ``...``."""
+    with pytest.raises(TextFormatError) as caught:
+        read(text.replace("{}", char * size))
+    echo = char * min(size, 40) + ("..." if size > 40 else "")
+    assert str(caught.value) == message.format(repr(echo))
+
+
+@pytest.mark.parametrize("text, value", [("1_000", 1000), (" -12 ", -12), ("+7", 7),
+                                         ("0" * 5000 + "1_2", 12), ("-" + "0" * 5000, 0)],
+                         ids=["underscore", "spaces", "plus", "zero-padded", "negative-zero"])
+def test_to_int_reads_what_int_reads(text, value):
+    assert to_int(text) == value
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1" * 5000, "too large"), ("+1" + "_1" * 4400, "too large"), ("-" + "9" * 4301, "too small"),
+], ids=["digits", "underscores", "negative"])
+def test_to_int_past_the_digit_limit_is_out_of_range(text, reason):
+    with pytest.raises(OverflowError, match=f"^{reason}$"):
+        to_int(text)
+
+
+@pytest.mark.parametrize("text", ["", "1__0", "_1", "1_", "0x10", "1.0", "1" * 5000 + "x"],
+                         ids=["empty", "two-underscores", "leading-underscore",
+                              "trailing-underscore", "hex", "float", "long-not-digits"])
+def test_to_int_refuses_what_int_refuses(text):
+    with pytest.raises(ValueError):
+        to_int(text)
+
+
+def test_integer_too_long_for_int_does_not_fit_in_64_bits(files, capsys):
+    path = files / "dev-a.mask"
+    path.write_text(path.read_text().replace("threshold = 4\n", f"threshold = {'1' * 5000}\n"))
+    assert main(["flip", "--dump", str(files / "reading.hex"), "--out", str(files / "x.hex"),
+                 "--count", "2", "--seed", "1", "--mask", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: mask: key 'threshold' does not fit in 64 bits: "
+                                       f"{'1' * 40}...\n")
+    assert not (files / "x.hex").exists()
+
+
+def test_zero_padded_integers_read_as_their_value():
+    padded = "0" * 5000
+    assert parse_calibration(f"cluster_radius = {padded}3\n").cluster_radius == 3
+    assert mask_from_text(MASK_TEXT.replace("threshold = 4", f"threshold = {padded}4")) == \
+        mask_from_text(MASK_TEXT)
 
 
 # The calls that open a file; a second module calling one would be a second

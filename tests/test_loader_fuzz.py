@@ -94,9 +94,15 @@ def test_reproduce_survives_mutated_files(enrolled, edits):
         assert_one_error_line(out.getvalue(), err.getvalue())
 
 
+# An error line names at most a path and echoes at most 40 characters of the
+# input, so even the 10^5-character keys, values and dump lines stay under this
+MAX_ERROR_LINE = 400
+
+
 def assert_one_error_line(out: str, err: str) -> None:
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) <= MAX_ERROR_LINE, err[:MAX_ERROR_LINE]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import re
 import socket
@@ -492,6 +493,72 @@ class TestCliSimulate:
         assert main(args) == EXIT_OK
         assert main([*args, "--set", "unstable_fraction=0.0"]) == EXIT_OK
         assert build_parser().parse_args(args).set is None
+
+    def simulate_set(self, tmp_path, *items, config=None):
+        argv = ["simulate", "--out-dir", str(tmp_path / "out"), "--device-seed", "5",
+                "-n", "2", "--num-bits", "2432", "--condition", "HTNA"]
+        if config is not None:
+            (tmp_path / "cal.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "cal.cfg")]
+        return main(argv + [f"--set={item}" for item in items])
+
+    def test_repeated_set_key_refused_as_in_a_file(self, tmp_path, capsys):
+        assert self.simulate_set(tmp_path, "htna_multiplier=1.5",
+                                 "htna_multiplier=1.2") == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --set: line 2: duplicate key 'htna_multiplier'\n"
+        assert self.simulate_set(tmp_path, config="htna_multiplier = 1.5\n"
+                                                  "htna_multiplier = 1.2\n") == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: calibration: line 2: duplicate key "
+                                           "'htna_multiplier'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("item", ["", "  ", "\r\n", "# htna_multiplier=1.5",
+                                      "htna_multiplier=1.5\nntwa_multiplier=2",
+                                      "htna_multiplier=1.5\rntwa_multiplier=2"],
+                             ids=["empty", "blank", "line-end", "comment", "lf-two", "cr-two"])
+    def test_set_item_that_is_not_one_setting_refused(self, tmp_path, capsys, item):
+        assert self.simulate_set(tmp_path, item) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --set expects key=value, got {item!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    # The second item is the second line
+    @pytest.mark.parametrize("item, message", [
+        ("htna_multiplier", "--set: line 2: expected 'key = value', got 'htna_multiplier'"),
+        ("bogus=1", "--set: line 2: unknown key 'bogus'"),
+        ("=1", "--set: line 2: empty key"),
+        ("htna_multiplier=1\t5", "--set: line 2: key 'htna_multiplier': value '1\\t5' "
+                                 "is not printable ASCII"),
+        ("x" * 10**5 + "=1", f"--set: line 2: unknown key '{'x' * 40}...'"),
+    ], ids=["no-equals", "unknown-key", "empty-key", "unprintable-value", "long-key"])
+    def test_set_item_read_with_the_file_grammar(self, tmp_path, capsys, item, message):
+        assert self.simulate_set(tmp_path, "ntwa_multiplier=2", item) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_set_overrides_the_config_key(self, tmp_path):
+        assert self.simulate_set(tmp_path, " htna_multiplier = 1.5\r\n",
+                                 config="htna_multiplier = 1.2\nunstable_fraction = 0.1\n"
+                                 ) == EXIT_OK
+        cal = Calibration(htna_multiplier=1.5, unstable_fraction=0.1)
+        device = new_device(5, num_bits=2432, calibration=cal)
+        names = sorted(os.listdir(tmp_path / "out"))
+        assert np.array_equal([load_dump(tmp_path / "out" / name).bits for name in names],
+                              [s.bits for s in collect_samples(device, "HTNA", 2)])
+
+    def test_overridden_config_value_is_checked_only_by_the_grammar(self, tmp_path, capsys):
+        # a value that --set replaces never becomes a number, so only its line is checked
+        assert self.simulate_set(tmp_path, "htna_multiplier=1.5",
+                                 config="htna_multiplier = nan\n") == EXIT_OK
+        assert self.simulate_set(tmp_path, "htna_multiplier=1.5",
+                                 config="htna_multiplier = 1\x015\n") == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: calibration: line 1: key 'htna_multiplier': value ")
+
+    @pytest.mark.parametrize("sign, reason", [("", "too large"), ("-", "too small")])
+    def test_integer_too_long_for_int_is_out_of_range(self, tmp_path, capsys, sign, reason):
+        assert self.simulate_set(tmp_path, f"cluster_radius={sign}{'1' * 5000}") == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: calibration: cluster_radius is {reason}: "
+                                           f"'{(sign + '1' * 40)[:40]}...'\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliEnroll:
@@ -1215,6 +1282,42 @@ class TestCliReports:
         for counts in by_block.values():
             assert counts == sorted(counts, reverse=True)
 
+    def test_sweep_and_stats_bytes_pinned(self, workspace):
+        """The CSV bytes that the CI smoke step also pins: 40 NTNA enrollment
+        dumps, 25 NTWA test dumps from seed 30000 and 7 HTNA from seed 20000."""
+        for kind, count, seed0 in (("NTWA", 25, 30000), ("HTNA", 7, 20000)):
+            assert main(["simulate", "--out-dir", str(workspace / kind.lower()), "--device-seed",
+                         str(DEVICE_SEED), "--condition", kind, "-n", str(count), "--seed0",
+                         str(seed0), "--num-bits", str(NUM_BITS)]) == EXIT_OK
+        dumps = str(workspace / "dumps")
+        assert main(["stats", "--dumps", dumps, "--out", str(workspace / "stats.csv")]) == EXIT_OK
+        assert main(["sweep", "--enroll-dumps", dumps,
+                     "--test-dumps", f"NTWA={workspace / 'ntwa'}",
+                     "--test-dumps", f"HTNA={workspace / 'htna'}",
+                     "--out", str(workspace / "sweep.csv")]) == EXIT_OK
+        digests = {name: hashlib.sha256((workspace / name).read_bytes()).hexdigest()
+                   for name in ("sweep.csv", "stats.csv")}
+        assert digests == {
+            "sweep.csv": "747d59cd444034d1230da8209905f668baa36c7e44cc0c133453991d262dd73a",
+            "stats.csv": "f2343669446a73efb2c44e9baa78ab4a0fbadf0e2410ad2f50b6d056c302dfea",
+        }
+
+    def test_sweep_refuses_a_condition_name_that_is_not_one_csv_field(self, workspace, capsys):
+        dumps = workspace / "dumps"
+        out = workspace / "sweep.csv"
+        assert main(["sweep", "--enroll-dumps", str(dumps), "--test-dumps", f"A,B\nC={dumps}",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: condition 'A,B\\nC' cannot be one CSV field: a name must be non-empty "
+            "printable ASCII without ',' or '\"'\n")
+        assert not out.exists()
+
+    def test_long_test_dumps_item_is_echoed_capped(self, workspace, capsys):
+        dumps = str(workspace / "dumps")
+        assert main(["sweep", "--enroll-dumps", dumps, "--test-dumps", "x" * 10**5]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: --test-dumps expects CONDITION=DIR, "
+                                           f"got '{'x' * 40}...'\n")
+
 
 class TestCliFlip:
     def test_positions_flip(self, workspace):
@@ -1280,7 +1383,7 @@ def two_dumps(tmp_path):
 # Each usage refusal with its message; none writes a file beside the dumps
 USAGE_REFUSALS = {
     "simulate-set": (["simulate", "--out-dir", "{tmp}/out", "--device-seed", "1", "--set", "foo"],
-                     "--set expects key=value, got 'foo'"),
+                     "--set: line 1: expected 'key = value', got 'foo'"),
     "enroll-dumps": (["enroll", "--dumps", "{dumps}/sample-00000.hex", "--registry",
                       "{tmp}/registry.txt", "--device-id", "dev-a"],
                      "not a directory: {dumps}/sample-00000.hex"),
