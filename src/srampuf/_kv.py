@@ -44,21 +44,22 @@ def clip(text: str) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-def to_int(text: str) -> int:
-    """``int(text)``, except that a decimal integer too long for ``int()`` to
-    read (4,300 digits by default) raises OverflowError saying it is too
-    large (or too small), not ValueError."""
+def to_int(text: str, what: str) -> int:
+    """``int(text)``, or one TextFormatError that names ``what``, clips its
+    echo and says why: not an integer, or a decimal integer too long for
+    ``int()`` to read (4,300 digits by default) and so too large or too small."""
     try:
         return int(text)
     except ValueError:
         match = _DECIMAL.fullmatch(text.strip())
-        if match is None:
-            raise
+    if match is None:
+        raise TextFormatError(f"{what} is not an integer: {clip(text)!r}")
     sign, digits = match.groups()
     try:    # the limit counts leading zeros, which add nothing to the value
         return int(sign + (digits.replace("_", "").lstrip("0") or "0"))
     except ValueError:
-        raise OverflowError("too small" if sign == "-" else "too large") from None
+        reason = "too small" if sign == "-" else "too large"
+        raise TextFormatError(f"{what} is {reason}: {clip(text)!r}") from None
 
 
 def open_regular(path, refusal: str | None = None, flags: int = 0,
@@ -151,20 +152,13 @@ def read_record(text: str, keys: tuple[str, ...], fmt: str, *, what: str) -> dic
     fields = parse_kv_block(text, what=what, keys=keys)
     require_keys(fields, keys, what=what)
     if fields["format"] != fmt:
-        raise TextFormatError(f"{what}: unsupported format {fields['format']!r}")
+        raise TextFormatError(f"{what}: unsupported format {clip(fields['format'])!r}")
     return fields
 
 
 def parse_int(fields: dict[str, str], key: str, *, what: str) -> int:
-    text = fields[key]
-    try:
-        value = to_int(text)
-        fits = -2**63 <= value < 2**63
-    except OverflowError:
-        value, fits = text, False
-    except ValueError:
-        raise TextFormatError(f"{what}: key {key!r} is not an integer: {clip(text)!r}") from None
-    if not fits:
+    value = to_int(fields[key], f"{what}: key {key!r}")
+    if not -2**63 <= value < 2**63:
         raise TextFormatError(f"{what}: key {key!r} does not fit in 64 bits: {clip(str(value))}")
     return value
 

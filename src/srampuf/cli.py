@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analytics, enroll, fuzzy, keygen, registry as reg, simulate
-from ._kv import atomic_write_text, clip, format_kv_block, parse_kv_block, read_text
+from ._kv import atomic_write_text, clip, format_kv_block, parse_kv_block, read_text, to_int
 from .bitvec import WORD_BITS, SampleSet, load_dump, save_dump
 
 EXIT_OK = 0
@@ -60,13 +60,6 @@ def _load_dumps(directory: str, minimum: int = 1) -> SampleSet:
                              f"holds {len(first)}")
         packed[row] = dump.packed
     return SampleSet(packed, len(first))
-
-
-def _int_list(flag: str, text: str) -> list[int]:
-    try:
-        return [int(item) for item in text.split(",")]
-    except ValueError as exc:      # int() names the bad item
-        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _write_csv(text: str, out: str | None) -> None:
@@ -168,7 +161,7 @@ def cmd_sweep(args) -> int:
         if condition in test_samples:
             raise ValueError(f"--test-dumps gives condition {clip(condition)!r} more than once")
         test_samples[condition] = _load_dumps(directory, minimum=1)
-    thresholds = tuple(_int_list("--thresholds", args.thresholds))
+    thresholds = tuple(to_int(item, "--thresholds item") for item in args.thresholds.split(","))
     rows = analytics.threshold_sweep(enroll_samples, test_samples,
                                      thresholds=thresholds, block_size=args.block_size)
     _write_csv(analytics.sweep_to_csv(rows), args.out)
@@ -178,7 +171,7 @@ def cmd_sweep(args) -> int:
 def cmd_flip(args) -> int:
     raw = load_dump(args.dump)
     if args.positions:
-        positions = _int_list("--positions", args.positions)
+        positions = [to_int(item, "--positions item") for item in args.positions.split(",")]
     elif args.count is not None:
         if args.seed is None:
             raise ValueError("--count needs --seed for a reproducible choice")
@@ -203,7 +196,29 @@ def cmd_flip(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``--opt=--`` as the value ``--``, as Python 3.13 does; 3.10-3.12 give ``[]``."""
+    """Refuses by raising ValueError, which ``main`` prints as one line, and
+    echoes at most 40 characters of an unknown command or argument; reads
+    ``type=int`` by :func:`to_int` and ``--opt=--`` as the value ``--``, as
+    Python 3.13 does (3.10-3.12 give ``[]``)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized argument {clip(extras[0])!r}")
+        return namespace
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            self.error(f"unknown {action.dest} {clip(value)!r}; "
+                       f"expected one of {', '.join(action.choices)}")
+
+    def _get_value(self, action, arg_string):
+        if action.type is int:
+            return to_int(arg_string, "/".join(action.option_strings))
+        return super()._get_value(action, arg_string)
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and action.nargs is None and arg_strings == ["--"]:
@@ -292,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; only ``--help`` leaves by SystemExit, any refusal is one line."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except fuzzy.ReproduceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

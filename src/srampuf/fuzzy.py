@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
-                  read_text)
+from ._kv import (TextFormatError, atomic_write_text, clip, format_kv_block, parse_int,
+                  read_record, read_text)
 
 HELPER_FORMAT = "srampuf-helper-v2"
 CODE_NAME = "hsiao-128-120"
@@ -180,7 +180,7 @@ def helper_from_text(text: str) -> HelperData:
     fields = read_record(text, HELPER_KEYS, HELPER_FORMAT, what="helper data")
     if fields["code"] != CODE_NAME:
         raise TextFormatError(
-            f"helper data: key 'code' must be {CODE_NAME!r}, got {fields['code']!r}")
+            f"helper data: key 'code' must be {CODE_NAME!r}, got {clip(fields['code'])!r}")
     for key, value in _PARAMETERS.items():
         if parse_int(fields, key, what="helper data") != value:
             raise TextFormatError(f"helper data: key {key!r} must be {value} for {CODE_NAME}")

@@ -36,18 +36,24 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from operator import lt
 
-from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, format_kv_block,
+from ._kv import (VALUE_PATTERN, TextFormatError, atomic_write_text, clip, format_kv_block,
                   open_regular, parse_kv_block, read_text, require_keys)
 
 REGISTRY_FORMAT = "srampuf-registry-v2"
-# The one device-id rule: an id and its suffix make a bare file name
+# The one device-id rule: an id and its suffix make a bare file name, and the
+# longest, atomic_write_text's temp name ".tmp-XXXXXXXX<id>.helper", fits in 255 bytes
 _DEVICE_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_MAX_DEVICE_ID = 255 - len(".tmp-XXXXXXXX.helper")
 
 
 def check_device_id(device_id: str) -> None:
-    """Refuse an id that :data:`_DEVICE_ID_RE` does not match in full."""
+    """Refuse an id that :data:`_DEVICE_ID_RE` does not match in full, or
+    one longer than ``_MAX_DEVICE_ID`` (235) characters."""
     if not _DEVICE_ID_RE.fullmatch(device_id):
-        raise ValueError(f"device id {device_id!r} must match {_DEVICE_ID_RE.pattern}")
+        raise ValueError(f"device id {clip(device_id)!r} must match {_DEVICE_ID_RE.pattern}")
+    if len(device_id) > _MAX_DEVICE_ID:
+        raise ValueError(f"device id {clip(device_id)!r} is longer than {_MAX_DEVICE_ID} "
+                         "characters")
 
 
 def file_sha256(path) -> str:

@@ -87,7 +87,7 @@ class Calibration:
     def condition(self, kind: str) -> str:
         """``kind`` itself, once checked to be the kind of a sampling condition."""
         if kind not in _CONDITION_STREAM:
-            raise ValueError(f"unknown condition kind {kind!r}; "
+            raise ValueError(f"unknown condition kind {clip(kind)!r}; "
                              f"expected one of {', '.join(_CONDITION_STREAM)}")
         return kind
 
@@ -107,14 +107,13 @@ def parse_calibration(text: str) -> Calibration:
     """Read a calibration from ``key = value`` text; unknown keys are errors."""
     kwargs = {}
     for key, value in parse_kv_block(text, what="calibration", keys=_CALIBRATION_TYPES).items():
-        kind = _CALIBRATION_TYPES[key]
+        if _CALIBRATION_TYPES[key] is int:
+            kwargs[key] = to_int(value, f"calibration: {key}")
+            continue
         try:
-            kwargs[key] = to_int(value) if kind is int else kind(value)
-        except OverflowError as exc:
-            raise TextFormatError(f"calibration: {key} is {exc}: {clip(value)!r}") from None
+            kwargs[key] = float(value)
         except ValueError:
-            expected = "an integer" if kind is int else "a number"
-            raise TextFormatError(f"calibration: {key} must be {expected}") from None
+            raise TextFormatError(f"calibration: {key} must be a number") from None
     return Calibration(**kwargs)
 
 

@@ -332,6 +332,14 @@ ECHOES = {
                  "file: line 1: key 'a': value {} is not printable ASCII", "\x01"),
     "mask-integer": (mask_from_text, MASK_TEXT.replace("threshold = 4", "threshold = {}"),
                      "mask: key 'threshold' is not an integer: {}", "x"),
+    "record-format": (mask_from_text, MASK_TEXT.replace("srampuf-mask-v1", "{}"),
+                      "mask: unsupported format {}", "x"),
+    "helper-code": (helper_from_text, HELPER_TEXT.replace("hsiao-128-120", "{}"),
+                    "helper data: key 'code' must be 'hsiao-128-120', got {}", "x"),
+    "condition": (Calibration().condition, "{}",
+                  "unknown condition kind {}; expected one of NTNA, HTNA, NTWA", "x"),
+    "device-id": (registry_module.check_device_id, "{}",
+                  "device id {} must match ^[A-Za-z0-9._-]+$", "/"),
 }
 
 
@@ -339,8 +347,9 @@ ECHOES = {
 @pytest.mark.parametrize("read, text, message, char", ECHOES.values(), ids=list(ECHOES))
 def test_error_echoes_at_most_40_characters_of_input(read, text, message, char, size):
     """Input of up to 40 characters is echoed whole, as it always was; longer
-    input is cut after 40, then ``...``."""
-    with pytest.raises(TextFormatError) as caught:
+    input is cut after 40, then ``...``. The condition kind and the device id
+    are refused as plain ValueError, the files' faults as TextFormatError."""
+    with pytest.raises(ValueError) as caught:
         read(text.replace("{}", char * size))
     echo = char * min(size, 40) + ("..." if size > 40 else "")
     assert str(caught.value) == message.format(repr(echo))
@@ -350,32 +359,32 @@ def test_error_echoes_at_most_40_characters_of_input(read, text, message, char, 
                                          ("0" * 5000 + "1_2", 12), ("-" + "0" * 5000, 0)],
                          ids=["underscore", "spaces", "plus", "zero-padded", "negative-zero"])
 def test_to_int_reads_what_int_reads(text, value):
-    assert to_int(text) == value
+    assert to_int(text, "n") == value
 
 
 @pytest.mark.parametrize("text, reason", [
     ("1" * 5000, "too large"), ("+1" + "_1" * 4400, "too large"), ("-" + "9" * 4301, "too small"),
 ], ids=["digits", "underscores", "negative"])
 def test_to_int_past_the_digit_limit_is_out_of_range(text, reason):
-    with pytest.raises(OverflowError, match=f"^{reason}$"):
-        to_int(text)
+    with pytest.raises(TextFormatError, match=f"^n is {reason}: '"):
+        to_int(text, "n")
 
 
 @pytest.mark.parametrize("text", ["", "1__0", "_1", "1_", "0x10", "1.0", "1" * 5000 + "x"],
                          ids=["empty", "two-underscores", "leading-underscore",
                               "trailing-underscore", "hex", "float", "long-not-digits"])
 def test_to_int_refuses_what_int_refuses(text):
-    with pytest.raises(ValueError):
-        to_int(text)
+    with pytest.raises(TextFormatError, match="^n is not an integer: '"):
+        to_int(text, "n")
 
 
-def test_integer_too_long_for_int_does_not_fit_in_64_bits(files, capsys):
+def test_integer_too_long_for_int_is_too_large(files, capsys):
     path = files / "dev-a.mask"
     path.write_text(path.read_text().replace("threshold = 4\n", f"threshold = {'1' * 5000}\n"))
     assert main(["flip", "--dump", str(files / "reading.hex"), "--out", str(files / "x.hex"),
                  "--count", "2", "--seed", "1", "--mask", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().err == (f"error: mask: key 'threshold' does not fit in 64 bits: "
-                                       f"{'1' * 40}...\n")
+    assert capsys.readouterr().err == (f"error: mask: key 'threshold' is too large: "
+                                       f"'{'1' * 40}...'\n")
     assert not (files / "x.hex").exists()
 
 

@@ -2,7 +2,8 @@
 
 Hypothesis replaces, inserts and deletes bytes of the mask, helper and dump
 that ``reproduce`` reads, and rewrites the registry's file hashes to match,
-as whoever can write those files can. It writes calibrations for
+as whoever can write those files can; ``genkey`` reads the same files with
+any ``--seed`` text. It writes calibrations for
 ``simulate --config`` and ``--set``, and puts one mangled dump among valid
 ones for ``enroll``, ``stats`` and ``sweep``. Whatever the bytes, a command
 ends with its own exit codes, never a traceback or a warning, and a refusal
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from srampuf.cli import EXIT_INSUFFICIENT_BITS, EXIT_OK, EXIT_REPRODUCE_FAILURE, EXIT_USAGE, main
+from srampuf.registry import load_registry
 from srampuf.simulate import Calibration, calibration_to_text
 
 TARGETS = {"mask": "dev-a.mask", "helper": "dev-a.helper", "dump": "reading.hex"}
@@ -92,6 +94,37 @@ def test_reproduce_survives_mutated_files(enrolled, edits):
         assert (out.getvalue(), err.getvalue()) == ("key reproduced for dev-a\n", "")
     else:
         assert_one_error_line(out.getvalue(), err.getvalue())
+
+
+# --seed text: integers in and out of range, what int() reads beside digits,
+# text past its digit limit, and any short ASCII text
+SEEDS = st.one_of(
+    st.integers(-2**64, 2**130).map(str),
+    st.sampled_from(["", " 7 ", "+1", "1_0", "1__0", "0x10", "1.0", "--", "-", "1" * 5000,
+                     "-" + "9" * 5000, "0" * 5000 + "1", "x" * 10**5]),
+    st.text(alphabet=st.characters(codec="ascii"), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(edits=[], seed="1")
+@given(edits=mutations(), seed=SEEDS)
+def test_genkey_survives_mutated_files(enrolled, edits, seed):
+    """``genkey`` reads the mask, registry and dump that ``reproduce`` does,
+    mutated alike, with any ``--seed`` text; whatever it exits with, the
+    registry it leaves still parses."""
+    work, files = enrolled
+    for name, data in mutated(files, edits).items():
+        (work / name).write_bytes(data)
+    code, out, err = run(["genkey", "--dump", str(work / "reading.hex"), "--registry",
+                          str(work / "registry.txt"), "--device-id", "dev-a", f"--seed={seed}"])
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_OK:
+        assert (out, err) == (f"helper data written to {work / 'dev-a.helper'}\n", "")
+    else:
+        assert_one_error_line(out, err)
+    load_registry(work / "registry.txt")
 
 
 # An error line names at most a path and echoes at most 40 characters of the

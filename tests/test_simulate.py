@@ -313,7 +313,7 @@ class TestCalibrationFile:
     def test_bad_value(self):
         with pytest.raises(TextFormatError, match="must be a number"):
             parse_calibration("unstable_fraction = lots\n")
-        with pytest.raises(TextFormatError, match="cluster_radius must be an integer"):
+        with pytest.raises(TextFormatError, match="^calibration: cluster_radius is not an integer: '2.5'$"):
             parse_calibration("cluster_radius = 2.5\n")
 
     def test_text_lists_every_key_in_field_order(self):
