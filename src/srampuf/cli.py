@@ -10,9 +10,12 @@ requested threshold.
 from __future__ import annotations
 
 import argparse
+import ast
+import errno
 import functools
 import hashlib
 import os
+import re
 import sys
 
 import numpy as np
@@ -195,13 +198,24 @@ def cmd_flip(args) -> int:
     return EXIT_OK
 
 
+# The two argparse refusals that echo a whole argument, as argparse words them
+_AMBIGUOUS = re.compile(r"(ambiguous option: )(.*)( could match .*)", re.DOTALL)
+_IGNORED = re.compile(r"(argument \S+: ignored explicit argument )(.*)", re.DOTALL)
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses by raising ValueError, which ``main`` prints as one line, and
-    echoes at most 40 characters of an unknown command or argument; reads
+    echoes at most 40 characters of an unknown command or argument, an
+    ambiguous option or a value given to an option that takes none; reads
     ``type=int`` by :func:`to_int` and ``--opt=--`` as the value ``--``, as
     Python 3.13 does (3.10-3.12 give ``[]``)."""
 
     def error(self, message):
+        if match := _AMBIGUOUS.fullmatch(message):
+            message = f"{match[1]}{clip(match[2])}{match[3]}"
+        elif match := _IGNORED.fullmatch(message):
+            # argparse formats the value with %r
+            message = f"{match[1]}{clip(ast.literal_eval(match[2]))!r}"
         raise ValueError(message)
 
     def parse_args(self, args=None, namespace=None):
@@ -318,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_BITS
     except (ValueError, OSError, MemoryError) as exc:
+        if getattr(exc, "errno", None) == errno.ENAMETOOLONG and isinstance(exc.filename, str):
+            exc.filename = clip(exc.filename)   # no file has this name: echo it as input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,6 +135,11 @@ class HelperData:
     def __post_init__(self):
         require_size("code offset", self.code_offset, N // 8)
 
+    @cached_property
+    def offset_syndrome(self) -> int:
+        """Syndrome of ``code_offset``, computed once per helper; not a field."""
+        return syndrome(self.code_offset)
+
 
 def generate(response: bytes, seed: int | None = None, *, device_id: str = "",
              mask_sha256: str = "") -> HelperData:
@@ -156,17 +162,18 @@ def generate(response: bytes, seed: int | None = None, *, device_id: str = "",
 def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
     """Recover the enrolled response from a reading within distance 1 of it.
 
-    Flips the reading's bit whose column code is the syndrome of reading XOR offset;
-    every outcome, refusal or miscorrection, is ``offset ^ correct(reading ^ offset)``.
+    Flips the reading's bit whose column code is the syndrome of reading XOR offset,
+    the helper's cached offset syndrome XOR the reading's own; every outcome,
+    refusal or miscorrection, is ``offset ^ correct(reading ^ offset)``.
 
     Raises :class:`ReproduceFailure` when correction detects that more bits
     flipped than the code can repair; callers should re-sample rather than
     continue with a wrong key.
     """
     require_size("noisy response", noisy_response, N // 8)
-    s = 0
-    for table, a, b in zip(_BYTE_SYNDROMES, noisy_response, helper.code_offset):
-        s ^= table[a ^ b]
+    s = helper.offset_syndrome
+    for table, value in zip(_BYTE_SYNDROMES, noisy_response):
+        s ^= table[value]
     return _flip_column(noisy_response, s) if s else noisy_response
 
 

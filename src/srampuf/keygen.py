@@ -51,12 +51,12 @@ class KeyMaterial:
 
 def apply_mask(raw, mask: Mask) -> bytes:
     """Filter a raw dump down to the 16-byte masked response, in mask order."""
-    if mask.target_len != N:
-        raise ValueError(f"mask selects {mask.target_len} positions; a response needs {N}")
+    byte, bit = mask.packed_index
+    if len(byte) != N:
+        raise ValueError(f"mask selects {len(byte)} positions; a response needs {N}")
     if len(raw) < mask._bits_needed:
         raise ValueError(f"dump has {len(raw)} bits but the mask needs bits "
                          f"{mask.base_offset}..{mask._bits_needed - 1}")
-    byte, bit = mask.packed_index
     # packbits packs every nonzero value as a 1.
     return np.packbits(raw.packed[byte] & bit).tobytes()
 

@@ -200,8 +200,8 @@ def registry_from_text(text: str) -> Registry:
         raise TextFormatError("registry: empty file")
     header = parse_kv_block("\n".join(lines), what="registry header", first_line=first_line,
                             keys=("format",))
-    if header.get("format") != REGISTRY_FORMAT:
-        raise TextFormatError(f"registry: unsupported format {header.get('format')!r}")
+    if (fmt := header.get("format")) != REGISTRY_FORMAT:
+        raise TextFormatError(f"registry: unsupported format {fmt and clip(fmt)!r}")
     entries: dict[str, RegistryEntry] = {}
     first_lines: dict[str, int] = {}
     for first_line, lines in blocks:

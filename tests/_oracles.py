@@ -3,9 +3,11 @@
 These stay deliberately different from the library's algorithms: the weight
 oracle looks up the nearest unstable boundary per position by binary search
 instead of scanning for it, the syndrome oracle walks the bits instead of
-looking up bytes, the dump formatter writes one word at a time, and the
-helpers for packed 16-byte words and 0/1 strings work byte by byte or
-character by character in plain Python. The sweep CSV oracle formats each
+looking up bytes, the code-offset decoder corrects reading XOR offset and
+XORs the offset back instead of correcting in the syndrome domain, the dump
+formatter writes one word at a time, and the helpers for packed 16-byte
+words and 0/1 strings work byte by byte or character by character in plain
+Python. The sweep CSV oracle formats each
 row's percentages as it writes the row. Readings are stored packed; the
 oracles for stability marks, sweeps, masking and flips work on the unpacked
 ``.bits`` of each reading instead.
@@ -16,7 +18,7 @@ import io
 import numpy as np
 
 from srampuf.bitvec import BitVector
-from srampuf.fuzzy import COLUMN_CODES
+from srampuf.fuzzy import COLUMN_CODES, HelperData, ReproduceFailure, correct
 
 
 def oracle_weights(stable: np.ndarray) -> np.ndarray:
@@ -62,6 +64,19 @@ def flip_bits(word: bytes, positions) -> bytes:
 def xor(a: bytes, b: bytes) -> bytes:
     assert len(a) == len(b)
     return bytes(x ^ y for x, y in zip(a, b))
+
+
+def outcome(decode, noisy: bytes, helper: HelperData):
+    """What a decoder gives for a reading: the response, or its refusal's message."""
+    try:
+        return decode(noisy, helper)
+    except ReproduceFailure as exc:
+        return str(exc)
+
+
+def code_offset_definition(noisy: bytes, helper: HelperData) -> bytes:
+    """The code-offset decoder as defined: correct reading XOR offset, then XOR the offset back."""
+    return xor(helper.code_offset, correct(xor(noisy, helper.code_offset)))
 
 
 def weight(word: bytes) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -24,7 +25,8 @@ from srampuf.analytics import flip_rate_summary
 from srampuf.enroll import Mask
 from srampuf.keygen import KeyMaterial, derive_key
 
-from _oracles import flip_bits, oracle_syndrome, random_bytes, weight, xor
+from _oracles import (code_offset_definition, flip_bits, oracle_syndrome, outcome,
+                      random_bytes, weight, xor)
 
 
 def random_codeword(rng) -> bytes:
@@ -200,17 +202,39 @@ class TestReproduce:
         assert reproduce(y, generate(y, codeword_seed)) == y
 
 
-def outcome(decode, noisy: bytes, helper: HelperData):
-    """What a decoder gives for a reading: the response, or its refusal's message."""
-    try:
-        return decode(noisy, helper)
-    except ReproduceFailure as exc:
-        return str(exc)
+def test_offset_syndrome_is_the_offset_syndrome_computed_once(monkeypatch):
+    rng = np.random.default_rng(41)
+    helpers = [generate(random_bytes(rng, 128), seed) for seed in range(20)]
+    calls = []
+
+    def counting_syndrome(word):
+        calls.append(word)
+        return syndrome(word)
+
+    monkeypatch.setattr(fuzzy, "syndrome", counting_syndrome)
+    for helper in helpers:
+        for _ in range(3):
+            assert helper.offset_syndrome == syndrome(helper.code_offset) == oracle_syndrome(
+                helper.code_offset)
+            reproduce(helper.code_offset, helper)
+    assert len(calls) == 20
 
 
-def code_offset_definition(noisy: bytes, helper: HelperData) -> bytes:
-    """The code-offset decoder as defined: correct reading XOR offset, then XOR the offset back."""
-    return xor(helper.code_offset, correct(xor(noisy, helper.code_offset)))
+def test_offset_syndrome_is_no_field():
+    """The cached syndrome plays no part in equality, hashing, ``replace``
+    or the helper's text, and ``replace`` never carries it to a new offset."""
+    rng = np.random.default_rng(42)
+    a = generate(random_bytes(rng, 128), 1, device_id="dev-a", mask_sha256="ab" * 32)
+    b = helper_from_text(helper_to_text(a))
+    s = a.offset_syndrome
+    assert "offset_syndrome" in vars(a) and "offset_syndrome" not in vars(b)
+    assert a == b and hash(a) == hash(b) and helper_to_text(a) == helper_to_text(b)
+    assert "offset_syndrome" not in {f.name for f in dataclasses.fields(HelperData)}
+    same = dataclasses.replace(a, device_id="dev-b")
+    assert "offset_syndrome" not in vars(same) and same.offset_syndrome == s
+    other = random_bytes(rng, 128)
+    moved = dataclasses.replace(a, code_offset=other)
+    assert moved.offset_syndrome == syndrome(other) and moved != a
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])

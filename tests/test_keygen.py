@@ -6,11 +6,12 @@ import pytest
 from srampuf import enroll
 from srampuf.bitvec import BitVector
 from srampuf.enroll import Mask, build_mask, mask_fingerprint
-from srampuf.fuzzy import ReproduceFailure, generate
+from srampuf.fuzzy import ReproduceFailure, generate, helper_from_text, helper_to_text
 from srampuf.keygen import KeyMaterial, apply_mask, derive_key, generate_key, reproduce_key
 from srampuf.simulate import Calibration, collect_samples, new_device
 
-from _oracles import flip_bits, random_bits, random_bytes, weight, xor
+from _oracles import (code_offset_definition, flip_bits, outcome, random_bits, random_bytes,
+                      weight, xor)
 
 # SHA-256 of sixteen zero bytes (FIPS 180-4 reference value)
 ZERO_RESPONSE_DIGEST = "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
@@ -37,6 +38,16 @@ class TestApplyMask:
         rng = np.random.default_rng(1)
         raw = BitVector(np.ones(2432, dtype=np.uint8))
         assert weight(apply_mask(raw, random_mask(rng))) == 128
+
+    def test_mask_of_127_positions_refused(self):
+        mask = identity_mask(127)
+        raw = random_bits(np.random.default_rng(3), 300)
+        helper = generate(bytes(16), 1, mask_sha256=mask.fingerprint)
+        message = "^mask selects 127 positions; a response needs 128$"
+        with pytest.raises(ValueError, match=message):
+            apply_mask(raw, mask)
+        with pytest.raises(ValueError, match=message):
+            reproduce_key(raw, mask, helper)
 
     def test_too_short_names_range(self):
         rng = np.random.default_rng(2)
@@ -134,6 +145,30 @@ class TestPipeline:
             except ReproduceFailure:
                 pass
         assert reproduced_original == 0
+
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_reproduce_key_matches_its_definition(self, seed):
+        """The clean reading, every masked single flip and 300 each of masked
+        double and triple flips give the key of the code-offset definition's
+        response, or its refusal with the same message; so does the helper
+        read back from its text, whose offset syndrome is computed afresh."""
+        rng = np.random.default_rng(seed)
+        mask, raw = random_mask(rng), random_bits(rng, 2432)
+        helper, key = generate_key(raw, mask, seed)
+        where = mask.positions.tolist()
+        flips = [[], *([p] for p in where),
+                 *(rng.choice(where, k, replace=False).tolist() for k in (2, 3) for _ in range(300))]
+        for current in (helper, helper_from_text(helper_to_text(helper))):
+            refused = 0
+            for positions in flips:
+                noisy = raw.with_flips(positions)
+                got = outcome(lambda r, h: reproduce_key(r, mask, h).digest, noisy, current)
+                assert got == outcome(lambda r, h: derive_key(code_offset_definition(
+                    apply_mask(r, mask), h)).digest, noisy, current), positions
+                refused += isinstance(got, str)
+                if len(positions) < 2:
+                    assert got == key.digest
+            assert refused == 300   # every double flip, and no triple flip
 
     def test_mask_text_formatted_once_per_mask(self, monkeypatch):
         formatted = []

@@ -334,6 +334,8 @@ ECHOES = {
                      "mask: key 'threshold' is not an integer: {}", "x"),
     "record-format": (mask_from_text, MASK_TEXT.replace("srampuf-mask-v1", "{}"),
                       "mask: unsupported format {}", "x"),
+    "registry-format": (registry_from_text, "format = {}\n", "registry: unsupported format {}",
+                        "x"),
     "helper-code": (helper_from_text, HELPER_TEXT.replace("hsiao-128-120", "{}"),
                     "helper data: key 'code' must be 'hsiao-128-120', got {}", "x"),
     "condition": (Calibration().condition, "{}",

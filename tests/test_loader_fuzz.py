@@ -5,9 +5,10 @@ that ``reproduce`` reads, and rewrites the registry's file hashes to match,
 as whoever can write those files can; ``genkey`` reads the same files with
 any ``--seed`` text. It writes calibrations for
 ``simulate --config`` and ``--set``, and puts one mangled dump among valid
-ones for ``enroll``, ``stats`` and ``sweep``. Whatever the bytes, a command
-ends with its own exit codes, never a traceback or a warning, and a refusal
-is exactly one ``error:`` line.
+ones for ``enroll``, ``stats`` and ``sweep``. It also writes whole argument
+lists for ``reproduce`` and ``genkey``. Whatever the bytes or arguments, a
+command ends with its own exit codes, never a traceback or a warning, and a
+refusal is exactly one ``error:`` line.
 """
 
 import hashlib
@@ -287,5 +288,86 @@ def test_dump_commands_survive_one_mangled_dump(dump_dirs, command, victim, muta
                     else (EXIT_OK, EXIT_USAGE))
     if code == EXIT_OK:
         assert (code, out, err, mask) == expected[command]
+    else:
+        assert_one_error_line(out, err)
+
+
+# Pieces of a key command's argument list: its options whole, abbreviated
+# (ambiguous or not), unknown, and the bare option markers
+OPTIONS = ["--dump", "--registry", "--device-id", "--seed", "--debug", "--d", "--de", "--du",
+           "--dev", "--deb", "--r", "--s", "--x", "-x", "-", "--"]
+# Paths by name, written <name> in an argument: the enrolled dump, copies of
+# it with one and two flips inside dev-a's mask, the registry, a missing file
+# and a directory
+PATHS = {"clean": "dumps/sample-00000.hex", "one": "one-flip.hex", "two": "two-flips.hex",
+         "registry": "registry.txt", "missing": "missing.txt", "dir": "dumps"}
+# Values no file gives: what the int reader turns on, ids the device-id rule
+# refuses, and text past every length limit
+VALUES_TEXT = ["", "1", "-1", "x", "=", "dev-a", "dev-b", "../evil", "1" * 5000, "x" * 10**5]
+ARGUMENT_VALUES = st.sampled_from([f"<{name}>" for name in PATHS] + VALUES_TEXT)
+
+
+@pytest.fixture(scope="module")
+def key_work(enrolled):
+    """``enrolled``'s directory, with the one- and two-flip dumps written."""
+    work, files = enrolled
+    restore(work, files)
+    for count, name in ((1, "one"), (2, "two")):
+        assert run(["flip", "--dump", str(work / PATHS["clean"]), "--out", str(work / PATHS[name]),
+                    "--count", str(count), "--seed", "1", "--mask", str(work / "dev-a.mask")]
+                   )[0] == EXIT_OK
+    return work, files
+
+
+def restore(work, files) -> None:
+    for name, data in files.items():
+        (work / name).write_bytes(data)
+
+
+@st.composite
+def key_argument_lists(draw):
+    """A key command with its three required options, each given as two
+    arguments, joined by ``=`` or left out, in any order, and up to four
+    pieces put in among them: an option with a value as the next argument
+    or after ``=``, an option alone or a value alone."""
+    pieces = []
+    for option, value in draw(st.permutations([("--dump", draw(st.sampled_from(["<clean>", "<one>",
+                                                                                "<two>"]))),
+                                               ("--registry", "<registry>"),
+                                               ("--device-id", "dev-a")])):
+        form = draw(st.sampled_from(["apart", "joined", "left out"]))
+        pieces += {"apart": [[option, value]], "joined": [[f"{option}={value}"]],
+                   "left out": []}[form]
+    pairs = st.tuples(st.sampled_from(OPTIONS), ARGUMENT_VALUES)
+    for _ in range(draw(st.integers(0, 4))):
+        piece = draw(st.one_of(pairs.map(list), pairs.map(lambda p: ["=".join(p)]),
+                               st.sampled_from(OPTIONS).map(lambda o: [o]),
+                               ARGUMENT_VALUES.map(lambda v: [v])))
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    return [draw(st.sampled_from(["reproduce", "genkey"]))] + sum(pieces, [])
+
+
+VALID = ["--registry", "<registry>", "--device-id", "dev-a"]
+
+
+@settings(max_examples=300, deadline=None)
+@example(argv=["reproduce", "--dump", "<one>", *VALID, "--debug"])
+@example(argv=["reproduce", "--dump", "<two>", *VALID])
+@example(argv=["genkey", "--dump", "<clean>", *VALID, "--seed=1", "--debug"])
+@example(argv=["genkey", "--dump", "<clean>", *VALID, "--d=" + "x" * 10**5])
+@example(argv=["reproduce", "--dump", "<clean>", *VALID, "--debug=" + "x" * 10**5])
+@given(argv=key_argument_lists())
+def test_key_commands_survive_whole_argument_lists(key_work, argv):
+    """Whatever the arguments, ``reproduce`` exits 0, 2 or 3 and ``genkey``
+    0 or 2, never by a traceback, and a refusal is one ``error:`` line."""
+    work, files = key_work
+    restore(work, files)
+    code, out, err = run([re.sub(r"<(\w+)>", lambda m: str(work / PATHS[m[1]]), arg)
+                          for arg in argv])
+    event(f"{argv[0]} exit {code}")
+    assert code in ((EXIT_OK, EXIT_USAGE, EXIT_REPRODUCE_FAILURE) if argv[0] == "reproduce"
+                    else (EXIT_OK, EXIT_USAGE))
+    if code == EXIT_OK:
+        assert err == "" and out
     else:
         assert_one_error_line(out, err)

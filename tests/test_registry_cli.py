@@ -1414,6 +1414,15 @@ USAGE_REFUSALS = {
                        "the following arguments are required: --device-seed"),
     "option-unknown": (["stats", "--dumps", "{dumps}", "--" + "x" * 10**5, "y"],
                        f"unrecognized argument '--{'x' * 38}...'"),
+    "option-ambiguous": (["genkey", "--d=" + "x" * 10**5],
+                         f"ambiguous option: --d={'x' * 36}... could match --dump, --device-id, "
+                         f"--debug"),
+    "option-takes-no-value": (["reproduce", "--debug=" + "x" * 10**5],
+                              f"argument --debug: ignored explicit argument '{'x' * 40}...'"),
+    # a name too long for any file is echoed as other input is
+    "registry-name-too-long": (["reproduce", "--dump", "{dumps}/sample-00000.hex", "--registry",
+                                "1" * 5000, "--device-id", "dev-a"],
+                               f"[Errno 36] File name too long: '{'1' * 40}...'"),
     "command-unknown": (["x" * 10**5],
                         f"unknown command '{'x' * 40}...'; expected one of simulate, enroll, "
                         f"genkey, reproduce, stats, sweep, flip"),
