@@ -27,12 +27,12 @@ Only ``srampuf-helper-v2`` files are read; v1 files, written with a
 distance-3 Hamming code, are refused as an unsupported format.
 
 ``COLUMN_CODES`` is the one definition of the code; ``correct`` refuses any
-syndrome that is not a column code. Two read-only tables are derived from it
-at import: per byte position, the XOR of the column codes for each of the 256
-byte values, so a syndrome is 16 lookups; and the bit index of each column
-code, so a correction is one lookup. ``reproduce`` reads the syndrome of
-reading XOR offset from 16 byte-pair lookups and flips the reading's own bit;
-for a linear code the contract and outcomes are those of correcting the codeword.
+syndrome that is not a column code. Two read-only tables are derived from it at
+import: per byte position, the syndrome of each of the 256 byte values, so a
+syndrome is one written-out XOR of 16 per-byte lookups; and the bit index of
+each column code, so a correction is one lookup. ``reproduce`` XORs the reading's
+syndrome into the helper's cached offset syndrome and flips the reading's own
+bit; for a linear code the contract and outcomes are those of correcting the codeword.
 """
 
 from __future__ import annotations
@@ -86,13 +86,19 @@ def require_size(what: str, value: bytes, size: int) -> None:
         raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
 
 
+def _lookups(word: bytes) -> int:
+    """Syndrome of a 16-byte word: one written-out XOR of its 16 per-byte lookups."""
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = word
+    t = _BYTE_SYNDROMES
+    return (t[0][b0] ^ t[1][b1] ^ t[2][b2] ^ t[3][b3] ^ t[4][b4] ^ t[5][b5]
+            ^ t[6][b6] ^ t[7][b7] ^ t[8][b8] ^ t[9][b9] ^ t[10][b10]
+            ^ t[11][b11] ^ t[12][b12] ^ t[13][b13] ^ t[14][b14] ^ t[15][b15])
+
+
 def syndrome(word: bytes) -> int:
     """XOR of the column codes of the word's set bits; 0 for a codeword."""
     require_size("word", word, N // 8)
-    s = 0
-    for table, value in zip(_BYTE_SYNDROMES, word):
-        s ^= table[value]
-    return s
+    return _lookups(word)
 
 
 def encode(message: bytes) -> bytes:
@@ -171,9 +177,7 @@ def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
     continue with a wrong key.
     """
     require_size("noisy response", noisy_response, N // 8)
-    s = helper.offset_syndrome
-    for table, value in zip(_BYTE_SYNDROMES, noisy_response):
-        s ^= table[value]
+    s = helper.offset_syndrome ^ _lookups(noisy_response)
     return _flip_column(noisy_response, s) if s else noisy_response
 
 

@@ -10,8 +10,9 @@ helper data never enters the hash.
 
 ``apply_mask`` gathers the masked bits from the dump's packed bytes and packs
 the response big-endian (bit 0 into the MSB of byte 0); those 16 bytes are
-the hash input. That choice is arbitrary but pinned by test vectors so
-independent implementations interoperate.
+the hash input. That choice is arbitrary. ``tests/test_pinned.py`` pins it, but
+its inputs need the Python simulator; simulator-free vectors that an independent
+implementation can check are ROADMAP item 20, still to come.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 These stay deliberately different from the library's algorithms: the weight
 oracle looks up the nearest unstable boundary per position by binary search
 instead of scanning for it, the syndrome oracle walks the bits instead of
-looking up bytes, the code-offset decoder corrects reading XOR offset and
-XORs the offset back instead of correcting in the syndrome domain, the dump
+looking up bytes, the code-offset decoders correct reading XOR offset and
+XOR the offset back instead of correcting in the syndrome domain (one of them
+from the bitwise syndrome and a scan of the column codes alone), the dump
 formatter writes one word at a time, and the helpers for packed 16-byte
 words and 0/1 strings work byte by byte or character by character in plain
 Python. The sweep CSV oracle formats each
@@ -91,6 +92,21 @@ def oracle_syndrome(word: bytes) -> int:
         if word[i // 8] & (0x80 >> (i % 8)):
             s ^= int(COLUMN_CODES[i])
     return s
+
+
+def oracle_code_offset_decode(noisy: bytes, helper: HelperData) -> bytes:
+    """The code-offset decoder from ``oracle_syndrome`` and ``COLUMN_CODES`` alone:
+    flip the bit of reading XOR offset whose column code is its syndrome, or
+    refuse with the library's message when no column code is, then XOR the
+    offset back."""
+    word = xor(noisy, helper.code_offset)
+    s = oracle_syndrome(word)
+    if s:
+        bits = [i for i, code in enumerate(COLUMN_CODES.tolist()) if code == s]
+        if not bits:
+            raise ReproduceFailure(f"correction failed (syndrome {s}); re-sample the device")
+        word = flip_bits(word, bits)
+    return xor(word, helper.code_offset)
 
 
 def oracle_hex_dump(vector: BitVector) -> str:

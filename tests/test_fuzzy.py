@@ -25,8 +25,8 @@ from srampuf.analytics import flip_rate_summary
 from srampuf.enroll import Mask
 from srampuf.keygen import KeyMaterial, derive_key
 
-from _oracles import (code_offset_definition, flip_bits, oracle_syndrome, outcome,
-                      random_bytes, weight, xor)
+from _oracles import (code_offset_definition, flip_bits, oracle_code_offset_decode,
+                      oracle_syndrome, outcome, random_bytes, weight, xor)
 
 
 def random_codeword(rng) -> bytes:
@@ -196,10 +196,18 @@ class TestReproduce:
         assert successes == 0, f"{successes} of {len(pairs)} double flips reproduced"
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(0, 2**32))
-    def test_round_trip_property(self, bits_seed, codeword_seed):
+    @given(st.integers(0, 2**32), st.integers(0, 2**32),
+           st.sets(st.integers(0, 127), max_size=3))
+    def test_round_trip_property(self, bits_seed, codeword_seed, flips):
+        """Round trip, and a reading 0-3 flips away decodes as the decoder
+        that shares no code with the library's syndrome decodes it."""
         y = random_bytes(np.random.default_rng(bits_seed), 128)
-        assert reproduce(y, generate(y, codeword_seed)) == y
+        helper = generate(y, codeword_seed)
+        assert reproduce(y, helper) == y
+        noisy = flip_bits(y, flips)
+        assert outcome(reproduce, noisy, helper) == outcome(oracle_code_offset_decode, noisy, helper)
+        if len(flips) <= 1:
+            assert reproduce(noisy, helper) == y
 
 
 def test_offset_syndrome_is_the_offset_syndrome_computed_once(monkeypatch):
