@@ -1,12 +1,15 @@
-"""The SEC-DED code-offset fuzzy extractor.
-===========================================
+"""The SEC-DED syndrome fuzzy extractor.
+=====================================
 
 A masked response is stable to within one bit, but "within one bit" is not
-good enough for a hash input. The fix: XOR the response against a random
-codeword of a single-error-correcting, double-error-detecting code and
-publish only that offset. Anyone holding the offset and a fresh response can
-cancel a one-bit error, and a two-bit error is always refused; the offset
-alone reveals at most the code's 8 redundancy bits.
+good enough for a hash input. The classic fix is the code offset: XOR the
+response against a random codeword of a single-error-correcting,
+double-error-detecting code and publish that offset. For a linear code all
+the decoder ever uses of the offset is its syndrome, which is the response's
+own syndrome, so srampuf publishes just that 8-bit syndrome (the syndrome
+construction). Anyone holding it and a fresh response can cancel a one-bit
+error, a two-bit error is always refused, and the helper reveals exactly the
+code's 8 redundancy bits. Nothing is drawn at random.
 """
 
 import itertools
@@ -14,7 +17,7 @@ import itertools
 import numpy as np
 
 from srampuf import ReproduceFailure, generate, reproduce
-from srampuf.fuzzy import COLUMN_CODES, K, N, R, correct, encode, syndrome
+from srampuf.fuzzy import COLUMN_CODES, K, N, R, correct, syndrome
 
 
 def random_word(rng, bits: int) -> bytes:
@@ -32,39 +35,44 @@ def with_flips(word: bytes, positions) -> bytes:
 rng = np.random.default_rng(2026)
 print(f"code: n={N}, k={K}, r={R} (Hsiao SEC-DED: every column code has odd weight)")
 
-# Encoding appends a parity byte (parity bit b at index 120 + b); any codeword
-# has syndrome 0.
-codeword = encode(random_word(rng, K))
-weight = int.from_bytes(codeword, "big").bit_count()
-print(f"codeword weight {weight}, syndrome {syndrome(codeword)}")
+# The syndrome is the XOR of the column codes of a word's set bits, so it is
+# linear: the syndrome of a word XOR another is the XOR of their syndromes.
+# A reading's syndrome XOR the enrolled response's is the syndrome of the
+# error pattern between them. The zero word is a codeword, and error
+# patterns are shown against it below.
+zero = bytes(N // 8)
+a, b = random_word(rng, N), random_word(rng, N)
+print(f"syndrome(a ^ b) == syndrome(a) ^ syndrome(b)? "
+      f"{syndrome(bytes(x ^ y for x, y in zip(a, b))) == syndrome(a) ^ syndrome(b)}")
 
 # One flipped bit produces that bit's own column code as the syndrome.
-flipped = with_flips(codeword, [57])
+flipped = with_flips(zero, [57])
 print(f"flip bit 57 -> syndrome {syndrome(flipped)} "
       f"(column code of position 57 is {COLUMN_CODES[57]})")
-print(f"corrected back? {correct(flipped) == codeword}")
+print(f"corrected back? {correct(flipped) == zero}")
 
 # Two flips XOR two odd-weight columns into an even-weight syndrome, which is
 # no column code, so every one of the 8,128 double flips is detected.
 detected = 0
 for j, k in itertools.combinations(range(N), 2):
     try:
-        correct(with_flips(codeword, [j, k]))
+        correct(with_flips(zero, [j, k]))
     except ReproduceFailure:
         detected += 1
 print(f"double flips detected as uncorrectable: {detected}/{N * (N - 1) // 2}")
 
 # Three flips can land on a column code: bits 0, 1 and 2 carry codes 7, 11 and
 # 13, whose XOR is 1, the code of parity bit 120. Distance 4 cannot catch that.
-triple = with_flips(codeword, [0, 1, 2])
+triple = with_flips(zero, [0, 1, 2])
 print(f"flip bits 0+1+2 -> syndrome {syndrome(triple)}, silently miscorrected to "
-      f"a different codeword: {correct(triple) != codeword}")
+      f"a different codeword: {correct(triple) != zero}")
 
-# The extractor. Enrollment: commit a random codeword against the response.
+# The extractor. Enrollment publishes the response's syndrome, and draws
+# nothing: the same response always gives the same helper.
 response = random_word(rng, N)
-helper = generate(response, seed=int(rng.integers(2**63)))
-print(f"\nhelper data (public, {len(helper.code_offset) * 8} bits): "
-      f"{helper.code_offset.hex().upper()}")
+helper = generate(response)
+print(f"\nhelper data (public, {R} bits): syndrome = {helper.syndrome}; "
+      f"again the same? {generate(response) == helper}")
 
 # Reproduction: a fresh reading differing in at most one bit recovers the
 # enrolled response exactly, for every possible flip position.

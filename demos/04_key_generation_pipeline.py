@@ -1,8 +1,8 @@
 """End to end: from power-up noise to a stable 256-bit key.
 ===========================================================
 
-The whole pipeline in one sitting: enroll a simulated device, commit helper
-data, then reproduce the key from fresh noisy readings under normal, heated,
+The whole pipeline in one sitting: enroll a simulated device, publish its
+helper data (the response's 8-bit syndrome), then reproduce the key from fresh noisy readings under normal, heated,
 and aged conditions. The same flow is available from the command line via
 `srampuf simulate / enroll / genkey / reproduce`.
 """
@@ -31,10 +31,11 @@ mask = build_mask(enrollment, threshold=4, device_id=device.device_id)
 print(f"mask: {mask.target_len} positions over {mask.num_windows} window(s)")
 
 # Helper-data generation: one dump in, public helper data and the keys out.
-helper, key = generate_key(enrollment[0], mask, seed=90210)
+# Nothing is drawn, so the same dump always gives the same helper.
+helper, key = generate_key(enrollment[0], mask)
 print(f"key1 = {key.key1.hex().upper()}")
 print(f"key2 = {key.key2.hex().upper()}")
-print(f"helper offset = {helper.code_offset.hex().upper()}")
+print(f"helper syndrome = {helper.syndrome}")
 
 # Reproduction (device side): fresh power-ups, mask, helper, hash. Count how
 # often the derived key matches the enrolled one. Responses are 16 bytes, so

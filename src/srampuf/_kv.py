@@ -146,13 +146,18 @@ def require_keys(fields: dict[str, str], keys, *, what: str) -> None:
         raise TextFormatError(f"{what}: missing keys: {', '.join(missing)}")
 
 
-def read_record(text: str, keys: tuple[str, ...], fmt: str, *, what: str) -> dict[str, str]:
+def read_record(text: str, keys: tuple[str, ...], fmt: str, *, what: str,
+                remedy: str = "") -> dict[str, str]:
     """Parse one ``key = value`` record that holds every key of ``keys`` and
-    whose ``format`` is ``fmt``."""
+    whose ``format`` is ``fmt``. A ``format`` line of another value is refused
+    first, with ``remedy`` after its name, so an old record is refused by its
+    format, not by a key that format held."""
+    for line in text.split("\n"):
+        key, sep, value = line.partition("=")
+        if sep and key.strip() == "format" and value.strip() != fmt:
+            raise TextFormatError(f"{what}: unsupported format {clip(value.strip())!r}{remedy}")
     fields = parse_kv_block(text, what=what, keys=keys)
     require_keys(fields, keys, what=what)
-    if fields["format"] != fmt:
-        raise TextFormatError(f"{what}: unsupported format {clip(fields['format'])!r}")
     return fields
 
 

@@ -112,7 +112,7 @@ def cmd_genkey(args) -> int:
     def helper_text(mask_text: str) -> tuple[str, str]:
         nonlocal key
         mask = enroll.mask_from_text(mask_text)
-        helper, key = keygen.generate_key(load_dump(args.dump), mask, args.seed)
+        helper, key = keygen.generate_key(load_dump(args.dump), mask)
         return (fuzzy.helper_to_text(helper),
                 hashlib.sha256(key.digest).hexdigest() if args.debug else "")
 
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="srampuf",
         description="SRAM power-up PUF toolkit: simulate devices, enroll stable-bit "
-                    "masks, and generate/reproduce keys via a SEC-DED code-offset "
+                    "masks, and generate/reproduce keys via a SEC-DED syndrome "
                     "fuzzy extractor.",
         epilog="exit codes: 0 ok, 2 usage/input error, 3 reproduce failure, "
                "4 debug key-hash mismatch, 5 insufficient stable bits",
@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genkey", parents=[dump, device],
                        help="generate helper data (and keys) from a dump")
-    p.add_argument("--seed", type=int, help="reproducible codeword seed, for tests only; "
-                                            "the OS CSPRNG draws the codeword when omitted")
+    p.add_argument("--seed", type=int, help="ignored: no value is drawn; "
+                                            "kept until perfbench stops passing it")
     p.add_argument("--debug", action="store_true",
                    help="print the keys and store a key hash for verification")
     p.set_defaults(func=cmd_genkey)

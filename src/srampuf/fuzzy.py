@@ -1,14 +1,15 @@
-"""Code-offset fuzzy extractor over a 128-bit SEC-DED code with 120 message bits.
+"""Syndrome fuzzy extractor over a 128-bit SEC-DED code with 120 message bits.
 
-``generate`` commits a random codeword against an enrolled 128-bit response
-and publishes only their XOR (the helper data). ``reproduce`` recovers the
+``generate`` publishes the 8-bit syndrome of an enrolled 128-bit response
+(the helper data) and draws no random value. ``reproduce`` recovers the
 enrolled response from any later reading that differs in at most one bit,
-and refuses every reading that differs in exactly two. The helper reveals at
-most the code redundancy (8 bits) about the response.
+and refuses every reading that differs in exactly two. This is the syndrome
+construction (Dodis, Ostrovsky, Reyzin, Smith, SIAM J. Comput. 38(1), 2008):
+the helper reveals exactly the response's syndrome, the code redundancy
+(8 bits), which is what a code offset on a uniform random codeword reveals.
 
-Responses, codewords and offsets are 16 bytes; bit ``i`` sits in byte
-``i // 8`` at mask ``0x80 >> (i % 8)`` (bit 0 in the most-significant bit of
-byte 0).
+Responses and words are 16 bytes; bit ``i`` sits in byte ``i // 8`` at mask
+``0x80 >> (i % 8)`` (bit 0 in the most-significant bit of byte 0).
 
 Code layout
 -----------
@@ -23,30 +24,30 @@ nonzero syndrome that is no column code, and is refused. Minimum distance is
 4, and every odd-weight byte is a column code, so every triple flip (all
 341,376 of them) is corrected to a wrong codeword; only a key check catches it.
 
-Only ``srampuf-helper-v2`` files are read; v1 files, written with a
-distance-3 Hamming code, are refused as an unsupported format.
+Only ``srampuf-helper-v3`` files are read. v2 files held a 16-byte code
+offset, the response XOR a random codeword, whose syndrome is the v3 helper's
+syndrome; v1 files were written with a distance-3 Hamming code. Both are
+refused as an unsupported format.
 
 ``COLUMN_CODES`` is the one definition of the code; ``correct`` refuses any
 syndrome that is not a column code. Two read-only tables are derived from it at
 import: per byte position, the syndrome of each of the 256 byte values, so a
 syndrome is one written-out XOR of 16 per-byte lookups; and the bit index of
-each column code, so a correction is one lookup. ``reproduce`` XORs the reading's
-syndrome into the helper's cached offset syndrome and flips the reading's own
-bit; for a linear code the contract and outcomes are those of correcting the codeword.
+each column code, so a correction is one lookup. The syndrome is linear, so
+``reproduce`` XORs the reading's syndrome into the helper's to get that of the
+error pattern, and flips the reading's bit with that column code. For every
+codeword ``c`` the outcome, refusal or miscorrection, is the code-offset
+construction's ``o ^ correct(reading ^ o)`` with ``o = response ^ c``.
 """
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from ._kv import (TextFormatError, atomic_write_text, clip, format_kv_block, parse_int,
                   read_record, read_text)
 
-HELPER_FORMAT = "srampuf-helper-v2"
+HELPER_FORMAT = "srampuf-helper-v3"
 CODE_NAME = "hsiao-128-120"
 N, K, R = 128, 120, 8   # codeword, message and parity bits
 
@@ -56,15 +57,14 @@ class ReproduceFailure(Exception):
 
 
 # column codes: the message columns, then parity columns 2**b
-COLUMN_CODES = np.array([v for v in range(256) if bin(v).count("1") % 2 and v & (v - 1)]
-                        + [1 << b for b in range(R)], dtype=np.int64)
-COLUMN_CODES.flags.writeable = False
+COLUMN_CODES = (*(v for v in range(256) if bin(v).count("1") % 2 and v & (v - 1)),
+                *(1 << b for b in range(R)))
 # The code parameters every helper states; the helper keys in helper_to_text's order
 _PARAMETERS = {"n": N, "k": K, "r": R}
-HELPER_KEYS = ("format", "device_id", "code", *_PARAMETERS, "mask_sha256", "code_offset")
+HELPER_KEYS = ("format", "device_id", "code", *_PARAMETERS, "mask_sha256", "syndrome")
 
 
-def _byte_syndromes(codes: list[int]) -> tuple[tuple[int, ...], ...]:
+def _byte_syndromes(codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Per byte position, the syndrome of each byte value at that position."""
     tables = []
     for j in range(N // 8):
@@ -77,8 +77,8 @@ def _byte_syndromes(codes: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-_BYTE_SYNDROMES = _byte_syndromes(COLUMN_CODES.tolist())
-_BIT_OF_CODE = {code: i for i, code in enumerate(COLUMN_CODES.tolist())}
+_BYTE_SYNDROMES = _byte_syndromes(COLUMN_CODES)
+_BIT_OF_CODE = {code: i for i, code in enumerate(COLUMN_CODES)}
 
 
 def require_size(what: str, value: bytes, size: int) -> None:
@@ -99,13 +99,6 @@ def syndrome(word: bytes) -> int:
     """XOR of the column codes of the word's set bits; 0 for a codeword."""
     require_size("word", word, N // 8)
     return _lookups(word)
-
-
-def encode(message: bytes) -> bytes:
-    """Append the parity byte that zeroes the syndrome to a 15-byte message."""
-    require_size("message", message, K // 8)
-    acc = syndrome(message + b"\0")
-    return message + bytes([sum(((acc >> b) & 1) << (7 - b) for b in range(R))])
 
 
 def _flip_column(word: bytes, s: int) -> bytes:
@@ -130,80 +123,59 @@ def correct(word: bytes) -> bytes:
 class HelperData:
     """Public error-correction data for one enrolled response.
 
-    ``code_offset`` is response XOR random-codeword, 16 bytes;
-    publishing it leaks at most ``R`` bits about the response.
+    ``syndrome`` is the response's ``R``-bit syndrome (0..255); publishing it
+    reveals those ``R`` bits about the response and nothing more.
     """
 
-    code_offset: bytes
+    syndrome: int
     device_id: str = ""
     mask_sha256: str = ""
 
-    def __post_init__(self):
-        require_size("code offset", self.code_offset, N // 8)
 
-    @cached_property
-    def offset_syndrome(self) -> int:
-        """Syndrome of ``code_offset``, computed once per helper; not a field."""
-        return syndrome(self.code_offset)
-
-
-def generate(response: bytes, seed: int | None = None, *, device_id: str = "",
-             mask_sha256: str = "") -> HelperData:
-    """Commit a fresh random codeword against an enrolled 16-byte response.
-
-    The codeword is independent of the response. Its 120 message bits come
-    from the OS CSPRNG unless ``seed`` asks for reproducible PCG64 bits, which
-    are for tests and benchmarks only: they carry no secrecy.
-    """
+def generate(response: bytes, *, device_id: str = "", mask_sha256: str = "") -> HelperData:
+    """Helper data for an enrolled 16-byte response: its syndrome; nothing is drawn."""
     require_size("response", response, N // 8)
-    if seed is None:
-        message = secrets.token_bytes(K // 8)
-    else:
-        rng = np.random.default_rng(seed)
-        message = np.packbits(rng.integers(0, 2, size=K, dtype=np.uint8)).tobytes()
-    return HelperData(code_offset=bytes(a ^ b for a, b in zip(response, encode(message))),
-                      device_id=device_id, mask_sha256=mask_sha256)
+    return HelperData(syndrome=_lookups(response), device_id=device_id,
+                      mask_sha256=mask_sha256)
 
 
 def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
     """Recover the enrolled response from a reading within distance 1 of it.
 
-    Flips the reading's bit whose column code is the syndrome of reading XOR offset,
-    the helper's cached offset syndrome XOR the reading's own; every outcome,
-    refusal or miscorrection, is ``offset ^ correct(reading ^ offset)``.
+    Flips the reading's bit whose column code is the syndrome of reading XOR
+    response, the helper's syndrome XOR the reading's own; for any codeword
+    ``c`` every outcome, refusal or miscorrection, is ``o ^ correct(reading ^ o)``
+    with ``o = response ^ c``.
 
     Raises :class:`ReproduceFailure` when correction detects that more bits
     flipped than the code can repair; callers should re-sample rather than
     continue with a wrong key.
     """
     require_size("noisy response", noisy_response, N // 8)
-    s = helper.offset_syndrome ^ _lookups(noisy_response)
+    s = helper.syndrome ^ _lookups(noisy_response)
     return _flip_column(noisy_response, s) if s else noisy_response
 
 
 def helper_to_text(helper: HelperData) -> str:
     values = [HELPER_FORMAT, helper.device_id, CODE_NAME,
-              *map(str, _PARAMETERS.values()), helper.mask_sha256, helper.code_offset.hex().upper()]
+              *map(str, _PARAMETERS.values()), helper.mask_sha256, str(helper.syndrome)]
     return format_kv_block(zip(HELPER_KEYS, values, strict=True))
 
 
 def helper_from_text(text: str) -> HelperData:
-    fields = read_record(text, HELPER_KEYS, HELPER_FORMAT, what="helper data")
+    fields = read_record(text, HELPER_KEYS, HELPER_FORMAT, what="helper data",
+                         remedy="; run genkey again")
     if fields["code"] != CODE_NAME:
         raise TextFormatError(
             f"helper data: key 'code' must be {CODE_NAME!r}, got {clip(fields['code'])!r}")
     for key, value in _PARAMETERS.items():
         if parse_int(fields, key, what="helper data") != value:
             raise TextFormatError(f"helper data: key {key!r} must be {value} for {CODE_NAME}")
-    offset_hex = fields["code_offset"]
-    try:
-        offset = bytes.fromhex(offset_hex)
-    except ValueError:
-        raise TextFormatError("helper data: code_offset is not hexadecimal") from None
-    # fromhex skips spaces, so both lengths are checked
-    if len(offset_hex) != N // 4 or len(offset) != N // 8:
-        raise TextFormatError(f"helper data: code_offset must be {N // 4} hex digits")
-    return HelperData(code_offset=offset, device_id=fields["device_id"],
+    value = parse_int(fields, "syndrome", what="helper data")
+    if not 0 <= value < 1 << R:
+        raise TextFormatError(f"helper data: key 'syndrome' must be 0..{(1 << R) - 1}, "
+                              f"got {value}")
+    return HelperData(syndrome=value, device_id=fields["device_id"],
                       mask_sha256=fields["mask_sha256"])
 
 

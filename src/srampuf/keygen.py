@@ -2,8 +2,9 @@
 
 A raw power-up dump (a :class:`~srampuf.bitvec.BitVector`) filtered through
 an enrollment mask gives a 128-bit response, carried as 16 bytes. Key
-generation commits helper data against it; key reproduction uses that helper
-data to cancel up to one flipped bit out of a later dump.
+generation publishes its 8-bit syndrome as helper data, and draws no random
+value; key reproduction uses that syndrome to cancel up to one flipped bit
+out of a later dump.
 Either way the recovered response is hashed with SHA-256 into 256 key bits,
 handed out as two 128-bit halves. Keys are a pure function of the response;
 helper data never enters the hash.
@@ -70,10 +71,12 @@ def derive_key(response: bytes) -> KeyMaterial:
 
 def generate_key(raw, mask: Mask,
                  seed: int | None = None) -> tuple[HelperData, KeyMaterial]:
-    """Enroll a dump: returns public helper data and the derived keys."""
+    """Enroll a dump: returns public helper data and the derived keys.
+
+    ``seed`` is ignored: no value is drawn; kept until perfbench stops passing it.
+    """
     response = apply_mask(raw, mask)
-    helper = generate(response, seed, device_id=mask.device_id,
-                      mask_sha256=mask_fingerprint(mask))
+    helper = generate(response, device_id=mask.device_id, mask_sha256=mask_fingerprint(mask))
     return helper, derive_key(response)
 
 

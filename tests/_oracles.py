@@ -3,9 +3,11 @@
 These stay deliberately different from the library's algorithms: the weight
 oracle looks up the nearest unstable boundary per position by binary search
 instead of scanning for it, the syndrome oracle walks the bits instead of
-looking up bytes, the code-offset decoders correct reading XOR offset and
-XOR the offset back instead of correcting in the syndrome domain (one of them
-from the bitwise syndrome and a scan of the column codes alone), the dump
+looking up bytes, the encoder completes a message with the parity byte that
+zeroes that bitwise syndrome, the code-offset decoders correct reading XOR
+an explicit offset and XOR the offset back instead of correcting in the
+syndrome domain (one of them from the bitwise syndrome and a scan of the
+column codes alone), the dump
 formatter writes one word at a time, and the helpers for packed 16-byte
 words and 0/1 strings work byte by byte or character by character in plain
 Python. The sweep CSV oracle formats each
@@ -19,7 +21,7 @@ import io
 import numpy as np
 
 from srampuf.bitvec import BitVector
-from srampuf.fuzzy import COLUMN_CODES, HelperData, ReproduceFailure, correct
+from srampuf.fuzzy import COLUMN_CODES, ReproduceFailure, correct
 
 
 def oracle_weights(stable: np.ndarray) -> np.ndarray:
@@ -67,17 +69,18 @@ def xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def outcome(decode, noisy: bytes, helper: HelperData):
-    """What a decoder gives for a reading: the response, or its refusal's message."""
+def outcome(decode, noisy: bytes, side):
+    """What a decoder gives for a reading and its helper or offset: the
+    response, or its refusal's message."""
     try:
-        return decode(noisy, helper)
+        return decode(noisy, side)
     except ReproduceFailure as exc:
         return str(exc)
 
 
-def code_offset_definition(noisy: bytes, helper: HelperData) -> bytes:
+def code_offset_definition(noisy: bytes, offset: bytes) -> bytes:
     """The code-offset decoder as defined: correct reading XOR offset, then XOR the offset back."""
-    return xor(helper.code_offset, correct(xor(noisy, helper.code_offset)))
+    return xor(offset, correct(xor(noisy, offset)))
 
 
 def weight(word: bytes) -> int:
@@ -90,23 +93,32 @@ def oracle_syndrome(word: bytes) -> int:
     s = 0
     for i in range(8 * len(word)):
         if word[i // 8] & (0x80 >> (i % 8)):
-            s ^= int(COLUMN_CODES[i])
+            s ^= COLUMN_CODES[i]
     return s
 
 
-def oracle_code_offset_decode(noisy: bytes, helper: HelperData) -> bytes:
+def oracle_encode(message: bytes) -> bytes:
+    """The codeword of a 15-byte message: the message, then the parity byte
+    whose bit ``b`` (column code ``2**b``, at mask ``0x80 >> b``) cancels bit
+    ``b`` of the message's bitwise syndrome."""
+    assert len(message) == 15
+    s = oracle_syndrome(message)
+    return message + bytes([sum(0x80 >> b for b in range(8) if s >> b & 1)])
+
+
+def oracle_code_offset_decode(noisy: bytes, offset: bytes) -> bytes:
     """The code-offset decoder from ``oracle_syndrome`` and ``COLUMN_CODES`` alone:
     flip the bit of reading XOR offset whose column code is its syndrome, or
     refuse with the library's message when no column code is, then XOR the
     offset back."""
-    word = xor(noisy, helper.code_offset)
+    word = xor(noisy, offset)
     s = oracle_syndrome(word)
     if s:
-        bits = [i for i, code in enumerate(COLUMN_CODES.tolist()) if code == s]
+        bits = [i for i, code in enumerate(COLUMN_CODES) if code == s]
         if not bits:
             raise ReproduceFailure(f"correction failed (syndrome {s}); re-sample the device")
         word = flip_bits(word, bits)
-    return xor(word, helper.code_offset)
+    return xor(word, offset)
 
 
 def oracle_hex_dump(vector: BitVector) -> str:

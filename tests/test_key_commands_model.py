@@ -122,13 +122,12 @@ class KeyCommands(RuleBasedStateMachine):
         self.device[device_id] = seed
 
     @precondition(lambda self: self.device)
-    @rule(device_id=st.sampled_from(IDS), index=st.integers(0, N_DUMPS - 1), debug=st.booleans(),
-          codeword_seed=st.integers(0, 2**32))
-    def genkey(self, device_id, index, debug, codeword_seed):
+    @rule(device_id=st.sampled_from(IDS), index=st.integers(0, N_DUMPS - 1), debug=st.booleans())
+    def genkey(self, device_id, index, debug):
         seed = self.device.get(device_id, DEVICES[0])
         path = self.dump(seed, index)
         code, stdout = self.command("genkey", "--dump", str(path), "--device-id", device_id,
-                                    "--seed", str(codeword_seed), *(["--debug"] * debug))
+                                    *(["--debug"] * debug))
         if device_id not in self.device:
             assert code == EXIT_USAGE
             return

@@ -111,7 +111,7 @@ class TestValueRule:
 
     def test_keys_are_the_stated_tuples(self):
         mask = Mask(device_id="dev-a", positions=np.arange(8), threshold=4, sample_count=40)
-        helper = HelperData(code_offset=bytes(16))
+        helper = HelperData(syndrome=0)
         for text, keys in ((mask_to_text(mask), MASK_KEYS), (helper_to_text(helper), HELPER_KEYS)):
             assert tuple(line.split(" = ")[0] for line in text.splitlines()) == keys
 
@@ -124,7 +124,7 @@ class TestValueRule:
 
     @pytest.mark.parametrize("key", HELPER_KEYS)
     def test_every_helper_key_is_required(self, key):
-        text = re.sub(f"^{key} = .*\n", "", helper_to_text(HelperData(code_offset=bytes(16))),
+        text = re.sub(f"^{key} = .*\n", "", helper_to_text(HelperData(syndrome=0)),
                       flags=re.M)
         with pytest.raises(TextFormatError, match=f"^helper data: missing keys: {key}$"):
             helper_from_text(text)
@@ -159,7 +159,7 @@ def files(tmp_path):
     save_dump(tmp_path / "reading.hex", BitVector(np.random.default_rng(5).integers(0, 2, 256)))
     save_mask(tmp_path / "dev-a.mask",
               Mask(device_id="dev-a", positions=np.arange(128), threshold=4, sample_count=40))
-    save_helper(tmp_path / "dev-a.helper", HelperData(code_offset=bytes(16), device_id="dev-a"))
+    save_helper(tmp_path / "dev-a.helper", HelperData(syndrome=0, device_id="dev-a"))
     (tmp_path / "device.cal").write_text(calibration_to_text(Calibration()))
     save_registry(tmp_path / "registry.txt", registry_of(enrolled_entry(tmp_path)))
     return tmp_path
@@ -250,26 +250,28 @@ def test_genkey_refuses_a_registry_it_could_not_write_back(tmp_path, capsys):
                      "--device-id", device_id]) == EXIT_OK
     genkey = ["genkey", "--dump", str(dumps / "sample-00000.hex"),
               "--registry", str(registry_path), "--device-id", "dev-a"]
-    assert main([*genkey, "--seed", "1"]) == EXIT_OK
+    assert main(genkey) == EXIT_OK
     lines = registry_path.read_text().split("\n")
     line = next(i for i, text in enumerate(lines)
                 if text.startswith("created = ") and i > lines.index("device_id = dev-b"))
     lines[line] = lines[line].replace("T", "\tT")
     registry_path.write_text("\n".join(lines))
     registry_bytes = registry_path.read_bytes()
-    helper_bytes = (tmp_path / "dev-a.helper").read_bytes()
+    helper = tmp_path / "dev-a.helper"
+    # genkey of one dump writes the same bytes, so its inode shows a rewrite
+    helper_state = (helper.read_bytes(), helper.stat().st_ino)
     capsys.readouterr()
 
-    assert main([*genkey, "--seed", "2"]) == EXIT_USAGE
+    assert main(genkey) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(
         f"error: registry entry: line {line + 1}: key 'created': value ")
     assert registry_path.read_bytes() == registry_bytes
-    assert (tmp_path / "dev-a.helper").read_bytes() == helper_bytes
+    assert (helper.read_bytes(), helper.stat().st_ino) == helper_state
 
 
 MASK_TEXT = mask_to_text(Mask(device_id="dev-a", positions=np.arange(8), threshold=4,
                               sample_count=40))
-HELPER_TEXT = helper_to_text(HelperData(code_offset=bytes(16)))
+HELPER_TEXT = helper_to_text(HelperData(syndrome=0))
 # Line 7 holds the entry's helper_file key.
 REGISTRY_TEXT = registry_to_text(registry_of(entry("dev-a", helper_file="dev-a.helper",
                                                    helper_sha256="1" * 64)))
@@ -300,13 +302,32 @@ REFUSALS = {
     "mask-position-overflow": (mask_from_text,
                                MASK_TEXT.replace("positions = 0,", f"positions = {2**64},"),
                                "^mask: positions must be comma-separated integers$"),
-    "helper-code-offset": (helper_from_text,
-                           HELPER_TEXT.replace("code_offset = 0", "code_offset = G"),
-                           "^helper data: code_offset is not hexadecimal$"),
+    # a v2 helper's key left in a v3 helper
+    "helper-code-offset": (helper_from_text, HELPER_TEXT + "code_offset = " + "0" * 32 + "\n",
+                           f"^helper data: line {len(HELPER_KEYS) + 1}: unknown key 'code_offset'$"),
+    "helper-syndrome-negative": (helper_from_text,
+                                 HELPER_TEXT.replace("syndrome = 0", "syndrome = -1"),
+                                 "^helper data: key 'syndrome' must be 0..255, got -1$"),
+    "helper-syndrome-256": (helper_from_text, HELPER_TEXT.replace("syndrome = 0", "syndrome = 256"),
+                            "^helper data: key 'syndrome' must be 0..255, got 256$"),
+    "helper-syndrome-hex": (helper_from_text, HELPER_TEXT.replace("syndrome = 0", "syndrome = 0x10"),
+                            "^helper data: key 'syndrome' is not an integer: '0x10'$"),
+    "helper-syndrome-empty": (helper_from_text, HELPER_TEXT.replace("syndrome = 0", "syndrome ="),
+                              "^helper data: key 'syndrome' is not an integer: ''$"),
+    "helper-syndrome-5000-digits": (helper_from_text,
+                                    HELPER_TEXT.replace("syndrome = 0", "syndrome = " + "1" * 5000),
+                                    f"^helper data: key 'syndrome' is too large: '{'1' * 40}...'$"),
     "mask-format": (mask_from_text, MASK_TEXT.replace("srampuf-mask-v1", "srampuf-mask-v9"),
                     "^mask: unsupported format 'srampuf-mask-v9'$"),
-    "helper-format": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v2", "x"),
-                      "^helper data: unsupported format 'x'$"),
+    "helper-format": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v3", "x"),
+                      "^helper data: unsupported format 'x'; run genkey again$"),
+    # refused by its format, before its code_offset key is read as unknown
+    "helper-v2": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v3", "srampuf-helper-v2")
+                  .replace("syndrome = 0", "code_offset = " + "0" * 32),
+                  "^helper data: unsupported format 'srampuf-helper-v2'; run genkey again$"),
+    "mask-format-first": (mask_from_text,
+                          MASK_TEXT.replace("srampuf-mask-v1", "srampuf-mask-v0") + "note = x\n",
+                          "^mask: unsupported format 'srampuf-mask-v0'$"),
     "empty-registry": (registry_from_text, "\n \n", "^registry: empty file$"),
     "registry-format": (registry_from_text, "format = srampuf-registry-v9\n",
                         "^registry: unsupported format 'srampuf-registry-v9'$"),
@@ -315,8 +336,11 @@ REFUSALS = {
 
 @pytest.mark.parametrize("read, text, message", REFUSALS.values(), ids=list(REFUSALS))
 def test_reader_refusal_names_what_is_wrong(read, text, message):
-    with pytest.raises(TextFormatError, match=message):
+    """A refusal names what is wrong in one short line: the CLI exits 2 with
+    ``error:`` and the message."""
+    with pytest.raises(TextFormatError, match=message) as caught:
         read(text)
+    assert "\n" not in str(caught.value) and len(f"error: {caught.value}\n") <= 400
 
 
 # Each reader that echoes its input: how it reads, the text around the

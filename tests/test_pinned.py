@@ -1,7 +1,7 @@
 """Outputs of the key path that must not move when its internals change.
 
 The digests were recorded once and are frozen here: helper files and keys
-for seeded enrollments, that every double flip is refused, how many triple
+for enrollments of seeded devices, that every double flip is refused, how many triple
 flips decode to a wrong codeword, and the characterization report of the
 shared 300-sample device.
 """
@@ -29,15 +29,16 @@ from srampuf.keygen import apply_mask, generate_key, reproduce_key
 from srampuf.registry import file_sha256, load_registry, save_registry
 from srampuf.simulate import Calibration, collect_samples, new_device
 
-# device seed -> (SHA-256 of the v2 helper text, key hex); 4864 bits, 40
-# NTNA samples, threshold 4, codeword seed = device seed. A key is the
-# SHA-256 of the masked response, so it does not depend on the helper's code.
+# device seed -> (SHA-256 of the v3 helper text, key hex); 4864 bits, 40
+# NTNA samples, threshold 4. A key is the SHA-256 of the masked response, so
+# it does not depend on the helper's code or format: the key hex is as it was
+# under v2 helpers.
 PINNED_HELPERS = {
-    7: ("426728e7c062f2a80c9f03d78ed2a3eaa86863a748e7c12a014826f4c23e2924",
+    7: ("b69bbf51d4ad03a53161aa017b6da8392526209c1ccc9af2b786bfb78fff8b79",
         "2067a9af60e93b02a9dc5291f2b16055e3d7be6075c27d2ea178f935203d68ce"),
-    101: ("082f95ec6e1a592f6bbae0425c39fc400816fd350d8dd99f5848e11ab3d02795",
+    101: ("3cd8a032468dcd3b639d8a6f71140edbf378411f5bb70f76b3b6329cde0d6c16",
           "44c1355dd5513675ec27542168ac69192b212c6fab31106954150efc29abcb28"),
-    3: ("d7525912bb07d015b151c3fefd8fee4bb2195afde0959eb63315d516bb4db7e8",
+    3: ("1ea86dcd73744288dd2a73d88951528e1e85bf710756354939a42b5139c289e1",
         "4d13ce4608376e9c5cf011975b3437fab451e970dac1922c04f59a4201d954b8"),
 }
 
@@ -51,15 +52,15 @@ PINNED_REPORT = {
     "flip_rate": "99aa8d28ced5af83fdac0a58152b2a47a403a04d85e00973d1e72349820c38fd",
 }
 
-ZERO_HELPER_V2 = (
-    "format = srampuf-helper-v2\n"
+ZERO_HELPER_V3 = (
+    "format = srampuf-helper-v3\n"
     "device_id = \n"
     "code = hsiao-128-120\n"
     "n = 128\n"
     "k = 120\n"
     "r = 8\n"
     "mask_sha256 = \n"
-    "code_offset = 00000000000000000000000000000000\n"
+    "syndrome = 0\n"
 )
 
 
@@ -77,7 +78,7 @@ def seeded_enrollment(device_seed):
 @pytest.mark.parametrize("device_seed", sorted(PINNED_HELPERS))
 def test_seeded_helper_and_key_pinned(device_seed):
     samples, mask = seeded_enrollment(device_seed)
-    helper, key = generate_key(samples[0], mask, device_seed)
+    helper, key = generate_key(samples[0], mask)
     text_sha = hashlib.sha256(helper_to_text(helper).encode("ascii")).hexdigest()
     assert (text_sha, key.hex()) == PINNED_HELPERS[device_seed]
 
@@ -100,11 +101,10 @@ def test_characterization_report_pinned(enrolled_device, default_sweep):
 
 
 def test_every_double_flip_refused_v2():
-    # All-zero response and all-zero offset: the committed codeword is zero,
-    # so a reading's error pattern is the reading itself. All 8,128 double
-    # flips are refused.
+    # All-zero response, whose syndrome is zero: a reading's error pattern is
+    # the reading itself. All 8,128 double flips are refused.
     mask = identity_mask()
-    helper = dataclasses.replace(helper_from_text(ZERO_HELPER_V2), mask_sha256=mask.fingerprint)
+    helper = dataclasses.replace(helper_from_text(ZERO_HELPER_V3), mask_sha256=mask.fingerprint)
     zero = BitVector(np.zeros(128, dtype=np.uint8))
     enrolled = reproduce_key(zero, mask, helper).digest
     refused, wrong = 0, 0
@@ -127,8 +127,9 @@ def test_triple_flips_pinned():
     # code (never one of the three, as no two columns are equal) and refuses
     # any other, so no triple is decoded back to the zero codeword.
     triples = np.array(list(itertools.combinations(range(128), 3)))
-    syndromes = np.bitwise_xor.reduce(COLUMN_CODES[triples], axis=1)
-    refused = ~np.isin(syndromes, np.append(COLUMN_CODES, 0))
+    codes = np.array(COLUMN_CODES)
+    syndromes = np.bitwise_xor.reduce(codes[triples], axis=1)
+    refused = ~np.isin(syndromes, np.append(codes, 0))
     assert (int((~refused).sum()), int(refused.sum())) == PINNED_TRIPLES
     # the decoder itself agrees on every 41st triple
     for triple, expect_refused in zip(triples[::41], refused[::41]):
@@ -143,9 +144,9 @@ def test_127_position_mask_refused(tmp_path):
     short = identity_mask(127)
     raw = BitVector(np.zeros(1216, dtype=np.uint8))
     with pytest.raises(ValueError, match="128"):
-        generate_key(raw, short, 1)
+        generate_key(raw, short)
     with pytest.raises(ValueError, match="128"):
-        reproduce_key(raw, short, dataclasses.replace(helper_from_text(ZERO_HELPER_V2),
+        reproduce_key(raw, short, dataclasses.replace(helper_from_text(ZERO_HELPER_V3),
                                                       mask_sha256=short.fingerprint))
 
     dumps = tmp_path / "dumps"
@@ -162,20 +163,19 @@ def test_127_position_mask_refused(tmp_path):
                                                     mask_sha256=file_sha256(mask_path))
     save_registry(registry_path, registry)
     assert main(["genkey", "--dump", str(dumps / "sample-00000.hex"),
-                 "--registry", str(registry_path), "--device-id", "dev-a",
-                 "--seed", "1"]) == EXIT_USAGE
+                 "--registry", str(registry_path), "--device-id", "dev-a"]) == EXIT_USAGE
 
 
 # SHA-256 of each file the CLI writes in one session: simulate (device seed
 # 77, 40 dumps of 4864 bits), enroll dev-a and dev-b, genkey dev-a on sample 0
-# with --seed 1 and dev-b on sample 1 with --seed 2 --debug. The registry is
-# hashed without its `created` lines, which hold the clock.
+# and dev-b on sample 1 with --debug. The registry is hashed without its
+# `created` lines, which hold the clock.
 PINNED_CLI_FILES = {
     "dev-a.mask": "b15cf8d0a1ff8af3e50ea53504302805969ce81e0ddb2f3a87ebf62c77ab6195",
     "dev-b.mask": "771f1b003976239d8ec11ba2b1f1a0becfc022068d94f225bd249614853bdfa7",
-    "dev-a.helper": "da58e555c528360aa2aa74f77cfd6beaa1a32b341bb5efab970b70a3babb480f",
-    "dev-b.helper": "0ef2c11f636604477bb4abea69d4b26924956ba158d04d4d98507c6ec592e0ab",
-    "registry.txt": "c062b6ea29833a7111caa3f3f8226968571b9ea8f23772413fd180a7e6599e22",
+    "dev-a.helper": "0a6dde20275d754ac5b59b491b2d98db3a6773e3be902374204b8d7f496367ef",
+    "dev-b.helper": "cf8419b75babab5cc49d7485c438a649fb419fc66a19755493c5e0c4a6bab091",
+    "registry.txt": "d3687891522640c412433955f2f66b53d80433c80249d437dfd52f3dec85c234",
 }
 
 
@@ -186,8 +186,7 @@ def test_cli_written_bytes_pinned(tmp_path, capsys):
     for device_id in ("dev-a", "dev-b"):
         assert main(["enroll", "--dumps", str(dumps), "--registry", str(registry),
                      "--device-id", device_id]) == EXIT_OK
-    for device_id, sample, flags in (("dev-a", 0, ["--seed", "1"]),
-                                      ("dev-b", 1, ["--seed", "2", "--debug"])):
+    for device_id, sample, flags in (("dev-a", 0, []), ("dev-b", 1, ["--debug"])):
         assert main(["genkey", "--dump", str(dumps / f"sample-{sample:05d}.hex"), "--registry",
                      str(registry), "--device-id", device_id, *flags]) == EXIT_OK
     data = {name: (registry.parent / name).read_bytes() for name in PINNED_CLI_FILES}

@@ -581,7 +581,7 @@ class TestCliEnroll:
         dev = ["--dump", str(workspace / "dumps" / "sample-00000.hex"),
                "--registry", str(workspace / "registry.txt"), "--device-id", device_id]
         assert enroll_device(workspace, device_id) == EXIT_OK
-        assert main(["genkey", *dev, "--seed", "1"]) == EXIT_OK
+        assert main(["genkey", *dev]) == EXIT_OK
         assert main(["reproduce", *dev]) == EXIT_OK
 
     def test_left_over_temp_files_are_not_read_as_dumps(self, workspace, capsys):
@@ -642,8 +642,8 @@ class TestCliEnroll:
         for device_id in enrolled_first:
             assert enroll_device(workspace, device_id=device_id) == EXIT_OK
         dump = str(workspace / "dumps" / "sample-00000.hex")
-        commands = [["genkey", "--dump", dump, "--device-id", device_id, "--seed", str(seed)]
-                    for seed, device_id in enumerate(enrolled_first)]
+        commands = [["genkey", "--dump", dump, "--device-id", device_id]
+                    for device_id in enrolled_first]
         commands += [["enroll", "--dumps", str(workspace / "dumps"), "--device-id", device_id]
                      for device_id in ("dev-3", "dev-4", "dev-5")]
         run_at_once([[*command, "--registry", str(registry_path)] for command in commands])
@@ -671,7 +671,7 @@ def enrolled(workspace):
     assert enroll_device(workspace) == EXIT_OK
     dump = workspace / "dumps" / "sample-00000.hex"
     assert main(["genkey", "--dump", str(dump), "--registry", str(workspace / "registry.txt"),
-                 "--device-id", "dev-a", "--seed", "424242", "--debug"]) == EXIT_OK
+                 "--device-id", "dev-a", "--debug"]) == EXIT_OK
     return workspace
 
 
@@ -713,7 +713,7 @@ class TestCliKeyFlow:
         assert [dict(pairs)["device_id"] for pairs in format_calls] == ["dev-c"]
         format_calls.clear()
         assert main(["genkey", "--dump", str(enrolled / "dumps" / "sample-00000.hex"),
-                     "--registry", str(path), "--device-id", "dev-b", "--seed", "1"]) == EXIT_OK
+                     "--registry", str(path), "--device-id", "dev-b"]) == EXIT_OK
         assert [dict(pairs)["device_id"] for pairs in format_calls] == ["dev-b"]
         assert path.read_text() == formatted_afresh(load_registry(path))
 
@@ -809,7 +809,7 @@ class TestCliKeyFlow:
         capsys.readouterr()
         argv = [command, "--dump", str(enrolled / "dumps" / "sample-00000.hex"),
                 "--registry", str(inner / "registry.txt"), "--device-id", device_id]
-        assert main(argv + ["--seed", "1"] * (command == "genkey")) == EXIT_USAGE
+        assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == (
             "", f"error: device id {device_id!r} must match ^[A-Za-z0-9._-]+$\n")
         assert files() == before
@@ -853,7 +853,7 @@ class TestCliKeyFlow:
         else:
             path.symlink_to("outside.lock")
         genkey = ["genkey", "--dump", str(dump), "--registry", str(registry),
-                  "--device-id", "dev-a", "--seed", "1"]
+                  "--device-id", "dev-a"]
         commands = {
             "dump": [reproduce_args(enrolled, path)],
             "dumps-entry": [["stats", "--dumps", str(enrolled / "dumps")]],
@@ -978,7 +978,7 @@ class TestCliKeyFlow:
                      str(enrolled / "registry.txt"), "--device-id", "dev-b"]) == EXIT_USAGE
         assert "missing" in capsys.readouterr().err
 
-    def test_unseeded_genkey_reproduces_and_differs(self, workspace, capsys):
+    def test_genkey_reproduces_and_rewrites_the_same_helper(self, workspace, capsys):
         assert enroll_device(workspace) == EXIT_OK
         dump = workspace / "dumps" / "sample-00000.hex"
         genkey = ["genkey", "--dump", str(dump), "--registry", str(workspace / "registry.txt"),
@@ -989,7 +989,7 @@ class TestCliKeyFlow:
         assert main(reproduce_args(workspace, dump)) == EXIT_OK
         assert "key hash matches" in capsys.readouterr().out
         assert main(genkey) == EXIT_OK
-        assert (workspace / "dev-a.helper").read_text() != first
+        assert (workspace / "dev-a.helper").read_text() == first   # no value is drawn
 
     def test_genkey_without_debug_clears_key_hash(self, enrolled, capsys):
         # a helper generated without --debug must not be paired with the key
@@ -1000,8 +1000,7 @@ class TestCliKeyFlow:
                      "--out", str(flipped),
                      "--positions", str(int(mask.base_offset + mask.positions[40]))]) == EXIT_OK
         assert main(["genkey", "--dump", str(flipped), "--registry",
-                     str(enrolled / "registry.txt"), "--device-id", "dev-a",
-                     "--seed", "7"]) == EXIT_OK
+                     str(enrolled / "registry.txt"), "--device-id", "dev-a"]) == EXIT_OK
         assert load_registry(enrolled / "registry.txt").get("dev-a").key_sha256 == ""
         capsys.readouterr()
         assert main(reproduce_args(enrolled, flipped)) == EXIT_OK
@@ -1044,7 +1043,7 @@ def change_one_entry(work, path, command, new_id="dev-new", debug=False):
     ``path``; returns the changed device's id."""
     if command == "genkey":
         argv = ["genkey", "--dump", str(work / "dumps" / "sample-00000.hex"),
-                "--device-id", "dev-a", "--seed", "1", *(["--debug"] if debug else [])]
+                "--device-id", "dev-a", *(["--debug"] if debug else [])]
     else:
         argv = ["enroll", "--dumps", str(work / "dumps"), f"--device-id={new_id}"]
     assert main([*argv, "--registry", str(path)]) == EXIT_OK
@@ -1109,8 +1108,8 @@ def key_script(dumps):
         return ["reproduce", "--dump", f"{dumps}/sample-{sample:05d}.hex", *dev, "dev-a",
                 "--debug"]
 
-    def genkey(device_id, seed, dump=f"{dumps}/sample-00000.hex"):
-        return ["genkey", "--dump", dump, *dev, device_id, "--seed", str(seed), "--debug"]
+    def genkey(device_id, dump=f"{dumps}/sample-00000.hex"):
+        return ["genkey", "--dump", dump, *dev, device_id, "--debug"]
 
     misspell = ("registry.txt", lambda text, _: re.sub(
         r"(device_id = dev-b\n(?:.+\n)*?)created = ", r"\1craeted = ", text))
@@ -1125,20 +1124,20 @@ def key_script(dumps):
     return [
         ((), ["enroll", "--dumps", str(dumps), *dev, "dev-a"]),
         ((), ["enroll", "--dumps", str(dumps), *dev, "dev-b"]),
-        ((), genkey("dev-a", 1)),
-        ((), genkey("dev-b", 2)),
+        ((), genkey("dev-a")),
+        ((), genkey("dev-b")),
         ((), reproduce(0)),
         ((), reproduce(17)),
         ((misspell,), reproduce(0)),
         ((("registry.txt", None),), reproduce(0)),
         ((comment, rehash), reproduce(17)),
-        ((), genkey("dev-a", 3)),
+        ((), genkey("dev-a")),
         ((spaced,), reproduce(0)),
-        ((), genkey("dev-b", 4)),
+        ((), genkey("dev-b")),
         # A masked bit flipped: the new helper serves another response
         ((), ["flip", "--dump", f"{dumps}/sample-00000.hex", "--out", "flipped.hex",
               "--count", "1", "--seed", "1", "--mask", "dev-a.mask"]),
-        ((), genkey("dev-a", 5, "flipped.hex")),
+        ((), genkey("dev-a", "flipped.hex")),
         ((), reproduce(17)),
     ]
 
@@ -1179,22 +1178,30 @@ def test_one_pass_readers_change_no_outcome(workspace, capsys, monkeypatch):
 
 
 class TestRetiredFormats:
-    """A v1 helper or registry is refused as one error line naming its format."""
+    """An old helper or a v1 registry is refused as one error line naming its format."""
 
     def test_reproduce_refuses_v1_helper(self, enrolled, capsys):
+        """So is a v2 helper, by its format and not by the key it holds."""
         helper = enrolled / "dev-a.helper"
-        helper.write_text(helper.read_text().replace("srampuf-helper-v2", "srampuf-helper-v1")
-                          .replace("hsiao-128-120", "hamming-128-120"))
+        v3 = helper.read_text()
+        syndrome = re.search(r"^syndrome = .*$", v3, re.M)[0]
+        old = {"srampuf-helper-v1": v3.replace("srampuf-helper-v3", "srampuf-helper-v1")
+               .replace("hsiao-128-120", "hamming-128-120"),
+               "srampuf-helper-v2": v3.replace("srampuf-helper-v3", "srampuf-helper-v2")
+               .replace(syndrome, "code_offset = " + "0" * 32)}
         path = enrolled / "registry.txt"
-        registry = load_registry(path)
-        registry.entries["dev-a"] = dataclasses.replace(registry.get("dev-a"),
-                                                        helper_sha256=file_sha256(helper))
-        save_registry(path, registry)
-        capsys.readouterr()
-        assert main(reproduce_args(enrolled, enrolled / "dumps" / "sample-00000.hex")) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err == "error: helper data: unsupported format 'srampuf-helper-v1'\n"
-        assert key_lines(captured.out) == []
+        for fmt, text in old.items():
+            helper.write_text(text)
+            registry = load_registry(path)
+            registry.entries["dev-a"] = dataclasses.replace(registry.get("dev-a"),
+                                                            helper_sha256=file_sha256(helper))
+            save_registry(path, registry)
+            capsys.readouterr()
+            assert main(reproduce_args(enrolled, enrolled / "dumps" / "sample-00000.hex")) == \
+                EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err == f"error: helper data: unsupported format '{fmt}'; run genkey again\n"
+            assert key_lines(captured.out) == []
 
     @pytest.mark.parametrize("command", ["enroll", "genkey", "reproduce"])
     def test_commands_refuse_v1_registry(self, enrolled, capsys, command):
@@ -1480,14 +1487,15 @@ def test_option_given_as_two_dashes_is_that_value(workspace, monkeypatch, capsys
     device = ["--registry", "registry.txt", "--device-id=--"]
     assert main(["enroll", "--dumps", "dumps", *device]) == EXIT_OK
     assert load_registry(workspace / "registry.txt").get("--").mask_file == "--.mask"
-    assert main(["genkey", "--dump=--", *device, "--seed", "1", "--debug"]) == EXIT_OK
+    assert main(["genkey", "--dump=--", *device, "--debug"]) == EXIT_OK
     keys = re.findall(r"^key\d = .*$", capsys.readouterr().out, re.M)
     assert len(keys) == 2
     helper = (workspace / "--.helper").read_bytes()
     assert main(["reproduce", "--dump=--", *device, "--debug"]) == EXIT_OK
     assert re.findall(r"^key\d = .*$", capsys.readouterr().out, re.M) == keys
-    assert main(["genkey", "--dump=--", *device, "--seed=--"]) == EXIT_USAGE
+    assert main(["flip", "--dump=--", "--out=x.hex", "--count=1", "--seed=--"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: --seed is not an integer: '--'\n"
+    assert not (workspace / "x.hex").exists()
     assert (workspace / "--.helper").read_bytes() == helper
 
 
