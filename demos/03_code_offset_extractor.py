@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from srampuf import ReproduceFailure, generate, reproduce
-from srampuf.fuzzy import COLUMN_CODES, K, N, R, correct, syndrome
+from srampuf.fuzzy import COLUMN_CODES, K, N, R, correct, helper_to_text, syndrome
 
 
 def random_word(rng, bits: int) -> bytes:
@@ -68,11 +68,13 @@ print(f"flip bits 0+1+2 -> syndrome {syndrome(triple)}, silently miscorrected to
       f"a different codeword: {correct(triple) != zero}")
 
 # The extractor. Enrollment publishes the response's syndrome, and draws
-# nothing: the same response always gives the same helper.
+# nothing: the same response always gives the same helper. A helper file
+# holds that syndrome and the fingerprint of its mask; this response was
+# read through none, so its mask_sha256 is empty.
 response = random_word(rng, N)
 helper = generate(response)
-print(f"\nhelper data (public, {R} bits): syndrome = {helper.syndrome}; "
-      f"again the same? {generate(response) == helper}")
+print(f"\nhelper data (public, {R} bits), again the same? {generate(response) == helper}")
+print(helper_to_text(helper), end="")
 
 # Reproduction: a fresh reading differing in at most one bit recovers the
 # enrolled response exactly, for every possible flip position.

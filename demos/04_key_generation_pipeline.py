@@ -2,8 +2,9 @@
 ===========================================================
 
 The whole pipeline in one sitting: enroll a simulated device, publish its
-helper data (the response's 8-bit syndrome), then reproduce the key from fresh noisy readings under normal, heated,
-and aged conditions. The same flow is available from the command line via
+helper data (the response's 8-bit syndrome, bound to the mask), then
+reproduce the key from fresh noisy readings under normal, heated, and aged
+conditions. The same flow is available from the command line via
 `srampuf simulate / enroll / genkey / reproduce`.
 """
 
@@ -18,7 +19,7 @@ from srampuf import (
     new_device,
     reproduce_key,
 )
-from srampuf.fuzzy import ReproduceFailure
+from srampuf.fuzzy import ReproduceFailure, helper_to_text
 
 cal = Calibration()
 device = new_device(seed=2029, calibration=cal)
@@ -35,7 +36,9 @@ print(f"mask: {mask.target_len} positions over {mask.num_windows} window(s)")
 helper, key = generate_key(enrollment[0], mask)
 print(f"key1 = {key.key1.hex().upper()}")
 print(f"key2 = {key.key2.hex().upper()}")
-print(f"helper syndrome = {helper.syndrome}")
+# The helper file holds only what reproduction reads: the fingerprint of the
+# mask it was made through, and the response's syndrome.
+print("helper file:\n" + helper_to_text(helper), end="")
 
 # Reproduction (device side): fresh power-ups, mask, helper, hash. Count how
 # often the derived key matches the enrolled one. Responses are 16 bytes, so

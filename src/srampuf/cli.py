@@ -192,7 +192,8 @@ def cmd_flip(args) -> int:
         raise ValueError("give --positions or --count")
     bad = [p for p in positions if not 0 <= p < len(raw)]
     if bad:
-        raise ValueError(f"positions out of range for a {len(raw)}-bit dump: {bad}")
+        raise ValueError(f"{len(bad)} position(s) out of range for a {len(raw)}-bit dump, "
+                         f"first {clip(str(bad[0]))!r}")
     save_dump(args.out, raw.with_flips(positions))
     print(f"flipped {len(positions)} bit(s): {','.join(str(p) for p in sorted(positions))}")
     return EXIT_OK

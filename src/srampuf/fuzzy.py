@@ -1,7 +1,8 @@
 """Syndrome fuzzy extractor over a 128-bit SEC-DED code with 120 message bits.
 
-``generate`` publishes the 8-bit syndrome of an enrolled 128-bit response
-(the helper data) and draws no random value. ``reproduce`` recovers the
+``generate`` makes the helper data of an enrolled 128-bit response: its 8-bit
+syndrome, bound to the fingerprint of the mask it was read through. It draws
+no random value. ``reproduce`` recovers the
 enrolled response from any later reading that differs in at most one bit,
 and refuses every reading that differs in exactly two. This is the syndrome
 construction (Dodis, Ostrovsky, Reyzin, Smith, SIAM J. Comput. 38(1), 2008):
@@ -24,10 +25,13 @@ nonzero syndrome that is no column code, and is refused. Minimum distance is
 4, and every odd-weight byte is a column code, so every triple flip (all
 341,376 of them) is corrected to a wrong codeword; only a key check catches it.
 
-Only ``srampuf-helper-v3`` files are read. v2 files held a 16-byte code
-offset, the response XOR a random codeword, whose syndrome is the v3 helper's
-syndrome; v1 files were written with a distance-3 Hamming code. Both are
-refused as an unsupported format.
+A helper file holds only what ``reproduce_key`` reads: ``format``,
+``mask_sha256`` and ``syndrome``. Only ``srampuf-helper-v4`` is read, and
+that format fixes the code, so no helper names it. Older helpers are refused
+by their format line: v3 also stated the device id and the code and its
+parameters, v2 held a 16-byte code offset (the response XOR a random
+codeword, whose syndrome is the response's), and v1 used a distance-3
+Hamming code.
 
 ``COLUMN_CODES`` is the one definition of the code; ``correct`` refuses any
 syndrome that is not a column code. Two read-only tables are derived from it at
@@ -44,11 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kv import (TextFormatError, atomic_write_text, clip, format_kv_block, parse_int,
-                  read_record, read_text)
+from ._kv import (TextFormatError, atomic_write_text, format_kv_block, parse_int, read_record,
+                  read_text)
 
-HELPER_FORMAT = "srampuf-helper-v3"
-CODE_NAME = "hsiao-128-120"
+HELPER_FORMAT = "srampuf-helper-v4"
+HELPER_KEYS = ("format", "mask_sha256", "syndrome")   # in helper_to_text's order
 N, K, R = 128, 120, 8   # codeword, message and parity bits
 
 
@@ -59,9 +63,6 @@ class ReproduceFailure(Exception):
 # column codes: the message columns, then parity columns 2**b
 COLUMN_CODES = (*(v for v in range(256) if bin(v).count("1") % 2 and v & (v - 1)),
                 *(1 << b for b in range(R)))
-# The code parameters every helper states; the helper keys in helper_to_text's order
-_PARAMETERS = {"n": N, "k": K, "r": R}
-HELPER_KEYS = ("format", "device_id", "code", *_PARAMETERS, "mask_sha256", "syndrome")
 
 
 def _byte_syndromes(codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -121,22 +122,23 @@ def correct(word: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class HelperData:
-    """Public error-correction data for one enrolled response.
+    """Public data for one enrolled response: its syndrome and its mask binding.
 
     ``syndrome`` is the response's ``R``-bit syndrome (0..255); publishing it
     reveals those ``R`` bits about the response and nothing more.
+    ``mask_sha256`` is the fingerprint of the mask the response was read
+    through, which ``reproduce_key`` requires of the mask it is given.
     """
 
     syndrome: int
-    device_id: str = ""
     mask_sha256: str = ""
 
 
-def generate(response: bytes, *, device_id: str = "", mask_sha256: str = "") -> HelperData:
-    """Helper data for an enrolled 16-byte response: its syndrome; nothing is drawn."""
+def generate(response: bytes, *, mask_sha256: str = "") -> HelperData:
+    """Helper data for an enrolled 16-byte response: its syndrome, bound to
+    ``mask_sha256``; nothing is drawn."""
     require_size("response", response, N // 8)
-    return HelperData(syndrome=_lookups(response), device_id=device_id,
-                      mask_sha256=mask_sha256)
+    return HelperData(syndrome=_lookups(response), mask_sha256=mask_sha256)
 
 
 def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
@@ -157,26 +159,18 @@ def reproduce(noisy_response: bytes, helper: HelperData) -> bytes:
 
 
 def helper_to_text(helper: HelperData) -> str:
-    values = [HELPER_FORMAT, helper.device_id, CODE_NAME,
-              *map(str, _PARAMETERS.values()), helper.mask_sha256, str(helper.syndrome)]
+    values = (HELPER_FORMAT, helper.mask_sha256, str(helper.syndrome))
     return format_kv_block(zip(HELPER_KEYS, values, strict=True))
 
 
 def helper_from_text(text: str) -> HelperData:
     fields = read_record(text, HELPER_KEYS, HELPER_FORMAT, what="helper data",
                          remedy="; run genkey again")
-    if fields["code"] != CODE_NAME:
-        raise TextFormatError(
-            f"helper data: key 'code' must be {CODE_NAME!r}, got {clip(fields['code'])!r}")
-    for key, value in _PARAMETERS.items():
-        if parse_int(fields, key, what="helper data") != value:
-            raise TextFormatError(f"helper data: key {key!r} must be {value} for {CODE_NAME}")
     value = parse_int(fields, "syndrome", what="helper data")
     if not 0 <= value < 1 << R:
         raise TextFormatError(f"helper data: key 'syndrome' must be 0..{(1 << R) - 1}, "
                               f"got {value}")
-    return HelperData(syndrome=value, device_id=fields["device_id"],
-                      mask_sha256=fields["mask_sha256"])
+    return HelperData(syndrome=value, mask_sha256=fields["mask_sha256"])
 
 
 def save_helper(path, helper: HelperData) -> None:

@@ -2,18 +2,18 @@
 
 A raw power-up dump (a :class:`~srampuf.bitvec.BitVector`) filtered through
 an enrollment mask gives a 128-bit response, carried as 16 bytes. Key
-generation publishes its 8-bit syndrome as helper data, and draws no random
-value; key reproduction uses that syndrome to cancel up to one flipped bit
-out of a later dump.
-Either way the recovered response is hashed with SHA-256 into 256 key bits,
-handed out as two 128-bit halves. Keys are a pure function of the response;
-helper data never enters the hash.
+generation publishes helper data: the response's 8-bit syndrome and the
+mask's fingerprint, and nothing is drawn. Key reproduction refuses a helper
+made for another mask, then uses the syndrome to cancel up to one flipped bit
+out of a later dump. Either way the recovered response is hashed with
+SHA-256 into 256 key bits, handed out as two 128-bit halves. Keys are a pure
+function of the response; helper data never enters the hash.
 
 ``apply_mask`` gathers the masked bits from the dump's packed bytes and packs
 the response big-endian (bit 0 into the MSB of byte 0); those 16 bytes are
-the hash input. That choice is arbitrary. ``tests/test_pinned.py`` pins it, but
-its inputs need the Python simulator; simulator-free vectors that an independent
-implementation can check are ROADMAP item 20, still to come.
+the hash input. That choice is arbitrary, so ``tests/vectors/keypath.txt``
+pins it without the simulator: masks, helper fields, dump words and the key
+or refusal each reading gives, for an independent implementation to check.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def generate_key(raw, mask: Mask,
     ``seed`` is ignored: no value is drawn; kept until perfbench stops passing it.
     """
     response = apply_mask(raw, mask)
-    helper = generate(response, device_id=mask.device_id, mask_sha256=mask_fingerprint(mask))
+    helper = generate(response, mask_sha256=mask_fingerprint(mask))
     return helper, derive_key(response)
 
 

@@ -208,8 +208,7 @@ def test_criterion_8_format_round_trips(tmp_path):
             save_mask(path, load_mask(path))
             assert path.read_bytes() == first
 
-            helper = generate(random_bytes(rng, 128), device_id=f"m{trial}",
-                              mask_sha256=rng.bytes(32).hex())
+            helper = generate(random_bytes(rng, 128), mask_sha256=rng.bytes(32).hex())
             hpath = tmp_path / "roundtrip.helper"
             save_helper(hpath, helper)
             first = hpath.read_bytes()

@@ -242,14 +242,14 @@ def test_wrong_size_is_refused_in_one_wording(call, message):
 class TestHelperFile:
     def test_round_trip_text(self):
         rng = np.random.default_rng(15)
-        helper = generate(random_bytes(rng, 128), device_id="dev-a", mask_sha256="ab" * 32)
+        helper = generate(random_bytes(rng, 128), mask_sha256="ab" * 32)
         text = helper_to_text(helper)
         assert helper_from_text(text) == helper
         assert helper_to_text(helper_from_text(text)) == text
 
     def test_round_trip_file(self, tmp_path):
         rng = np.random.default_rng(16)
-        helper = generate(random_bytes(rng, 128), device_id="dev-b")
+        helper = generate(random_bytes(rng, 128))
         path = tmp_path / "dev-b.helper"
         save_helper(path, helper)
         assert load_helper(path) == helper
@@ -261,27 +261,28 @@ class TestHelperFile:
         pytest.param("r", "x", id="r"), ("code", "bch-255"), ("n", "255"), ("k", "64"),
         ("r", "9")])
     def test_rejects_bad_code_parameter(self, key, value):
+        # v4 fixes the code by its format, so a code or parameter line, as a
+        # v3 helper held, is an unknown key whatever its value
         rng = np.random.default_rng(18)
-        lines = helper_to_text(generate(random_bytes(rng, 128))).splitlines(keepends=True)
-        bad = "".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
-                      for line in lines)
-        with pytest.raises(TextFormatError, match=f"'{key}'"):
+        bad = helper_to_text(generate(random_bytes(rng, 128))) + f"{key} = {value}\n"
+        with pytest.raises(TextFormatError, match=f"^helper data: line 4: unknown key '{key}'$"):
             helper_from_text(bad)
 
     def test_each_format_names_one_code(self):
         text = helper_to_text(generate(bytes(16)))
-        assert text.startswith("format = srampuf-helper-v3\n")
-        assert "code = hsiao-128-120\n" in text
-        # the retired v1 format is refused whichever code it names
-        v1 = text.replace("srampuf-helper-v3", "srampuf-helper-v1")
-        for code in ("hamming-128-120", "hsiao-128-120"):
+        assert text == "format = srampuf-helper-v4\nmask_sha256 = \nsyndrome = 0\n"
+        # every retired format is refused by its format line, whatever it holds
+        v3 = text.replace("-v4", "-v3") + "code = hsiao-128-120\n"
+        for fmt, code in (("v1", "hamming-128-120"), ("v3", "hsiao-128-120")):
             with pytest.raises(TextFormatError, match="^helper data: unsupported format "
-                                                      "'srampuf-helper-v1'; run genkey again$"):
-                helper_from_text(v1.replace("hsiao-128-120", code))
-        # the code is no field: a helper holds only the v3 code's syndrome
-        with pytest.raises(TypeError):
-            HelperData(syndrome=0, code="hsiao-128-120")
+                                                      f"'srampuf-helper-{fmt}'; run genkey again$"):
+                helper_from_text(v3.replace("-v3", f"-{fmt}").replace("hsiao-128-120", code))
+        # neither the code nor the device is a field: a helper holds its
+        # syndrome and its mask binding
+        for field in ("code", "device_id"):
+            with pytest.raises(TypeError):
+                HelperData(syndrome=0, **{field: "x"})
 
     def test_rejects_missing_key(self):
         with pytest.raises(TextFormatError, match="missing keys"):
-            helper_from_text("format = srampuf-helper-v3\n")
+            helper_from_text("format = srampuf-helper-v4\n")

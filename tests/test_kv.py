@@ -159,7 +159,7 @@ def files(tmp_path):
     save_dump(tmp_path / "reading.hex", BitVector(np.random.default_rng(5).integers(0, 2, 256)))
     save_mask(tmp_path / "dev-a.mask",
               Mask(device_id="dev-a", positions=np.arange(128), threshold=4, sample_count=40))
-    save_helper(tmp_path / "dev-a.helper", HelperData(syndrome=0, device_id="dev-a"))
+    save_helper(tmp_path / "dev-a.helper", HelperData(syndrome=0))
     (tmp_path / "device.cal").write_text(calibration_to_text(Calibration()))
     save_registry(tmp_path / "registry.txt", registry_of(enrolled_entry(tmp_path)))
     return tmp_path
@@ -302,9 +302,16 @@ REFUSALS = {
     "mask-position-overflow": (mask_from_text,
                                MASK_TEXT.replace("positions = 0,", f"positions = {2**64},"),
                                "^mask: positions must be comma-separated integers$"),
-    # a v2 helper's key left in a v3 helper
+    # a v2 or v3 helper's key left in a v4 helper
     "helper-code-offset": (helper_from_text, HELPER_TEXT + "code_offset = " + "0" * 32 + "\n",
                            f"^helper data: line {len(HELPER_KEYS) + 1}: unknown key 'code_offset'$"),
+    "helper-code": (helper_from_text, HELPER_TEXT + "code = hsiao-128-120\n",
+                    f"^helper data: line {len(HELPER_KEYS) + 1}: unknown key 'code'$"),
+    "helper-n": (helper_from_text, HELPER_TEXT + "n = 128\n",
+                 f"^helper data: line {len(HELPER_KEYS) + 1}: unknown key 'n'$"),
+    "helper-device-id": (helper_from_text, "format = srampuf-helper-v4\ndevice_id = dev-a\n"
+                         + HELPER_TEXT.partition("\n")[2],
+                         "^helper data: line 2: unknown key 'device_id'$"),
     "helper-syndrome-negative": (helper_from_text,
                                  HELPER_TEXT.replace("syndrome = 0", "syndrome = -1"),
                                  "^helper data: key 'syndrome' must be 0..255, got -1$"),
@@ -319,12 +326,17 @@ REFUSALS = {
                                     f"^helper data: key 'syndrome' is too large: '{'1' * 40}...'$"),
     "mask-format": (mask_from_text, MASK_TEXT.replace("srampuf-mask-v1", "srampuf-mask-v9"),
                     "^mask: unsupported format 'srampuf-mask-v9'$"),
-    "helper-format": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v3", "x"),
+    "helper-format": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v4", "x"),
                       "^helper data: unsupported format 'x'; run genkey again$"),
     # refused by its format, before its code_offset key is read as unknown
-    "helper-v2": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v3", "srampuf-helper-v2")
+    "helper-v2": (helper_from_text, HELPER_TEXT.replace("srampuf-helper-v4", "srampuf-helper-v2")
                   .replace("syndrome = 0", "code_offset = " + "0" * 32),
                   "^helper data: unsupported format 'srampuf-helper-v2'; run genkey again$"),
+    # and a v3 helper, before its device_id and code keys are
+    "helper-v3": (helper_from_text,
+                  "format = srampuf-helper-v3\ndevice_id = dev-a\ncode = hsiao-128-120\n"
+                  "n = 128\nk = 120\nr = 8\n" + HELPER_TEXT.partition("\n")[2],
+                  "^helper data: unsupported format 'srampuf-helper-v3'; run genkey again$"),
     "mask-format-first": (mask_from_text,
                           MASK_TEXT.replace("srampuf-mask-v1", "srampuf-mask-v0") + "note = x\n",
                           "^mask: unsupported format 'srampuf-mask-v0'$"),
@@ -360,8 +372,8 @@ ECHOES = {
                       "mask: unsupported format {}", "x"),
     "registry-format": (registry_from_text, "format = {}\n", "registry: unsupported format {}",
                         "x"),
-    "helper-code": (helper_from_text, HELPER_TEXT.replace("hsiao-128-120", "{}"),
-                    "helper data: key 'code' must be 'hsiao-128-120', got {}", "x"),
+    "helper-syndrome": (helper_from_text, HELPER_TEXT.replace("syndrome = 0", "syndrome = {}"),
+                        "helper data: key 'syndrome' is not an integer: {}", "x"),
     "condition": (Calibration().condition, "{}",
                   "unknown condition kind {}; expected one of NTNA, HTNA, NTWA", "x"),
     "device-id": (registry_module.check_device_id, "{}",

@@ -29,7 +29,7 @@ TARGETS = {"mask": "dev-a.mask", "helper": "dev-a.helper", "dump": "reading.hex"
 PIECES = [*(bytes([digit]) for digit in b"0123456789ABCDEF"), b"", b"f", b"x", b"-", b",",
           b",,", b"=", b" = ", b" ", b"\t", b"#", b"\n", b"\r\n", b"\r", b"\x00", b"\xe9",
           b"99999999999999999999", b"format", b"positions", b"target_len", b"syndrome",
-          b"code_offset", b"-v2", b"256"]
+          b"code_offset", b"code", b"device_id", b"mask_sha256", b"-v3", b"256"]
 
 
 @pytest.fixture(scope="module")

@@ -29,16 +29,16 @@ from srampuf.keygen import apply_mask, generate_key, reproduce_key
 from srampuf.registry import file_sha256, load_registry, save_registry
 from srampuf.simulate import Calibration, collect_samples, new_device
 
-# device seed -> (SHA-256 of the v3 helper text, key hex); 4864 bits, 40
+# device seed -> (SHA-256 of the v4 helper text, key hex); 4864 bits, 40
 # NTNA samples, threshold 4. A key is the SHA-256 of the masked response, so
 # it does not depend on the helper's code or format: the key hex is as it was
-# under v2 helpers.
+# under v2 and v3 helpers.
 PINNED_HELPERS = {
-    7: ("b69bbf51d4ad03a53161aa017b6da8392526209c1ccc9af2b786bfb78fff8b79",
+    7: ("4610ed3c24751ce5d6fb1c06688d9ef50ae5f59fbd3920d83fe106d99e41a570",
         "2067a9af60e93b02a9dc5291f2b16055e3d7be6075c27d2ea178f935203d68ce"),
-    101: ("3cd8a032468dcd3b639d8a6f71140edbf378411f5bb70f76b3b6329cde0d6c16",
+    101: ("b5eb0a852bbcc7d6cd8c827831b63661f7d1055e8974d218d245a05754627293",
           "44c1355dd5513675ec27542168ac69192b212c6fab31106954150efc29abcb28"),
-    3: ("1ea86dcd73744288dd2a73d88951528e1e85bf710756354939a42b5139c289e1",
+    3: ("90a08347834f06870ae6fdb819fcaa40a75bc3bd089230b908255ea860aacaf1",
         "4d13ce4608376e9c5cf011975b3437fab451e970dac1922c04f59a4201d954b8"),
 }
 
@@ -52,13 +52,8 @@ PINNED_REPORT = {
     "flip_rate": "99aa8d28ced5af83fdac0a58152b2a47a403a04d85e00973d1e72349820c38fd",
 }
 
-ZERO_HELPER_V3 = (
-    "format = srampuf-helper-v3\n"
-    "device_id = \n"
-    "code = hsiao-128-120\n"
-    "n = 128\n"
-    "k = 120\n"
-    "r = 8\n"
+ZERO_HELPER_V4 = (
+    "format = srampuf-helper-v4\n"
     "mask_sha256 = \n"
     "syndrome = 0\n"
 )
@@ -104,7 +99,7 @@ def test_every_double_flip_refused_v2():
     # All-zero response, whose syndrome is zero: a reading's error pattern is
     # the reading itself. All 8,128 double flips are refused.
     mask = identity_mask()
-    helper = dataclasses.replace(helper_from_text(ZERO_HELPER_V3), mask_sha256=mask.fingerprint)
+    helper = dataclasses.replace(helper_from_text(ZERO_HELPER_V4), mask_sha256=mask.fingerprint)
     zero = BitVector(np.zeros(128, dtype=np.uint8))
     enrolled = reproduce_key(zero, mask, helper).digest
     refused, wrong = 0, 0
@@ -146,7 +141,7 @@ def test_127_position_mask_refused(tmp_path):
     with pytest.raises(ValueError, match="128"):
         generate_key(raw, short)
     with pytest.raises(ValueError, match="128"):
-        reproduce_key(raw, short, dataclasses.replace(helper_from_text(ZERO_HELPER_V3),
+        reproduce_key(raw, short, dataclasses.replace(helper_from_text(ZERO_HELPER_V4),
                                                       mask_sha256=short.fingerprint))
 
     dumps = tmp_path / "dumps"
@@ -173,9 +168,9 @@ def test_127_position_mask_refused(tmp_path):
 PINNED_CLI_FILES = {
     "dev-a.mask": "b15cf8d0a1ff8af3e50ea53504302805969ce81e0ddb2f3a87ebf62c77ab6195",
     "dev-b.mask": "771f1b003976239d8ec11ba2b1f1a0becfc022068d94f225bd249614853bdfa7",
-    "dev-a.helper": "0a6dde20275d754ac5b59b491b2d98db3a6773e3be902374204b8d7f496367ef",
-    "dev-b.helper": "cf8419b75babab5cc49d7485c438a649fb419fc66a19755493c5e0c4a6bab091",
-    "registry.txt": "d3687891522640c412433955f2f66b53d80433c80249d437dfd52f3dec85c234",
+    "dev-a.helper": "5187382c9c67a1423072671ec60dbcedc2e749c9c8218436c8f4b8793801baf1",
+    "dev-b.helper": "26384b25194aff067a0e0867c83bf033014f03aa1a730ffcbccd369d6775f674",
+    "registry.txt": "b40b9e9ad3e629b32964fd705e462188186dc1202d36fadec217fc0eaf274c0f",
 }
 
 

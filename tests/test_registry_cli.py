@@ -1181,14 +1181,18 @@ class TestRetiredFormats:
     """An old helper or a v1 registry is refused as one error line naming its format."""
 
     def test_reproduce_refuses_v1_helper(self, enrolled, capsys):
-        """So is a v2 helper, by its format and not by the key it holds."""
+        """So are v2 and v3 helpers, by their format and not by the keys they hold."""
         helper = enrolled / "dev-a.helper"
-        v3 = helper.read_text()
-        syndrome = re.search(r"^syndrome = .*$", v3, re.M)[0]
+        v4 = helper.read_text()
+        syndrome = re.search(r"^syndrome = .*$", v4, re.M)[0]
+        v3 = v4.replace("srampuf-helper-v4", "srampuf-helper-v3").replace(
+            "\nmask_sha256", "\ndevice_id = dev-a\ncode = hsiao-128-120\nn = 128\nk = 120\n"
+            "r = 8\nmask_sha256")
         old = {"srampuf-helper-v1": v3.replace("srampuf-helper-v3", "srampuf-helper-v1")
                .replace("hsiao-128-120", "hamming-128-120"),
                "srampuf-helper-v2": v3.replace("srampuf-helper-v3", "srampuf-helper-v2")
-               .replace(syndrome, "code_offset = " + "0" * 32)}
+               .replace(syndrome, "code_offset = " + "0" * 32),
+               "srampuf-helper-v3": v3}
         path = enrolled / "registry.txt"
         for fmt, text in old.items():
             helper.write_text(text)
@@ -1397,7 +1401,8 @@ def two_dumps(tmp_path):
     return dumps
 
 
-# Each usage refusal with its message; none writes a file beside the dumps
+# Each usage refusal with its message, one error line of at most 400 bytes;
+# none writes a file beside the dumps
 USAGE_REFUSALS = {
     "simulate-set": (["simulate", "--out-dir", "{tmp}/out", "--device-seed", "1", "--set", "foo"],
                      "--set: line 1: expected 'key = value', got 'foo'"),
@@ -1464,6 +1469,12 @@ USAGE_REFUSALS = {
     "flip-count-negative": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out",
                              "{tmp}/x.hex", "--count", "-2", "--seed", "1"],
                             "--count -2 is outside 0..64, the number of bits to choose from"),
+    # named by their count and the first of them, not each in turn
+    "flip-positions-out-of-range": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out",
+                                     "{tmp}/x.hex", "--positions",
+                                     ",".join(str(10**6 + i) for i in range(300))],
+                                    "300 position(s) out of range for a 64-bit dump, "
+                                    "first '1000000'"),
     # the write names the file asked for, not the temp file it would rename
     "flip-out-directory-missing": (["flip", "--dump", "{dumps}/sample-00000.hex", "--out",
                                     "{tmp}/nodir/x.hex", "--positions", "0"],
@@ -1476,7 +1487,8 @@ def test_usage_refusal_is_one_error_line(tmp_path, two_dumps, capsys, argv, mess
     capsys.readouterr()
     paths = dict(tmp=tmp_path, dumps=two_dumps)
     assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(**paths)}\n" and len(err) <= 400
     assert sorted(os.listdir(tmp_path)) == ["dumps"]
 
 
